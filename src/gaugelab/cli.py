@@ -144,10 +144,14 @@ def _cmd_gauge(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    try:
+        w = TruncationWindow(args.jet_order, args.poly_degree, args.sector)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     m, code = _load(args)
     if m is None:
         return code
-    w = TruncationWindow(args.jet_order, args.poly_degree, args.sector)
     try:
         report = kt_homology(m, w, max_stage=args.stage)
     except NotAComplex as e:

@@ -18,7 +18,7 @@ from .algebra import Density, GHOST, GradedPoly, JetSymbol
 from .errors import GradingMismatch, NotAComplex
 from .jets import VerticalDerivation, apply_prolonged
 from .koszul import ModelSpec, build_stage_differential
-from .linalg import LinearSpan, kernel_of_columns, rank_fraction_free
+from .linalg import LinearSpan, kernel_of_columns
 
 from itertools import combinations_with_replacement
 
@@ -93,13 +93,17 @@ class BoundaryMatrix:
 
     @property
     def rank(self) -> int:
-        if not self.source or not self.target:
-            return 0
-        rows = [[Fraction(0)] * len(self.source) for _ in self.target]
+        """Rank by sparse elimination of the rows, pivoting on the largest
+        column index: independent of ``kernel_of_columns``, which eliminates
+        columns and pivots on rows, so rank-nullity cross-checks the two."""
+        rows: dict = {}
         for j, col in enumerate(self.columns):
             for i, c in col.items():
-                rows[i][j] = c
-        return rank_fraction_free(rows)
+                rows.setdefault(i, {})[j] = c
+        span = LinearSpan()
+        for row in rows.values():
+            span.add(row)
+        return span.rank
 
 
 def boundary_matrix(delta: VerticalDerivation, m: ModelSpec,
@@ -147,15 +151,10 @@ class HomologyReport:
 def _window_boundaries(bm_in: BoundaryMatrix, window_set: set) -> list[dict]:
     """Boundary vectors (over window chain coordinates) of the in-map image
     intersected with the window span."""
-    if not bm_in.source:
-        return []
-    outside_rows = [i for i, fs in enumerate(bm_in.target) if fs not in window_set]
-    if outside_rows:
-        trimmed = []
-        outside = set(outside_rows)
-        for col in bm_in.columns:
-            trimmed.append({i: c for i, c in col.items() if i in outside})
-        combos = kernel_of_columns(trimmed)
+    outside = {i for i, fs in enumerate(bm_in.target) if fs not in window_set}
+    if outside:
+        combos = kernel_of_columns(
+            [{i: c for i, c in col.items() if i in outside} for col in bm_in.columns])
     else:
         combos = [{j: Fraction(1)} for j in range(len(bm_in.source))]
     vectors = []
@@ -199,28 +198,27 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
     boundaries = _window_boundaries(bm_in, window_set)
 
     # complex property where it matters: every boundary that lands inside the
-    # window must be annihilated by the out-map
+    # window must be annihilated by the out-map, applied through its matrix
+    source_index = {fs: j for j, fs in enumerate(bm_out.source)}
     for vec in boundaries:
-        image = GradedPoly.zero()
+        image: dict = {}
         for fs, c in vec.items():
-            image = image + apply_prolonged(delta_out, GradedPoly(((fs, c),)))
-        if not image.is_zero():
+            for i, cc in bm_out.columns[source_index[fs]].items():
+                image[i] = image.get(i, 0) + c * cc
+        if any(image.values()):
             raise NotAComplex(
                 "window boundaries are not cycles; the generator tower is inconsistent")
 
-    boundary_span = LinearSpan()
+    span = LinearSpan()
     for vec in boundaries:
-        boundary_span.add(vec)
-    rank_in_window = boundary_span.rank
+        span.add(vec)
+    rank_in_window = span.rank
 
     reps = []
-    rep_span = LinearSpan()
-    for vec in boundaries:
-        rep_span.add(vec)
     for combo in cycle_combos:
         vec = {bm_out.source[j]: c for j, c in combo.items()}
-        rem = rep_span.reduce(vec)
-        if rem and rep_span.add(rem):
+        rem = span.reduce(vec)
+        if rem and span.add(rem):
             reps.append(_density_from_vec(rem))
 
     dim_cycles = len(cycle_combos)

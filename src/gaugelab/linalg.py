@@ -1,9 +1,11 @@
 """Exact rational linear algebra for the homology windows.
 
-Two small engines: a triangular span of sparse Fraction vectors (membership,
-kernels, canonical remainders) and a dense fraction-free rank on integer
-matrices for the reported rank numbers.  No tolerances exist anywhere: every
-pivot decision is an exact zero test.
+A triangular span of sparse Fraction vectors (membership, ranks, canonical
+remainders) and a column kernel.  The homology rank is a sparse row-side
+elimination through the span, used only to cross-check the column kernel by
+rank-nullity.  The dense fraction-free rank is no longer called by the
+package; it stays because the benchmark's tracer wraps it by name.  No
+tolerances exist anywhere: every pivot decision is an exact zero test.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
 """Command dispatch, exit codes, reports, and byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaugelab
 from gaugelab import load_model, render_model, zoo_model
 from gaugelab.cli import run_command
 from support import flip_first_term, rebuild_with_mutation
@@ -99,6 +104,36 @@ def test_homology_not_a_complex_is_check_failure(tmp_path):
     model_file.write_text(render_model(bad))
     assert run_command(["homology", "--model", str(model_file),
                         "--sector", "1"]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--jet-order", "-1"),
+    ("--poly-degree", "0"),
+    ("--sector", "-1"),
+])
+def test_homology_bad_window_is_usage_error(flag, value, capsys):
+    assert run_command(["homology", "--zoo", "bf:2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _run_python(*args):
+    src = str(Path(gaugelab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    r = _run_python("-m", "gaugelab", "zoo", "bf:2")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("dim 2\n")
+    r = _run_python("-c", "import sys, gaugelab.cli; "
+                          "sys.exit('gaugelab.__main__' in sys.modules)")
+    assert r.returncode == 0
 
 
 def test_zoo_command_output_parses(capsys):
