@@ -21,10 +21,10 @@ from .algebra import (
     ODD,
     VariableTable,
     factor_str,
-    graded_mul,
     grading_of,
     multi_index,
     normalize,
+    poly_sum,
     render_poly,
 )
 from .errors import (

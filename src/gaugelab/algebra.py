@@ -46,10 +46,6 @@ def multi_index(entries: Iterable[int]) -> MultiIndex:
     return tuple(sorted(entries))
 
 
-def mi_union(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(sorted(a + b))
-
-
 @dataclass(frozen=True)
 class BaseSpace:
     """Base dimension; base indices range over 0..n-1."""
@@ -262,20 +258,10 @@ class GradedPoly:
         return hash(self._terms)
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for fs, c in other._terms:
-            acc[fs] = acc.get(fs, _F0) + c
-        return GradedPoly._from_dict(acc)
+        return poly_sum((self, other)) if isinstance(other, GradedPoly) else NotImplemented
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for fs, c in other._terms:
-            acc[fs] = acc.get(fs, _F0) - c
-        return GradedPoly._from_dict(acc)
+        return poly_sum((self, -other)) if isinstance(other, GradedPoly) else NotImplemented
 
     def __neg__(self) -> "GradedPoly":
         return GradedPoly(tuple((fs, -c) for fs, c in self._terms))
@@ -329,6 +315,19 @@ class GradedPoly:
 _ZERO = GradedPoly(())
 
 
+def poly_sum(polys: Iterable[GradedPoly]) -> GradedPoly:
+    """Sum of polynomials, merged term by term and canonicalised once.
+
+    Every sum of polynomials goes through here; build a list of the parts
+    and sum it once rather than adding them one at a time.
+    """
+    acc: dict[Factors, Fraction] = {}
+    for p in polys:
+        for fs, c in p._terms:
+            acc[fs] = acc.get(fs, _F0) + c
+    return GradedPoly._from_dict(acc)
+
+
 def normalize(table: "VariableTable", raw: Iterable[tuple]) -> GradedPoly:
     """Canonicalize raw (coefficient, factors) input against a variable table.
 
@@ -358,10 +357,6 @@ def normalize(table: "VariableTable", raw: Iterable[tuple]) -> GradedPoly:
     return GradedPoly.from_raw(prepared)
 
 
-def graded_mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    return a * b
-
-
 def grading_of(p: GradedPoly):
     """Parity / antifield number / ghost number, or "inhomogeneous".
 
@@ -369,12 +364,7 @@ def grading_of(p: GradedPoly):
     """
     grading = None
     for fs, _ in p.terms:
-        par = ant = gh = 0
-        for f in fs:
-            par ^= f.parity
-            ant += f.var.antifield_number
-            gh += f.var.ghost_number
-        g = Grading(par, ant, gh)
+        g = term_grading(fs)
         if grading is None:
             grading = g
         elif grading != g:
@@ -383,12 +373,8 @@ def grading_of(p: GradedPoly):
 
 
 def term_grading(fs: Factors) -> Grading:
-    par = ant = gh = 0
-    for f in fs:
-        par ^= f.parity
-        ant += f.var.antifield_number
-        gh += f.var.ghost_number
-    return Grading(par, ant, gh)
+    return Grading(_term_parity(fs), sum(f.var.antifield_number for f in fs),
+                   sum(f.var.ghost_number for f in fs))
 
 
 def _coeff_str(q: Fraction) -> str:

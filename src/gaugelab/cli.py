@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .algebra import as_poly, factor_str, render_poly
 from .dsl import load_model, render_model
-from .errors import GaugelabError, NotAComplex
+from .errors import GaugelabError, MissingStage, NotAComplex
 from .homology import TruncationWindow, kt_homology
 from .jets import apply_prolonged
 from .koszul import (
@@ -30,44 +30,54 @@ from .koszul import (
 from .zoo import zoo_model
 
 
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _load(args) -> tuple:
-    """(model, None) or (None, exit_code) after printing the problem."""
+    """(model, resolved --stage) or (None, exit code) after printing the problem."""
     if args.zoo and args.model:
-        print("error: pass either --model or --zoo, not both", file=sys.stderr)
-        return None, 2
+        return None, _error("pass either --model or --zoo, not both")
+    if not args.zoo and not args.model:
+        return None, _error("a model is required (--model PATH or --zoo NAME)")
     if args.zoo:
         try:
-            return zoo_model(args.zoo), None
+            spec = zoo_model(args.zoo)
         except (ValueError, GaugelabError) as e:
-            print(f"error: {e}", file=sys.stderr)
+            return None, _error(e)
+    else:
+        try:
+            text = Path(args.model).read_text()
+        except OSError as e:
+            return None, _error(e)
+        spec, diags = load_model(text, name=Path(args.model).stem)
+        for d in diags:
+            print(f"{args.model}:{d}", file=sys.stderr)
+        if spec is None:
             return None, 2
-    if not args.model:
-        print("error: a model is required (--model PATH or --zoo NAME)", file=sys.stderr)
-        return None, 2
     try:
-        text = Path(args.model).read_text()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None, 2
-    spec, diags = load_model(text, name=Path(args.model).stem)
-    for d in diags:
-        print(f"{args.model}:{d}", file=sys.stderr)
-    if spec is None:
-        return None, 2
-    return spec, None
+        return spec, spec.resolve_stage(args.stage)
+    except MissingStage as e:
+        return None, _error(e)
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload: dict) -> bool:
+    """Write the --report JSON; False after printing why it could not be written."""
     if args.report:
         data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        Path(args.report).write_text(data)
+        try:
+            Path(args.report).write_text(data)
+        except OSError as e:
+            _error(e)
+            return False
+    return True
 
 
 def _cmd_check(args) -> int:
-    m, code = _load(args)
+    m, N = _load(args)
     if m is None:
-        return code
-    N = m.max_stage if args.stage is None else args.stage
+        return N
     checks = []
 
     def record(name: str, ok: bool, witness: str | None = None):
@@ -107,26 +117,23 @@ def _cmd_check(args) -> int:
         record("ascent-nilpotency", r.ok,
                None if r.ok else f"{factor_str(r.witness[0])}: {render_poly(r.witness[1])}")
     except GaugelabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e)
 
     ok = all(c["status"] == "pass" for c in checks)
-    payload = {"model": m.name, "command": "check", "checks": checks}
-    _emit(args, payload)
+    if not _emit(args, {"model": m.name, "command": "check", "checks": checks}):
+        return 2
     print(f"{'all checks pass' if ok else 'some checks FAILED'} ({m.name})")
     return 0 if ok else 1
 
 
 def _cmd_gauge(args) -> int:
-    m, code = _load(args)
+    m, N = _load(args)
     if m is None:
-        return code
-    N = m.max_stage if args.stage is None else args.stage
+        return N
     try:
         u = ascent_operator(m, N)
     except GaugelabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e)
     components = {factor_str(sym): render_poly(p) for sym, p in u.sorted_components()}
     for target in sorted(components):
         print(f"u({target}) = {components[target]}")
@@ -139,27 +146,24 @@ def _cmd_gauge(args) -> int:
             "components": components,
         },
     }
-    _emit(args, payload)
-    return 0
+    return 0 if _emit(args, payload) else 2
 
 
 def _cmd_homology(args) -> int:
     try:
         w = TruncationWindow(args.jet_order, args.poly_degree, args.sector)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    m, code = _load(args)
+        return _error(e)
+    m, N = _load(args)
     if m is None:
-        return code
+        return N
     try:
-        report = kt_homology(m, w, max_stage=args.stage)
+        report = kt_homology(m, w, max_stage=N)
     except NotAComplex as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except GaugelabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e)
     gens = [render_poly(as_poly(rep)) for rep in report.representatives]
     entry = {
         "sector": report.sector,
@@ -173,8 +177,8 @@ def _cmd_homology(args) -> int:
         },
         "generators": gens,
     }
-    payload = {"model": m.name, "command": "homology", "homology": [entry]}
-    _emit(args, payload)
+    if not _emit(args, {"model": m.name, "command": "homology", "homology": [entry]}):
+        return 2
     print(f"sector {report.sector}: window homology dimension {report.dim_homology} "
           f"(window-relative; jet order <= {w.max_jet_order}, degree <= {w.max_poly_degree})")
     if gens:
@@ -190,15 +194,10 @@ def _cmd_zoo(args) -> int:
     try:
         m = zoo_model(args.name)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e)
     text = render_model(m)
     sys.stdout.write(text)
-    if args.report:
-        Path(args.report).write_text(json.dumps(
-            {"model": m.name, "command": "zoo", "dsl": text},
-            indent=2, sort_keys=True) + "\n")
-    return 0
+    return 0 if _emit(args, {"model": m.name, "command": "zoo", "dsl": text}) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,6 @@ A model file is line-oriented:
     odd-field psi
     L = 1/2*A*eps[mu,nu]*d[mu](B[nu])
     stage 0: D[] = d[mu](sbar(B)[mu])
-    option jet-order 1
 
 Expressions use ``+ - * / ^``, rational literals, ``d[i](...)`` for total
 derivatives, ``eps[...]`` and ``delta[i,j]``, field names with component
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebra import EVEN, GradedPoly, ODD, as_poly, perm_sign
+from .algebra import EVEN, GradedPoly, ODD, as_poly, perm_sign, poly_sum
 from .errors import GaugelabError, IndexOutOfRange, UnknownVariable
 from .jets import total_derivative
 from .koszul import ModelBuilder, ModelSpec
@@ -156,7 +155,6 @@ class ModelDocument:
     decls: list = field(default_factory=list)      # (name, parity, arity, antisym, pos)
     lagrangian: tuple | None = None                 # (expr, pos)
     families: list = field(default_factory=list)    # FamilyDef
-    options: dict = field(default_factory=dict)
 
 
 class _ExprParser:
@@ -365,12 +363,6 @@ def parse_model(text: str):
                 doc.lagrangian = (expr, (lineno, head.col))
             elif head.text == "stage":
                 _parse_stage(doc, toks, diags)
-            elif head.text == "option":
-                if len(toks) != 3 or toks[1].kind != "name" or toks[2].kind != "int":
-                    diags.append(Diagnostic(lineno, head.col, "E-SYNTAX",
-                                            "usage: option NAME INT"))
-                    continue
-                doc.options[toks[1].text] = int(toks[2].text)
             else:
                 diags.append(Diagnostic(lineno, head.col, "E-SYNTAX",
                                         f"unknown statement {head.text!r}"))
@@ -502,10 +494,8 @@ class _Expander:
         here = self.bound.get(id(node), ())
         if not here:
             return self._eval(node, env)
-        acc = GradedPoly.zero()
-        for assign in product(range(self.n), repeat=len(here)):
-            acc = acc + self._eval(node, {**env, **dict(zip(here, assign))})
-        return acc
+        return poly_sum(self._eval(node, {**env, **dict(zip(here, assign))})
+                        for assign in product(range(self.n), repeat=len(here)))
 
     def _idx(self, idx, env, pos) -> int:
         if idx[0] == "lit":
@@ -555,11 +545,8 @@ class _Expander:
             lam = self._idx(node.index, env, node.pos)
             return total_derivative(self.eval(node.sub, env), lam, self.n)
         if isinstance(node, Add):
-            acc = GradedPoly.zero()
-            for sign, sub in node.items:
-                v = self.eval(sub, env)
-                acc = acc + v if sign > 0 else acc - v
-            return acc
+            return poly_sum(self.eval(sub, env) if sign > 0 else -self.eval(sub, env)
+                            for sign, sub in node.items)
         if isinstance(node, Mul):
             acc = GradedPoly.constant(1)
             for f in node.factors:
@@ -618,7 +605,7 @@ def elaborate(doc: ModelDocument, name: str = "model"):
         fams = []
         ok = True
         for famname in sorted(grouped):
-            members: dict[tuple, GradedPoly] = {}
+            members: dict[tuple, list] = {}
             arity = None
             antisym = None
             for fd in grouped[famname]:
@@ -653,8 +640,7 @@ def elaborate(doc: ModelDocument, name: str = "model"):
                             continue
                         for comps in combinations(range(doc.dim), arity):
                             env = dict(zip(letters, comps))
-                            poly = ex.eval(fd.expr, env)
-                            members[comps] = members.get(comps, GradedPoly.zero()) + poly
+                            members.setdefault(comps, []).append(ex.eval(fd.expr, env))
                     else:
                         comps = tuple(i[1] for i in fd.indices)
                         if list(comps) != sorted(set(comps)):
@@ -668,16 +654,16 @@ def elaborate(doc: ModelDocument, name: str = "model"):
                                                     f"member definition has free indices {sorted(free)}"))
                             ok = False
                             continue
-                        poly = ex.eval(fd.expr, {})
-                        members[comps] = members.get(comps, GradedPoly.zero()) + poly
+                        members.setdefault(comps, []).append(ex.eval(fd.expr, {}))
                 except _Bail:
                     ok = False
                     continue
             if arity is None:
                 continue
             for comps in combinations(range(doc.dim), arity):
-                members.setdefault(comps, GradedPoly.zero())
-            fams.append((famname, arity, arity > 1, members))
+                members.setdefault(comps, [])
+            fams.append((famname, arity, arity > 1,
+                         {comps: poly_sum(ps) for comps, ps in members.items()}))
         if not ok:
             return None, diags
         try:

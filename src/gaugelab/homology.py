@@ -249,7 +249,7 @@ def kt_differentials_for_sector(m: ModelSpec, sector: int,
     map out of sector k is the stage-min(k-2, N) differential and the map in
     from sector k+1 is the stage-min(k-1, N) differential.
     """
-    N = m.max_stage if max_stage is None else max_stage
+    N = m.resolve_stage(max_stage)
     out_cap = min(sector - 2, N)
     in_cap = min(sector - 1, N)
     delta_out = build_stage_differential(m, max(out_cap, -1))

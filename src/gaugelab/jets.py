@@ -31,8 +31,10 @@ from .algebra import (
     MultiIndex,
     VariableTable,
     _canon_factors,
+    _term_parity,
     as_poly,
     multi_index,
+    poly_sum,
 )
 from .errors import GradingMismatch, IndexOutOfRange
 
@@ -52,13 +54,7 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
         raise ValueError(f"side must be left or right, got {side!r}")
     acc: dict[Factors, Fraction] = {}
     for fs, c in p.terms:
-        if side == RIGHT and x.parity:
-            par = 0
-            for f in fs:
-                par ^= f.parity
-            outer = -1 if (par ^ 1) & 1 else 1
-        else:
-            outer = 1
+        outer = -1 if side == RIGHT and x.parity and not _term_parity(fs) else 1
         pref = 0
         for i, f in enumerate(fs):
             if f == x:
@@ -102,12 +98,12 @@ def variational_derivative(P, decl: GradedVariableDecl, components=()) -> Graded
     comps = tuple(components)
     lams = sorted({f.derivative for f in poly.symbols()
                    if f.var == decl and f.components == comps})
-    acc = GradedPoly.zero()
+    parts = []
     for Lam in lams:
         g = partial_derivative(poly, JetSymbol(decl, comps, Lam), LEFT)
         g = multi_total_derivative(g, Lam)
-        acc = acc + g if len(Lam) % 2 == 0 else acc - g
-    return acc
+        parts.append(-g if len(Lam) % 2 else g)
+    return poly_sum(parts)
 
 
 def euler_lagrange(table: VariableTable, L) -> dict[JetSymbol, GradedPoly]:
@@ -137,11 +133,11 @@ class CoefficientFamily:
 
     def __init__(self, mapping: Mapping[MultiIndex, GradedPoly] | Iterable = ()):
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        cleaned = {}
+        parts: dict[MultiIndex, list] = {}
         for mi, poly in items:
-            if not poly.is_zero():
-                cleaned[multi_index(mi)] = cleaned.get(multi_index(mi), GradedPoly.zero()) + poly
-        self._items = tuple(sorted(((mi, p) for mi, p in cleaned.items() if not p.is_zero()),
+            parts.setdefault(multi_index(mi), []).append(poly)
+        sums = ((mi, poly_sum(ps)) for mi, ps in parts.items())
+        self._items = tuple(sorted(((mi, p) for mi, p in sums if not p.is_zero()),
                                    key=lambda t: (len(t[0]), t[0])))
 
     @property
@@ -197,15 +193,12 @@ def eta(fam: CoefficientFamily) -> CoefficientFamily:
     polynomial p; on multiset-indexed families the splitting multiplicity is
     the product of per-index binomial coefficients.  Satisfies eta(eta(f)) = f.
     """
-    acc: dict[MultiIndex, GradedPoly] = {}
+    parts: list[tuple] = []
     for M, f in fam.items:
         sign = 1 if len(M) % 2 == 0 else -1
         for sigma, lam, ways in _sub_multisets(M):
-            term = multi_total_derivative(f, sigma).scale(sign * ways)
-            if term.is_zero():
-                continue
-            acc[lam] = acc.get(lam, GradedPoly.zero()) + term
-    return CoefficientFamily(acc)
+            parts.append((lam, multi_total_derivative(f, sigma).scale(sign * ways)))
+    return CoefficientFamily(parts)
 
 
 class VerticalDerivation:
@@ -232,13 +225,8 @@ class VerticalDerivation:
             if poly.is_zero():
                 continue
             want = (parity + sym.parity) % 2
-            for fs, _ in poly.terms:
-                par = 0
-                for f in fs:
-                    par ^= f.parity
-                if par != want:
-                    raise GradingMismatch(
-                        f"component on {sym!r} must have parity {want}")
+            if any(_term_parity(fs) != want for fs, _ in poly.terms):
+                raise GradingMismatch(f"component on {sym!r} must have parity {want}")
             cleaned[sym] = poly
         self.parity = parity
         self.side = side
@@ -312,22 +300,17 @@ def first_variation_residual(table: VariableTable, L, v: VerticalDerivation) -> 
     """
     if v.side != LEFT:
         raise ValueError("first variation is taken along left derivations")
-    res = as_poly(apply_prolonged(v, as_poly(L)))
-    for sym, comp in v.sorted_components():
-        e = variational_derivative(L, sym.var, sym.components)
-        if not e.is_zero():
-            res = res - comp * e
-    return Density(res)
+    return Density(as_poly(apply_prolonged(v, L))) - contracted_el_density(table, L, v)
 
 
 def contracted_el_density(table: VariableTable, L, v: VerticalDerivation) -> Density:
     """The density sum_x v^x * (variational derivative of L w.r.t. x)."""
-    acc = GradedPoly.zero()
+    parts = []
     for sym, comp in v.sorted_components():
         e = variational_derivative(L, sym.var, sym.components)
         if not e.is_zero():
-            acc = acc + comp * e
-    return Density(acc)
+            parts.append(comp * e)
+    return Density(poly_sum(parts))
 
 
 def is_variational_supersymmetry(table: VariableTable, L, v: VerticalDerivation) -> bool:

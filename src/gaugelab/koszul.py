@@ -29,11 +29,13 @@ from .algebra import (
     GHOST,
     GradedPoly,
     GradedVariableDecl,
+    INHOMOGENEOUS,
     JetSymbol,
     ODD,
     VariableTable,
     as_poly,
     grading_of,
+    poly_sum,
 )
 from .errors import (
     EvenDerivation,
@@ -144,11 +146,20 @@ class ModelSpec:
             self._el_cache = euler_lagrange(self.table, self.lagrangian)
         return self._el_cache
 
-    def check_stages(self, N: int) -> None:
+    def resolve_stage(self, N: int | None) -> int:
+        """The tower cut for a requested stage: None means the top stage,
+        -1 the bare differential.  Raises MissingStage outside -1..max_stage
+        or when a stage up to N has no generator family."""
+        if N is None:
+            N = self.max_stage
+        if not -1 <= N <= self.max_stage:
+            raise MissingStage(f"stage {N} requested but the model has stages "
+                               f"-1..{self.max_stage}")
         present = {f.stage for f in self.families}
-        for k in range(0, N + 1):
+        for k in range(N + 1):
             if k not in present:
                 raise MissingStage(f"stage {k} has no generator family")
+        return N
 
     def __eq__(self, other):
         return (isinstance(other, ModelSpec)
@@ -218,7 +229,7 @@ class ModelBuilder:
                     cleaned[tuple(comps)] = poly
                     continue
                 g = grading_of(poly)
-                if g == "inhomogeneous":
+                if g == INHOMOGENEOUS:
                     raise GradingMismatch(f"generator {fname}{comps} has mixed parity")
                 if parity is None:
                     parity = g.parity
@@ -282,12 +293,7 @@ def build_stage_differential(m: ModelSpec, N: int | None = None) -> VerticalDeri
     N = -1 gives the bare differential (field antifields only); stage-k
     antifields up to N are sent to their generator densities.
     """
-    if N is None:
-        N = m.max_stage
-    if N > m.max_stage:
-        raise MissingStage(f"stage {N} requested but model stops at {m.max_stage}")
-    if N >= 0:
-        m.check_stages(N)
+    N = m.resolve_stage(N)
     comps: dict[JetSymbol, GradedPoly] = {}
     el = m.euler_lagrange_map()
     for decl in m.table.kind_decls(FIELD):
@@ -337,7 +343,7 @@ def _self_application(v: VerticalDerivation) -> NilpotencyResult:
     return NilpotencyResult(True, None)
 
 
-def generator_g_part(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedPoly:
+def generator_g_part(fam: NoetherGeneratorFamily, comps) -> GradedPoly:
     """Monomials of the member linear in the previous level of antifields."""
     member = fam.member(comps)
     want_stage = fam.stage - 1
@@ -348,12 +354,11 @@ def generator_g_part(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> Graded
     return GradedPoly(tuple(keep))
 
 
-def generator_h_part(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedPoly:
-    member = fam.member(comps)
-    return member - generator_g_part(m, fam, comps)
+def generator_h_part(fam: NoetherGeneratorFamily, comps) -> GradedPoly:
+    return fam.member(comps) - generator_g_part(fam, comps)
 
 
-def _linear_antifield_coefficients(m: ModelSpec, poly: GradedPoly, stage: int):
+def _linear_antifield_coefficients(poly: GradedPoly, stage: int):
     """(antifield jet symbol, right-partial coefficient) pairs, sorted."""
     syms = sorted((s for s in poly.symbols()
                    if s.var.kind == ANTIFIELD and s.var.stage == stage),
@@ -370,28 +375,27 @@ def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedP
     derivatives of the previous generators' antifield-linear parts, plus the
     bare differential applied to the correction term.
     """
-    member = fam.member(comps)
-    total = GradedPoly.zero()
+    parts = []
     if fam.stage == 0:
         el = m.euler_lagrange_map()
-        for sym, coeff in _linear_antifield_coefficients(m, member, -1):
+        for sym, coeff in _linear_antifield_coefficients(fam.member(comps), -1):
             field = m.field_for_antifield(sym.var)
             e = el[JetSymbol(field, sym.components)]
-            total = total + coeff * multi_total_derivative(e, sym.derivative)
-        return total
-    m.check_stages(fam.stage - 1)
-    gpart = generator_g_part(m, fam, comps)
-    for sym, coeff in _linear_antifield_coefficients(m, gpart, fam.stage - 1):
+            parts.append(coeff * multi_total_derivative(e, sym.derivative))
+        return poly_sum(parts)
+    m.resolve_stage(fam.stage - 1)
+    gpart = generator_g_part(fam, comps)
+    for sym, coeff in _linear_antifield_coefficients(gpart, fam.stage - 1):
         prev_fam = m.family_for_antifield(sym.var)
         if prev_fam.stage == 0:
             inner = prev_fam.member(sym.components)
         else:
-            inner = generator_g_part(m, prev_fam, sym.components)
-        total = total + coeff * multi_total_derivative(inner, sym.derivative)
-    hpart = generator_h_part(m, fam, comps)
+            inner = generator_g_part(prev_fam, sym.components)
+        parts.append(coeff * multi_total_derivative(inner, sym.derivative))
+    hpart = generator_h_part(fam, comps)
     if not hpart.is_zero():
-        total = total + apply_prolonged(build_stage_differential(m, -1), hpart)
-    return total
+        parts.append(apply_prolonged(build_stage_differential(m, -1), hpart))
+    return poly_sum(parts)
 
 
 def verify_noether_identity(m: ModelSpec, fam: NoetherGeneratorFamily) -> bool:
@@ -414,22 +418,16 @@ def extended_lagrangian(m: ModelSpec, N: int | None = None) -> Density:
     The stage differential annihilates the result exactly whenever the
     declared identities verify.
     """
-    if N is None:
-        N = m.max_stage
-    if N > m.max_stage:
-        raise MissingStage(f"stage {N} requested but model stops at {m.max_stage}")
-    if N >= 0:
-        m.check_stages(N)
-    total = as_poly(m.lagrangian)
+    N = m.resolve_stage(N)
+    parts = [as_poly(m.lagrangian)]
     for fam in m.families:
         if fam.stage > N:
             continue
         ghost = m.family_ghost(fam)
         for ct, member in fam.sorted_members():
-            if member.is_zero():
-                continue
-            total = total + GradedPoly.from_symbol(JetSymbol(ghost, ct)) * member
-    return Density(total)
+            if not member.is_zero():
+                parts.append(GradedPoly.from_symbol(JetSymbol(ghost, ct)) * member)
+    return Density(poly_sum(parts))
 
 
 def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
@@ -440,13 +438,8 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
     integration-by-parts involution of the coefficient families; antifield
     components are zero.
     """
-    if N is None:
-        N = m.max_stage
-    if N > m.max_stage:
-        raise MissingStage(f"stage {N} requested but model stops at {m.max_stage}")
-    if N >= 0:
-        m.check_stages(N)
-    acc: dict[JetSymbol, GradedPoly] = {}
+    N = m.resolve_stage(N)
+    parts: dict[JetSymbol, list] = {}
     for fam in m.families:
         if fam.stage > N:
             continue
@@ -457,28 +450,22 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
             if fam.stage == 0:
                 linear = member
             else:
-                linear = generator_g_part(m, fam, fcomps)
+                linear = generator_g_part(fam, fcomps)
             groups: dict[tuple, dict] = {}
-            for sym, coeff in _linear_antifield_coefficients(m, linear, fam.stage - 1):
+            for sym, coeff in _linear_antifield_coefficients(linear, fam.stage - 1):
                 key = (sym.var, sym.components)
                 groups.setdefault(key, {})[sym.derivative] = coeff
-            for (anti_decl, acomps), family_map in sorted(
-                    groups.items(), key=lambda t: (t[0][0].sort_rank, t[0][1])):
+            for (anti_decl, acomps), family_map in groups.items():
                 e = eta(CoefficientFamily(family_map))
                 if fam.stage == 0:
                     target_decl = m.field_for_antifield(anti_decl)
                 else:
                     target_decl = m.family_ghost(m.family_for_antifield(anti_decl))
-                target = JetSymbol(target_decl, acomps)
-                piece = GradedPoly.zero()
-                for Lam, coeff in e.items:
-                    ghost_jet = GradedPoly.from_symbol(JetSymbol(ghost, fcomps, Lam))
-                    piece = piece + ghost_jet * coeff
-                if not piece.is_zero():
-                    acc[target] = acc.get(target, GradedPoly.zero()) + piece
-    acc = {sym: p for sym, p in acc.items() if not p.is_zero()}
-    return VerticalDerivation(acc, parity=ODD, side=LEFT,
-                              antifield_delta=0, ghost_delta=1)
+                parts.setdefault(JetSymbol(target_decl, acomps), []).extend(
+                    GradedPoly.from_symbol(JetSymbol(ghost, fcomps, Lam)) * coeff
+                    for Lam, coeff in e.items)
+    return VerticalDerivation({sym: poly_sum(ps) for sym, ps in parts.items()},
+                              parity=ODD, side=LEFT, antifield_delta=0, ghost_delta=1)
 
 
 def verify_variational_supersymmetry(m: ModelSpec, v: VerticalDerivation,
@@ -511,7 +498,7 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
     if p.is_zero():
         return OnShellResult(p, True)
     g = grading_of(p)
-    if g == "inhomogeneous":
+    if g == INHOMOGENEOUS:
         raise GradingMismatch("on-shell reduction expects a graded-homogeneous input")
     el = m.euler_lagrange_map()
     nonzero_el = {sym: e for sym, e in el.items() if not e.is_zero()}
@@ -546,7 +533,7 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
                 multipliers.append(mono)
     for gen in generators:
         gg = grading_of(gen)
-        graded = gg != "inhomogeneous"
+        graded = gg != INHOMOGENEOUS
         for q in multipliers:
             if graded:
                 qg = grading_of(q)

@@ -1,10 +1,12 @@
 """Canonical form, graded products, and grading bookkeeping."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugelab import (
@@ -14,6 +16,7 @@ from gaugelab import (
     UnknownVariable,
     grading_of,
     normalize,
+    poly_sum,
     render_poly,
 )
 from support import jet_pool, random_poly, two_field_model
@@ -125,6 +128,27 @@ def test_associativity_and_bilinearity(ra, rb, rc):
     a, b, c = (normalize(T, r) for r in (ra, rb, rc))
     assert (a * b) * c == a * (b * c)
     assert (a + b) * c == a * c + b * c
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+@example(0, 0)
+def test_poly_sum_matches_repeated_add(seed, k):
+    rng = random.Random(seed)
+    ps = [random_poly(rng, POOL, max_terms=5) for _ in range(k)]
+    total = poly_sum(ps)
+    assert total == functools.reduce(operator.add, ps, GradedPoly.zero())
+    # independent of both: one canonicalisation of every term at once
+    assert total == GradedPoly.from_raw((c, fs) for p in ps for fs, c in p.terms)
+    keys = [tuple(f.key for f in fs) for fs, _ in total.terms]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(c != 0 for _, c in total.terms)
+    mixed = ps + [-p for p in ps]
+    rng.shuffle(mixed)
+    assert poly_sum(mixed).is_zero()
+    for p in ps:
+        assert poly_sum([p]) == p
+        assert poly_sum([p, -p]).is_zero()
 
 
 def test_exact_coefficients_at_256_bit_scale():

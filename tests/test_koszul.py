@@ -68,6 +68,18 @@ def test_missing_stage_raises():
         build_stage_differential(m, 1)
 
 
+def test_resolve_stage_bounds():
+    m = bf_model(4)
+    assert m.resolve_stage(None) == m.max_stage == 2
+    assert [m.resolve_stage(k) for k in (-1, 0, 2)] == [-1, 0, 2]
+    for bad in (-2, 3):
+        with pytest.raises(MissingStage):
+            m.resolve_stage(bad)
+        for fn in (build_stage_differential, extended_lagrangian, ascent_operator):
+            with pytest.raises(MissingStage):
+                fn(m, bad)
+
+
 def test_nilpotency_of_bare_differential():
     for m in (free_scalar_model(2), bf_model(3)):
         assert check_nilpotency(build_stage_differential(m, -1)).ok
