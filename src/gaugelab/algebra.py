@@ -35,7 +35,6 @@ GHOST = "ghost"
 
 _KIND_RANK = {FIELD: 0, ANTIFIELD: 1, GHOST: 2}
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 MultiIndex = tuple
@@ -176,6 +175,16 @@ def _canon_factors(factors: Sequence[JetSymbol]):
     return sign, tuple(out)
 
 
+def _merge(acc: dict, key, c: Fraction) -> None:
+    """Add c into acc[key]; a first insert stores c itself, never 0 + c.
+
+    Callers apply a +-1 sign as ``c if sign > 0 else -c``: negation skips
+    the normalising gcd that a product with an int sign would pay.
+    """
+    prev = acc.get(key)
+    acc[key] = c if prev is None else prev + c
+
+
 def _term_parity(factors: Factors) -> int:
     p = 0
     for f in factors:
@@ -238,7 +247,7 @@ class GradedPoly:
             if r is None:
                 continue
             sign, fs = r
-            acc[fs] = acc.get(fs, _F0) + sign * q
+            _merge(acc, fs, q if sign > 0 else -q)
         return cls._from_dict(acc)
 
     @property
@@ -267,6 +276,10 @@ class GradedPoly:
         return GradedPoly(tuple((fs, -c) for fs, c in self._terms))
 
     def scale(self, q) -> "GradedPoly":
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
         q = Fraction(q)
         if q == 0:
             return _ZERO
@@ -284,8 +297,8 @@ class GradedPoly:
                 if r is None:
                     continue
                 sign, fs = r
-                c = acc.get(fs, _F0) + ca * cb * sign
-                acc[fs] = c
+                c = ca * cb
+                _merge(acc, fs, c if sign > 0 else -c)
         return GradedPoly._from_dict(acc)
 
     def __rmul__(self, other):
@@ -324,7 +337,8 @@ def poly_sum(polys: Iterable[GradedPoly]) -> GradedPoly:
     acc: dict[Factors, Fraction] = {}
     for p in polys:
         for fs, c in p._terms:
-            acc[fs] = acc.get(fs, _F0) + c
+            prev = acc.get(fs)
+            acc[fs] = c if prev is None else prev + c
     return GradedPoly._from_dict(acc)
 
 
@@ -350,7 +364,8 @@ def normalize(table: "VariableTable", raw: Iterable[tuple]) -> GradedPoly:
             if sym is None:
                 dead = True
                 break
-            sign *= s
+            if s < 0:
+                sign = -sign
             syms.append(sym)
         if not dead:
             prepared.append((sign, tuple(syms)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,8 +36,30 @@ def _error(message) -> int:
     return 2
 
 
+def _report_problem(path) -> str | None:
+    """Why ``--report PATH`` could not be written, or None; touches no file."""
+    if not path:
+        return None
+    target = Path(path)
+    if target.is_dir():
+        return f"cannot write report {path}: it is a directory"
+    if not target.parent.is_dir():
+        return f"cannot write report {path}: {target.parent} is not a directory"
+    if not os.access(target.parent, os.W_OK | os.X_OK) or (
+            target.exists() and not os.access(target, os.W_OK)):
+        return f"cannot write report {path}: permission denied"
+    return None
+
+
 def _load(args) -> tuple:
-    """(model, resolved --stage) or (None, exit code) after printing the problem."""
+    """(model, resolved --stage) or (None, exit code) after printing the problem.
+
+    The ``--report`` target is checked first, so no work runs for a report
+    that could not be written.
+    """
+    problem = _report_problem(args.report)
+    if problem:
+        return None, _error(problem)
     if args.zoo and args.model:
         return None, _error("pass either --model or --zoo, not both")
     if not args.zoo and not args.model:
@@ -48,9 +71,11 @@ def _load(args) -> tuple:
             return None, _error(e)
     else:
         try:
-            text = Path(args.model).read_text()
+            text = Path(args.model).read_text(encoding="utf-8")
         except OSError as e:
             return None, _error(e)
+        except UnicodeDecodeError as e:
+            return None, _error(f"{args.model}: not UTF-8 text ({e.reason} at byte {e.start})")
         spec, diags = load_model(text, name=Path(args.model).stem)
         for d in diags:
             print(f"{args.model}:{d}", file=sys.stderr)
@@ -191,6 +216,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
+    problem = _report_problem(args.report)
+    if problem:
+        return _error(problem)
     try:
         m = zoo_model(args.name)
     except ValueError as e:

@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import EVEN, GradedPoly, ODD, as_poly, perm_sign, poly_sum
 from .errors import GaugelabError, IndexOutOfRange, UnknownVariable
@@ -64,8 +65,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str        # "int" | "name" | "punct" | "end"
     text: str
     line: int

@@ -164,9 +164,10 @@ def _window_boundaries(bm_in: BoundaryMatrix, window_set: set) -> list[dict]:
             for i, c in bm_in.columns[j].items():
                 fs = bm_in.target[i]
                 if fs in window_set:
-                    nv = vec.get(fs, Fraction(0)) + f * c
+                    prev = vec.get(fs)
+                    nv = f * c if prev is None else prev + f * c
                     if nv == 0:
-                        vec.pop(fs, None)
+                        del vec[fs]
                     else:
                         vec[fs] = nv
         if vec:

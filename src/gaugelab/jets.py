@@ -31,14 +31,13 @@ from .algebra import (
     MultiIndex,
     VariableTable,
     _canon_factors,
+    _merge,
     _term_parity,
     as_poly,
     multi_index,
     poly_sum,
 )
 from .errors import GradingMismatch, IndexOutOfRange
-
-_F0 = Fraction(0)
 
 LEFT = "left"
 RIGHT = "right"
@@ -58,9 +57,8 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
         pref = 0
         for i, f in enumerate(fs):
             if f == x:
-                sign = -1 if (x.parity and pref & 1) else 1
-                rest = fs[:i] + fs[i + 1:]
-                acc[rest] = acc.get(rest, _F0) + c * sign * outer
+                sign = -outer if (x.parity and pref & 1) else outer
+                _merge(acc, fs[:i] + fs[i + 1:], c if sign > 0 else -c)
             pref ^= f.parity
     return GradedPoly._from_dict(acc)
 
@@ -79,7 +77,7 @@ def total_derivative(p, lam: int, n: int | None = None):
             if r is None:
                 continue
             sign, out = r
-            acc[out] = acc.get(out, _F0) + c * sign
+            _merge(acc, out, c if sign > 0 else -c)
     result = GradedPoly._from_dict(acc)
     return Density(result) if density else result
 
@@ -267,7 +265,7 @@ def apply_prolonged(v: VerticalDerivation, P):
                 img = v.image(f)
                 if img is not None:
                     sign = -1 if (v.parity and pref & 1) else 1
-                    _insert_image(acc, fs, i, img, c * sign)
+                    _insert_image(acc, fs, i, img, c if sign > 0 else -c)
                 pref ^= f.parity
         else:
             suffix = [0] * (len(fs) + 1)
@@ -277,7 +275,7 @@ def apply_prolonged(v: VerticalDerivation, P):
                 img = v.image(f)
                 if img is not None:
                     sign = -1 if (v.parity and suffix[i + 1] & 1) else 1
-                    _insert_image(acc, fs, i, img, c * sign)
+                    _insert_image(acc, fs, i, img, c if sign > 0 else -c)
     result = GradedPoly._from_dict(acc)
     return Density(result) if density else result
 
@@ -288,7 +286,8 @@ def _insert_image(acc, fs, i, img, coeff):
         if r is None:
             continue
         sign, out = r
-        acc[out] = acc.get(out, _F0) + coeff * gc * sign
+        c = coeff * gc
+        _merge(acc, out, c if sign > 0 else -c)
 
 
 def first_variation_residual(table: VariableTable, L, v: VerticalDerivation) -> Density:

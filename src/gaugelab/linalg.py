@@ -14,7 +14,23 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-_F0 = Fraction(0)
+
+def _subtract(vec: dict, f: Fraction, piv: Mapping) -> None:
+    """vec -= f * piv in place, dropping entries that cancel to zero.
+
+    f and the entries of piv are nonzero, so a first insert is never zero.
+    """
+    g = -f
+    for k, c in piv.items():
+        prev = vec.get(k)
+        if prev is None:
+            vec[k] = g * c
+            continue
+        nv = prev + g * c
+        if nv == 0:
+            del vec[k]
+        else:
+            vec[k] = nv
 
 
 class LinearSpan:
@@ -35,13 +51,7 @@ class LinearSpan:
             piv = self._pivots.get(k)
             if piv is None:
                 return out
-            f = out[k] / piv[k]
-            for kk, cc in piv.items():
-                nv = out.get(kk, _F0) - f * cc
-                if nv == 0:
-                    out.pop(kk, None)
-                else:
-                    out[kk] = nv
+            _subtract(out, out[k] / piv[k], piv)
         return out
 
     def add(self, vec: Mapping) -> bool:
@@ -71,18 +81,8 @@ def kernel_of_columns(columns: Iterable[Mapping]) -> list[dict[int, Fraction]]:
                 break
             pvec, pcombo = piv
             f = vec[k] / pvec[k]
-            for kk, cc in pvec.items():
-                nv = vec.get(kk, _F0) - f * cc
-                if nv == 0:
-                    vec.pop(kk, None)
-                else:
-                    vec[kk] = nv
-            for kk, cc in pcombo.items():
-                nv = combo.get(kk, _F0) - f * cc
-                if nv == 0:
-                    combo.pop(kk, None)
-                else:
-                    combo[kk] = nv
+            _subtract(vec, f, pvec)
+            _subtract(combo, f, pcombo)
         else:
             kernel.append(combo)
     return kernel

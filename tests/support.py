@@ -1,10 +1,12 @@
-"""Shared helpers for the test suite: random inputs and an independent
-dense-elimination rank oracle."""
+"""Shared helpers for the test suite: random inputs, an independent
+dense-elimination rank oracle, and plain-arithmetic copies of the term
+kernels."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from gaugelab import GradedPoly, trivial_model
+from gaugelab.algebra import _canon_factors, _term_parity
 
 
 def two_field_model(n=2):
@@ -42,6 +44,25 @@ def random_poly(rng, pool, max_terms=4, max_degree=3, parity=None,
         den = rng.randint(1, 3)
         terms.append((Fraction(num, den), fs))
     return GradedPoly.from_raw(terms)
+
+
+def unit_poly(rng, pool, **kw):
+    """A random polynomial whose every coefficient is +1 or -1."""
+    terms = random_poly(rng, pool, **kw).terms
+    return GradedPoly.from_raw((rng.choice((1, -1)), fs) for fs, _ in terms)
+
+
+def raised_pair(rng, pool, lam):
+    """fs with factor i raised by lam, minus fs with factor j raised.
+
+    The lam-th total derivative of this pair produces fs with both factors
+    raised twice, with opposite coefficients, so the accumulator cancels it.
+    """
+    fs = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+    i, j = rng.sample(range(len(fs)), 2)
+    up_i = fs[:i] + [fs[i].raised(lam)] + fs[i + 1:]
+    up_j = fs[:j] + [fs[j].raised(lam)] + fs[j + 1:]
+    return GradedPoly.from_raw([(1, up_i), (-1, up_j)])
 
 
 def dense_rank_oracle(rows):
@@ -116,3 +137,78 @@ def drop_first_term(poly):
     fs, c = poly.terms[0]
     from gaugelab import GradedPoly
     return poly - GradedPoly(((fs, c),))
+
+
+# Plain copies of the term kernels: every coefficient fold is
+# acc.get(k, Fraction(0)) + c * sign, with no shortcut for a first insert or a
+# +-1 sign.  GradedPoly._from_dict drops the zeros and sorts.
+
+def oracle_mul(a, b):
+    acc = {}
+    for fa, ca in a.terms:
+        for fb, cb in b.terms:
+            r = _canon_factors(fa + fb)
+            if r is None:
+                continue
+            sign, fs = r
+            acc[fs] = acc.get(fs, Fraction(0)) + ca * cb * sign
+    return GradedPoly._from_dict(acc)
+
+
+def oracle_partial_derivative(p, x, side="left"):
+    acc = {}
+    for fs, c in p.terms:
+        outer = -1 if side == "right" and x.parity and not _term_parity(fs) else 1
+        pref = 0
+        for i, f in enumerate(fs):
+            if f == x:
+                sign = -1 if (x.parity and pref & 1) else 1
+                rest = fs[:i] + fs[i + 1:]
+                acc[rest] = acc.get(rest, Fraction(0)) + c * sign * outer
+            pref ^= f.parity
+    return GradedPoly._from_dict(acc)
+
+
+def oracle_total_derivative(p, lam):
+    acc = {}
+    for fs, c in p.terms:
+        for i, f in enumerate(fs):
+            r = _canon_factors(fs[:i] + (f.raised(lam),) + fs[i + 1:])
+            if r is None:
+                continue
+            sign, out = r
+            acc[out] = acc.get(out, Fraction(0)) + c * sign
+    return GradedPoly._from_dict(acc)
+
+
+def oracle_apply_prolonged(v, p):
+    """The prolonged derivation, with images rebuilt by the oracle total
+    derivative rather than taken from ``v.image``."""
+    def image(f):
+        img = v.components.get(f.zero_order())
+        if img is not None:
+            for lam in f.derivative:
+                img = oracle_total_derivative(img, lam)
+        return img
+
+    acc = {}
+    for fs, c in p.terms:
+        for i, f in enumerate(fs):
+            img = image(f)
+            if img is None:
+                continue
+            crossed = fs[:i] if v.side == "left" else fs[i + 1:]
+            sign = -1 if (v.parity and _term_parity(crossed)) else 1
+            for gf, gc in img.terms:
+                r = _canon_factors(fs[:i] + gf + fs[i + 1:])
+                if r is None:
+                    continue
+                s, out = r
+                acc[out] = acc.get(out, Fraction(0)) + c * sign * gc * s
+    return GradedPoly._from_dict(acc)
+
+
+def assert_canonical_coefficients(p):
+    """Every stored coefficient is a nonzero Fraction."""
+    for _, c in p.terms:
+        assert type(c) is Fraction and c != 0, (p, c)

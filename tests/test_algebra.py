@@ -19,7 +19,14 @@ from gaugelab import (
     poly_sum,
     render_poly,
 )
-from support import jet_pool, random_poly, two_field_model
+from support import (
+    assert_canonical_coefficients,
+    jet_pool,
+    oracle_mul,
+    random_poly,
+    two_field_model,
+    unit_poly,
+)
 
 M = two_field_model()
 T = M.table
@@ -149,6 +156,42 @@ def test_poly_sum_matches_repeated_add(seed, k):
     for p in ps:
         assert poly_sum([p]) == p
         assert poly_sum([p, -p]).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mul_matches_plain_arithmetic_oracle(seed):
+    rng = random.Random(seed)
+    a = random_poly(rng, POOL, max_terms=5)
+    u = unit_poly(rng, POOL, max_terms=5)
+    # (u + w)(u - w) with w even: the cross terms cancel in the accumulator
+    w = unit_poly(rng, POOL, max_terms=2, parity=0)
+    for x, y in ((a, u), (u, a), (u, u), (u + w, u - w), (a, -a)):
+        got = x * y
+        assert got == oracle_mul(x, y)
+        assert_canonical_coefficients(got)
+    assert_canonical_coefficients(u)
+
+
+def test_mul_cancels_to_zero_coefficients_and_drops_them():
+    s, t = T2.symbol("x"), T2.symbol("y")
+    a = GradedPoly.from_raw([(1, (s,)), (1, (t,))])
+    b = GradedPoly.from_raw([(1, (s,)), (-1, (t,))])
+    got = a * b
+    assert got == GradedPoly.from_raw([(1, (s, s)), (-1, (t, t))])
+    assert got == oracle_mul(a, b)
+    assert_canonical_coefficients(got)
+
+
+def test_scale_by_one_and_minus_one():
+    p = random_poly(random.Random(5), POOL, max_terms=5)
+    assert p.scale(1) is p
+    assert p.scale(Fraction(1)) is p
+    assert p.scale(-1) == -p
+    assert p.scale(Fraction(-1)) == -p
+    assert p.scale(-1).scale(-1) == p
+    assert_canonical_coefficients(p.scale(-1))
+    assert p.scale(0).is_zero()
 
 
 def test_exact_coefficients_at_256_bit_scale():

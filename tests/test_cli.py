@@ -123,41 +123,53 @@ def test_homology_bad_window_is_usage_error(flag, value, capsys):
 
 BAD_INPUT = [
     # a stage outside -1..max_stage is rejected before any check runs
-    (["check", "--zoo", "bf:3", "--stage", "-3"], True, "error: "),
-    (["check", "--zoo", "bf:3", "--stage", "7"], True, "error: "),
-    (["gauge", "--zoo", "bf:3", "--stage", "-5"], True, "error: "),
-    (["gauge", "--zoo", "bf:3", "--stage", "2"], True, "error: "),
-    (["homology", "--zoo", "bf:3", "--stage", "7"], True, "error: "),
-    (["check", "--model", "{model}", "--stage", "-2"], True, "error: "),
-    # a report that cannot be written
-    (["check", "--zoo", "bf:2", "--report", "{unwritable}"], False, "error: "),
-    (["gauge", "--zoo", "bf:2", "--report", "{unwritable}"], False, "error: "),
-    (["homology", "--zoo", "bf:2", "--report", "{unwritable}"], False, "error: "),
-    (["zoo", "bf:2", "--report", "{unwritable}"], False, "error: "),
+    (["check", "--zoo", "bf:3", "--stage", "-3"], "error: "),
+    (["check", "--zoo", "bf:3", "--stage", "7"], "error: "),
+    (["gauge", "--zoo", "bf:3", "--stage", "-5"], "error: "),
+    (["gauge", "--zoo", "bf:3", "--stage", "2"], "error: "),
+    (["homology", "--zoo", "bf:3", "--stage", "7"], "error: "),
+    (["check", "--model", "{model}", "--stage", "-2"], "error: "),
+    # a report that cannot be written is rejected before any work runs
+    (["check", "--zoo", "bf:2", "--report", "{unwritable}"], "error: "),
+    (["gauge", "--zoo", "bf:2", "--report", "{unwritable}"], "error: "),
+    (["homology", "--zoo", "bf:2", "--report", "{unwritable}"], "error: "),
+    (["zoo", "bf:2", "--report", "{unwritable}"], "error: "),
+    (["check", "--zoo", "bf:2", "--report", "{directory}"], "error: "),
+    (["gauge", "--zoo", "bf:2", "--report", "{directory}"], "error: "),
+    (["homology", "--zoo", "bf:2", "--report", "{directory}"], "error: "),
+    (["zoo", "bf:2", "--report", "{directory}"], "error: "),
+    (["check", "--zoo", "bf:2", "--report", "{model}/r.json"], "error: "),
+    # a model file that is not UTF-8 text
+    (["check", "--model", "{binary_model}"], "error: .*not UTF-8"),
     # the retired option statement is an unknown statement
-    (["check", "--model", "{option_model}"], True,
+    (["check", "--model", "{option_model}"],
      r".*:\d+:\d+: E-SYNTAX: unknown statement 'option'"),
 ]
 
 
-@pytest.mark.parametrize("argv, quiet, stderr", BAD_INPUT,
+@pytest.mark.parametrize("argv, stderr", BAD_INPUT,
                          ids=[" ".join(case[0]) for case in BAD_INPUT])
-def test_bad_input_exits_2_with_one_line(argv, quiet, stderr, tmp_path, capsys):
+def test_bad_input_exits_2_with_one_line(argv, stderr, tmp_path, capsys):
     model = tmp_path / "bf2.glm"
     model.write_text(render_model(zoo_model("bf:2")))
     option_model = tmp_path / "opt.glm"
     option_model.write_text(render_model(zoo_model("bf:2")) + "option jet-order 1\n")
-    paths = {"model": model, "option_model": option_model,
-             "unwritable": tmp_path / "missing" / "r.json"}
+    binary_model = tmp_path / "binary.glm"
+    binary_model.write_bytes(b"\xff\xfedim 2\n")
+    directory = tmp_path / "reports"
+    directory.mkdir()
+    paths = {"model": model, "option_model": option_model, "binary_model": binary_model,
+             "unwritable": tmp_path / "missing" / "r.json", "directory": directory}
     argv = [a.format(**paths) for a in argv]
     assert run_command(argv) == 2
     captured = capsys.readouterr()
-    if quiet:
-        assert captured.out == ""
+    assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and re.match(stderr, lines[0]), captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "missing").exists()
+    assert directory.is_dir() and not any(directory.iterdir())
+    assert model.read_text() == render_model(zoo_model("bf:2"))
 
 
 # sha256 of the --report bytes: the canonical form fixes every byte, so a

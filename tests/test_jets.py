@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugelab import (
     CoefficientFamily,
@@ -21,12 +23,23 @@ from gaugelab import (
     is_dH_exact,
     multi_total_derivative,
     partial_derivative,
+    poly_sum,
     total_derivative,
     trivial_model,
     variational_derivative,
 )
 from gaugelab.errors import IndexOutOfRange
-from support import jet_pool, random_poly, two_field_model
+from support import (
+    assert_canonical_coefficients,
+    jet_pool,
+    oracle_apply_prolonged,
+    oracle_partial_derivative,
+    oracle_total_derivative,
+    raised_pair,
+    random_poly,
+    two_field_model,
+    unit_poly,
+)
 
 M = two_field_model()
 T = M.table
@@ -268,3 +281,68 @@ def test_first_variation_residual_randomized():
             comps[z] = random_poly(RNG, POOL, max_terms=2, parity=(par + z.parity) % 2)
         v = VerticalDerivation(comps, parity=par, side="left")
         assert is_dH_exact(T, first_variation_residual(T, L, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1))
+def test_derivative_kernels_match_plain_arithmetic_oracles(seed, lam):
+    rng = random.Random(seed)
+    inputs = [random_poly(rng, POOL, max_terms=5), unit_poly(rng, POOL, max_terms=5),
+              poly_sum([unit_poly(rng, POOL), raised_pair(rng, POOL, lam)])]
+    for p in inputs:
+        got = total_derivative(p, lam)
+        assert got == oracle_total_derivative(p, lam)
+        assert_canonical_coefficients(got)
+        for x in p.symbols():
+            for side in ("left", "right"):
+                got = partial_derivative(p, x, side)
+                assert got == oracle_partial_derivative(p, x, side)
+                assert_canonical_coefficients(got)
+
+
+def test_total_derivative_of_raised_pair_cancels():
+    s, psi = T.symbol("s"), T.symbol("psi")
+    pair = GradedPoly.from_raw([(1, (s.raised(0), psi)), (-1, (s, psi.raised(0)))])
+    got = total_derivative(pair, 0)
+    assert got == GradedPoly.from_raw([(1, (s.raised(0).raised(0), psi)),
+                                       (-1, (s, psi.raised(0).raised(0)))])
+    assert got == oracle_total_derivative(pair, 0)
+    assert_canonical_coefficients(got)
+
+
+# s and the even sbar(psi): rotating one into the other, v(s) = t and
+# v(t) = -s, maps SQUARE to terms that cancel in the accumulator
+S_, T_ = T.symbol("s"), T.symbol("sbar(psi)")
+SQUARE = GradedPoly.from_raw([(1, (S_, S_)), (1, (T_, T_)),
+                              (1, (S_.raised(0), S_)), (1, (T_.raised(0), T_))])
+
+
+def _random_derivation(rng, par, side):
+    """Random +-1 components on s and psi; an even one also rotates s and t."""
+    comps = {}
+    for nm in ("s", "psi"):
+        z = T.symbol(nm)
+        comps[z] = unit_poly(rng, POOL, max_terms=3, parity=(par + z.parity) % 2)
+    if par == 0:
+        comps[S_] = comps[S_] + GradedPoly.from_symbol(T_)
+        comps[T_] = GradedPoly.from_symbol(S_, -1)
+    return VerticalDerivation(comps, parity=par, side=side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.sampled_from(("left", "right")))
+def test_apply_prolonged_matches_plain_arithmetic_oracle(seed, par, side):
+    rng = random.Random(seed)
+    v = _random_derivation(rng, par, side)
+    for p in (random_poly(rng, POOL, max_terms=4), unit_poly(rng, POOL, max_terms=4),
+              SQUARE, poly_sum([SQUARE, unit_poly(rng, POOL)])):
+        got = apply_prolonged(v, p)
+        assert got == oracle_apply_prolonged(v, p)
+        assert_canonical_coefficients(got)
+
+
+def test_rotation_of_the_square_cancels_to_zero():
+    v = VerticalDerivation({S_: GradedPoly.from_symbol(T_), T_: GradedPoly.from_symbol(S_, -1)},
+                           parity=0)
+    assert apply_prolonged(v, SQUARE).is_zero()
+    assert oracle_apply_prolonged(v, SQUARE).is_zero()
