@@ -13,15 +13,25 @@ Antisymmetric index blocks store only strictly increasing component tuples;
 permuted input components are folded into the coefficient with the
 permutation sign, and repeated components give zero.
 
+Jet symbols are interned per declaration: each declaration keeps a table of
+its symbols, so one model holds one object per jet coordinate and the term
+kernels mostly compare factors by identity.  Equality and hashing stay by
+value, so symbols and polynomials of two separately built models with equal
+declarations compare and hash equal.  Pickling re-interns: an unpickled
+symbol is looked up in (or added to) its unpickled declaration's table, and
+a pickled declaration carries no table.  Two threads racing on the first
+request for a coordinate can at worst make two equal symbols.
+
 All values here are immutable and hashable and may be shared freely between
 threads or worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations, product
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, ModelMismatch, UnknownVariable
@@ -62,6 +72,8 @@ class GradedVariableDecl:
 
     ``stage`` is -1 for dynamical fields and for their antifields, k >= 0 for
     the antifield/ghost family attached to the stage-k generator family.
+    ``symbols`` interns this declaration's jet symbols by (components,
+    derivative); it takes no part in comparison, hashing or pickling.
     """
 
     name: str
@@ -72,6 +84,7 @@ class GradedVariableDecl:
     stage: int = -1
     arity: int = 0
     antisym: bool = False
+    symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_RANK:
@@ -90,44 +103,39 @@ class GradedVariableDecl:
     def sort_rank(self) -> tuple:
         return (self.stage, _KIND_RANK[self.kind], self.name)
 
+    def __reduce__(self):
+        return (GradedVariableDecl, tuple(getattr(self, f.name) for f in fields(self) if f.init))
+
 
 class JetSymbol:
-    """One jet coordinate: variable + component tuple + derivative multiset."""
+    """One jet coordinate: variable + component tuple + derivative multiset.
 
-    __slots__ = ("var", "components", "derivative", "key", "_hash")
+    ``JetSymbol(var, comps, deriv)`` returns the declaration's interned
+    symbol for that coordinate, creating it on the first request.
+    """
 
-    def __init__(self, var: GradedVariableDecl, components: Sequence[int] = (),
-                 derivative: Iterable[int] = ()):
-        comps = tuple(components)
-        deriv = tuple(sorted(derivative))
-        if len(comps) != var.arity:
-            raise ValueError(f"{var.name} expects {var.arity} component indices, got {comps}")
-        if var.antisym and any(comps[i] >= comps[i + 1] for i in range(len(comps) - 1)):
-            raise ValueError(f"antisymmetric components must be strictly increasing: {comps}")
-        self.var = var
-        self.components = comps
-        self.derivative = deriv
-        self.key = (var.stage, _KIND_RANK[var.kind], var.name, comps, deriv)
-        self._hash = hash(self.key)
+    __slots__ = ("var", "components", "derivative", "key", "parity", "_hash", "_zero")
 
-    @property
-    def parity(self) -> int:
-        return self.var.parity
+    def __new__(cls, var: GradedVariableDecl, components: Sequence[int] = (),
+                derivative: Iterable[int] = ()):
+        return _intern(var, tuple(components), tuple(sorted(derivative)))
 
     @property
     def order(self) -> int:
         return len(self.derivative)
 
     def zero_order(self) -> "JetSymbol":
-        if not self.derivative:
-            return self
-        return JetSymbol(self.var, self.components, ())
+        return self._zero
 
     def raised(self, lam: int) -> "JetSymbol":
-        return JetSymbol(self.var, self.components, self.derivative + (lam,))
+        return _intern(self.var, self.components, tuple(sorted(self.derivative + (lam,))))
+
+    def __reduce__(self):
+        return (JetSymbol, (self.var, self.components, self.derivative))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, JetSymbol) and self.key == other.key and self.var == other.var
+        return self is other or (isinstance(other, JetSymbol) and self.key == other.key
+                                 and self.var == other.var)
 
     def __hash__(self) -> int:
         return self._hash
@@ -137,6 +145,27 @@ class JetSymbol:
 
     def __repr__(self) -> str:
         return f"JetSymbol({factor_str(self)})"
+
+
+def _intern(var: GradedVariableDecl, comps: tuple, deriv: tuple) -> JetSymbol:
+    """The symbol of var at canonical comps and sorted deriv, made on first use."""
+    sym = var.symbols.get((comps, deriv))
+    if sym is not None:
+        return sym
+    if len(comps) != var.arity:
+        raise ValueError(f"{var.name} expects {var.arity} component indices, got {comps}")
+    if var.antisym and any(comps[i] >= comps[i + 1] for i in range(len(comps) - 1)):
+        raise ValueError(f"antisymmetric components must be strictly increasing: {comps}")
+    sym = object.__new__(JetSymbol)
+    sym.var = var
+    sym.components = comps
+    sym.derivative = deriv
+    sym.key = (var.stage, _KIND_RANK[var.kind], var.name, comps, deriv)
+    sym.parity = var.parity
+    sym._hash = hash(sym.key)
+    sym._zero = _intern(var, comps, ()) if deriv else sym
+    var.symbols[(comps, deriv)] = sym
+    return sym
 
 
 def factor_str(sym: JetSymbol) -> str:
@@ -169,8 +198,10 @@ def _canon_factors(factors: Sequence[JetSymbol]):
         if f.parity:
             if crossed_odd & 1:
                 sign = -sign
-            if i > 0 and out[i - 1] == f:
-                return None
+            if i > 0:
+                prev = out[i - 1]
+                if prev is f or (prev.key == f.key and prev == f):
+                    return None
         out.insert(i, f)
     return sign, tuple(out)
 
@@ -183,6 +214,14 @@ def _merge(acc: dict, key, c: Fraction) -> None:
     """
     prev = acc.get(key)
     acc[key] = c if prev is None else prev + c
+
+
+_symbol_key = attrgetter("key")
+
+
+def _term_key(term: tuple) -> tuple:
+    """Sort key of a (factors, coefficient) term: its factors' keys in order."""
+    return tuple(map(_symbol_key, term[0]))
 
 
 def _term_parity(factors: Factors) -> int:
@@ -213,9 +252,9 @@ class GradedPoly:
 
     @classmethod
     def _from_dict(cls, acc: Mapping[Factors, Fraction]) -> "GradedPoly":
-        items = tuple(sorted(((fs, c) for fs, c in acc.items() if c != 0),
-                             key=lambda t: tuple(s.key for s in t[0])))
-        return cls(items)
+        items = [(fs, c) for fs, c in acc.items() if c != 0]
+        items.sort(key=_term_key)
+        return cls(tuple(items))
 
     @classmethod
     def zero(cls) -> "GradedPoly":
@@ -537,7 +576,7 @@ class VariableTable:
         d = self._by_name.get(sym.var.name)
         if d is None:
             raise UnknownVariable(sym.var.name)
-        if d != sym.var:
+        if d is not sym.var and d != sym.var:
             raise ModelMismatch(
                 f"{sym.var.name!r} is declared differently in this model")
         for c in sym.components:

@@ -51,6 +51,17 @@ def _report_problem(path) -> str | None:
     return None
 
 
+def _zoo(spec: str):
+    """The built-in model, or None after printing why it could not be built."""
+    try:
+        return zoo_model(spec)
+    except (ValueError, GaugelabError) as e:
+        _error(e)
+    except MemoryError:
+        _error(f"zoo model {spec!r} is too large to build")
+    return None
+
+
 def _load(args) -> tuple:
     """(model, resolved --stage) or (None, exit code) after printing the problem.
 
@@ -65,10 +76,9 @@ def _load(args) -> tuple:
     if not args.zoo and not args.model:
         return None, _error("a model is required (--model PATH or --zoo NAME)")
     if args.zoo:
-        try:
-            spec = zoo_model(args.zoo)
-        except (ValueError, GaugelabError) as e:
-            return None, _error(e)
+        spec = _zoo(args.zoo)
+        if spec is None:
+            return None, 2
     else:
         try:
             text = Path(args.model).read_text(encoding="utf-8")
@@ -219,10 +229,9 @@ def _cmd_zoo(args) -> int:
     problem = _report_problem(args.report)
     if problem:
         return _error(problem)
-    try:
-        m = zoo_model(args.name)
-    except ValueError as e:
-        return _error(e)
+    m = _zoo(args.name)
+    if m is None:
+        return 2
     text = render_model(m)
     sys.stdout.write(text)
     return 0 if _emit(args, {"model": m.name, "command": "zoo", "dsl": text}) else 2

@@ -73,7 +73,7 @@ def chain_basis(m: ModelSpec, w: TruncationWindow,
                 continue
             if ant + s.var.antifield_number + (slots - 1) * max_ant < w.sector:
                 continue
-            if s.parity and chosen and chosen[-1] == s:
+            if s.parity and chosen and chosen[-1] is s:
                 continue
             chosen.append(s)
             rec(i, chosen, ant + s.var.antifield_number)

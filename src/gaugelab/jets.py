@@ -52,11 +52,14 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be left or right, got {side!r}")
     acc: dict[Factors, Fraction] = {}
+    xkey = x.key
     for fs, c in p.terms:
         outer = -1 if side == RIGHT and x.parity and not _term_parity(fs) else 1
         pref = 0
         for i, f in enumerate(fs):
-            if f == x:
+            # interned symbols match by identity; the key test keeps a symbol
+            # of an equal declaration from another model matching by value
+            if f is x or (f.key == xkey and f == x):
                 sign = -outer if (x.parity and pref & 1) else outer
                 _merge(acc, fs[:i] + fs[i + 1:], c if sign > 0 else -c)
             pref ^= f.parity
@@ -95,7 +98,7 @@ def variational_derivative(P, decl: GradedVariableDecl, components=()) -> Graded
     poly = as_poly(P)
     comps = tuple(components)
     lams = sorted({f.derivative for f in poly.symbols()
-                   if f.var == decl and f.components == comps})
+                   if f.components == comps and (f.var is decl or f.var == decl)})
     parts = []
     for Lam in lams:
         g = partial_derivative(poly, JetSymbol(decl, comps, Lam), LEFT)

@@ -120,8 +120,12 @@ def zoo_model(spec: str) -> ModelSpec:
     if spec == "trivial":
         return trivial_model([("s", EVEN), ("psi", ODD)], n=2)
     kind, _, arg = spec.partition(":")
-    if kind == "bf" and arg:
-        return bf_model(int(arg))
-    if kind == "scalar" and arg:
-        return free_scalar_model(int(arg))
-    raise ValueError(f"unknown zoo model {spec!r}")
+    build = {"bf": bf_model, "scalar": free_scalar_model}.get(kind)
+    if build is None or not arg:
+        raise ValueError(f"unknown zoo model {spec!r}")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise ValueError(f"zoo model {spec!r}: the size after ':' must be an integer, "
+                         f"got {arg!r}") from None
+    return build(n)

@@ -127,6 +127,24 @@ def rebuild_with_mutation(m, stage, fam_name, comps, fn):
     return b.build()
 
 
+def rescaled_tower(n, lagrangian_factor, stage_factors):
+    """bf:n with the Lagrangian and each generator stage scaled by its own
+    nonzero factor (the stages are linear in their generators, so every
+    check still passes)."""
+    from gaugelab import FIELD, ModelBuilder, bf_model
+
+    base = bf_model(n)
+    b = ModelBuilder(base.name, n)
+    for decl in base.table.kind_decls(FIELD):
+        b.add_field(decl.name, parity=decl.parity, arity=decl.arity,
+                    antisym=decl.antisym)
+    b.set_lagrangian(base.lagrangian.scale(lagrangian_factor))
+    for fam, q in zip(base.families, stage_factors):
+        members = {comps: poly.scale(q) for comps, poly in fam.sorted_members()}
+        b.add_stage([(fam.name, fam.arity, fam.antisym, members)])
+    return b.build()
+
+
 def flip_first_term(poly):
     fs, c = poly.terms[0]
     from gaugelab import GradedPoly

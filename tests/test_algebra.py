@@ -2,6 +2,7 @@
 
 import functools
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,9 +14,15 @@ from gaugelab import (
     GradedPoly,
     Grading,
     IndexOutOfRange,
+    JetSymbol,
+    ModelMismatch,
     UnknownVariable,
+    bf_model,
+    build_stage_differential,
+    check_nilpotency,
     grading_of,
     normalize,
+    partial_derivative,
     poly_sum,
     render_poly,
 )
@@ -214,7 +221,6 @@ def test_rendering_is_deterministic_and_sorted():
 
 
 def test_antisymmetric_components_normalize_with_sign():
-    from gaugelab import bf_model
     m = bf_model(3)
     t = m.table
     s01 = normalize(t, [(1, [("B", (0, 1), ())])])
@@ -229,3 +235,107 @@ def test_conflicting_declaration_is_a_model_mismatch():
     foreign = other.table.symbol("s")
     with pytest.raises(ModelMismatch):
         normalize(T, [(1, (foreign,))])
+
+
+# interning: one object per jet coordinate and declaration, equality by value
+
+BF3 = bf_model(3)
+
+
+@st.composite
+def coordinates(draw):
+    """(declaration, components, derivative in any order) of bf:3."""
+    t = BF3.table
+    decl = draw(st.sampled_from(t.decls))
+    comps = draw(st.sampled_from(t.component_tuples(decl)))
+    deriv = draw(st.lists(st.integers(0, t.n - 1), max_size=3))
+    return decl, comps, deriv
+
+
+@settings(max_examples=100, deadline=None)
+@given(coordinates(), st.integers(0, 2))
+def test_symbols_are_interned_per_declaration(coord, lam):
+    decl, comps, deriv = coord
+    sym = JetSymbol(decl, comps, deriv)
+    assert JetSymbol(decl, list(comps), reversed(deriv)) is sym
+    assert sym.derivative == tuple(sorted(deriv))
+    assert sym.parity == decl.parity
+    assert sym.raised(lam) is JetSymbol(decl, comps, deriv + [lam])
+    assert sym.zero_order() is JetSymbol(decl, comps)
+    assert sym.zero_order().zero_order() is sym.zero_order()
+    assert JetSymbol(decl, comps, sorted(deriv)) is sym
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinates())
+def test_symbols_of_separately_built_models_are_equal_by_value(coord):
+    decl, comps, deriv = coord
+    other = bf_model(3).table.decl(decl.name)
+    assert other == decl and hash(other) == hash(decl) and other is not decl
+    a, b = JetSymbol(decl, comps, deriv), JetSymbol(other, comps, deriv)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert {a: 1}[b] == 1
+    # a factor of the other model is found by value in the kernels
+    pa, pb = GradedPoly.from_symbol(a), GradedPoly.from_symbol(b)
+    assert pa * pb == pa * pa and hash(pa * pb) == hash(pa * pa)
+    assert partial_derivative(pa * pa, b) == partial_derivative(pa * pa, a)
+
+
+def test_polynomials_of_separately_built_models_are_equal_by_value():
+    m1, m2 = bf_model(3), bf_model(3)
+    assert m1 == m2
+    l1, l2 = m1.lagrangian.coefficient, m2.lagrangian.coefficient
+    assert l1 == l2 and hash(l1) == hash(l2)
+    assert l1.terms[0][0][0] is not l2.terms[0][0][0]
+    for f1, f2 in zip(m1.families, m2.families):
+        for (c1, p1), (c2, p2) in zip(f1.sorted_members(), f2.sorted_members()):
+            assert c1 == c2 and p1 == p2 and hash(p1) == hash(p2)
+    assert poly_sum([l1, -l2]).is_zero()
+
+
+def test_same_named_but_different_declaration_stays_distinct():
+    other = trivial_model([("s", 1)], n=2)  # same name as T's even s, but odd
+    foreign, own = other.table.symbol("s"), T.symbol("s")
+    assert foreign.key == own.key and foreign != own and foreign is not own
+    with pytest.raises(ModelMismatch):
+        T.validate_symbol(foreign)
+    T.validate_symbol(own)
+    # equal keys of different declarations are not a repeated odd factor
+    assert GradedPoly.from_raw([(1, (foreign, foreign))]).is_zero()
+    assert not GradedPoly.from_raw([(1, (foreign, own))]).is_zero()
+    assert not GradedPoly.from_raw([(1, (own, foreign))]).is_zero()
+
+
+def test_constructor_still_rejects_bad_components():
+    t = BF3.table
+    b = t.decl("B")  # arity 2, antisymmetric
+    for _ in range(2):  # a rejected coordinate is not left behind in the table
+        with pytest.raises(ValueError, match="expects 2 component"):
+            JetSymbol(b, (0,))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JetSymbol(b, (1, 0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JetSymbol(b, (1, 1), (0,))
+    assert JetSymbol(b, (0, 1)).components == (0, 1)
+
+
+def test_pickle_round_trip_re_interns():
+    m = pickle.loads(pickle.dumps(bf_model(3)))
+    assert m == bf_model(3)
+    t = m.table
+    a = t.symbol("A")
+    first = m.lagrangian.coefficient.terms[0][0]
+    assert first[0] is a and first[0].var is t.decl("A")
+    for fam in m.families:
+        for _, poly in fam.sorted_members():
+            for sym in poly.symbols():
+                assert sym.var is t.decl(sym.var.name)
+                assert JetSymbol(sym.var, sym.components, sym.derivative) is sym
+                assert sym.zero_order() is t.symbol(sym.var, sym.components)
+    assert check_nilpotency(build_stage_differential(m)).ok
+    # one symbol pickled alone is equal, and repeats load as one object
+    sym = BF3.table.symbol("B", (0, 1), (2,))
+    x, y = pickle.loads(pickle.dumps((sym, sym)))
+    assert x == sym and x is y and x is not sym
+    assert x.raised(0) == sym.raised(0)

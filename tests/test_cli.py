@@ -144,12 +144,29 @@ BAD_INPUT = [
     # the retired option statement is an unknown statement
     (["check", "--model", "{option_model}"],
      r".*:\d+:\d+: E-SYNTAX: unknown statement 'option'"),
+    # a zoo size that is not an integer, or too large to build
+    (["zoo", "bf:x"], r"error: zoo model 'bf:x': the size .* must be an integer, got 'x'"),
+    (["check", "--zoo", "scalar:abc"],
+     r"error: zoo model 'scalar:abc': the size .* must be an integer"),
+    (["gauge", "--zoo", "bf:"], r"error: unknown zoo model 'bf:'"),
+    (["check", "--zoo", "bf:99999999999"],
+     r"error: zoo model 'bf:99999999999' is too large to build"),
+    (["zoo", "bf:99999999999"], r"error: zoo model 'bf:99999999999' is too large to build"),
 ]
 
 
 @pytest.mark.parametrize("argv, stderr", BAD_INPUT,
                          ids=[" ".join(case[0]) for case in BAD_INPUT])
-def test_bad_input_exits_2_with_one_line(argv, stderr, tmp_path, capsys):
+def test_bad_input_exits_2_with_one_line(argv, stderr, tmp_path, capsys, monkeypatch):
+    real_bf_model = gaugelab.zoo.bf_model
+
+    def bf_model(n):
+        # what building a huge tower raises, without allocating anything
+        if n > 1000:
+            raise MemoryError
+        return real_bf_model(n)
+
+    monkeypatch.setattr(gaugelab.zoo, "bf_model", bf_model)
     model = tmp_path / "bf2.glm"
     model.write_text(render_model(zoo_model("bf:2")))
     option_model = tmp_path / "opt.glm"

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gaugelab import (
     GradedPoly,
     load_model,
@@ -10,6 +13,7 @@ from gaugelab import (
     total_derivative,
     zoo_model,
 )
+from support import rescaled_tower
 
 BF2_TEXT = """\
 # two-dimensional topological model
@@ -154,6 +158,23 @@ def test_round_trip_all_zoo_models():
         assert m2 == m
         # rendering is a fixed point
         assert render_model(m2) == text
+
+
+nonzero_rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 60))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), nonzero_rationals, st.lists(nonzero_rationals, min_size=n - 1,
+                                            max_size=n - 1))))
+def test_round_trip_random_generator_towers(tower):
+    n, lq, stage_qs = tower
+    m = rescaled_tower(n, lq, stage_qs)
+    text = render_model(m)
+    m2, diags = load_model(text, name=m.name)
+    assert diags == []
+    assert m2 == m
+    assert render_model(m2) == text
 
 
 def test_cbar_reference_in_higher_stage():
