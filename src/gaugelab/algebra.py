@@ -279,7 +279,7 @@ class GradedPoly:
         """Build from (coefficient, factor sequence) pairs in any factor order."""
         acc: dict[Factors, Fraction] = {}
         for coeff, factors in raw:
-            q = Fraction(coeff)
+            q = coeff if coeff.__class__ is Fraction else Fraction(coeff)
             if q == 0:
                 continue
             r = _canon_factors(tuple(factors))

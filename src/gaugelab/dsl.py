@@ -9,31 +9,38 @@ A model file is line-oriented:
     L = 1/2*A*eps[mu,nu]*d[mu](B[nu])
     stage 0: D[] = d[mu](sbar(B)[mu])
 
-Expressions use ``+ - * / ^``, rational literals, ``d[i](...)`` for total
-derivatives, ``eps[...]`` and ``delta[i,j]``, field names with component
-indices, ``sbar(NAME)[...]`` for field antifields and ``cbar(K)[...]`` (or
-``cbar(K:FAMILY)`` when stage K holds several families) for stage antifields.
-An index is a letter or a concrete integer.  Within any subexpression a
-letter may occur once (free) or twice (summed over 0..n-1); the free letters
-of all summands of a sum must agree.  Generator families are declared with
-distinct free letters and are evaluated on strictly increasing index tuples;
-they may also be given member by member with concrete indices.
+Input is ASCII.  Names match ``[A-Za-z_][A-Za-z0-9_]*``, so ``A-B`` is a
+difference; ``odd-field`` is the one hyphenated keyword.  Expressions use
+``+ - * / ^``, integer literals, ``d[i](...)`` for total derivatives,
+``eps[...]`` and ``delta[i,j]``, field names with component indices,
+``sbar(NAME)[...]`` for field antifields and ``cbar(K)[...]`` (or
+``cbar(K:FAMILY)`` when stage K holds several families) for stage
+antifields.  ``^`` takes a nonnegative integer literal; ``/`` divides by a
+nonzero rational constant.  Parentheses and ``d[i](...)`` nest at most
+``_MAX_NESTING`` deep.  An index is a letter or a concrete integer.  Within
+any subexpression a letter may occur once (free) or twice (summed over
+0..n-1); the free letters of all summands of a sum must agree.  Generator
+families are declared with distinct free letters and are evaluated on
+strictly increasing index tuples; they may also be given member by member
+with concrete indices.
 
-Parsing either yields exactly one model or a list of positioned diagnostics
-with stable codes.
+Loading is one pass per statement: a tokenizer regex per line, a recursive
+descent parser that folds each product's literals into one coefficient, and
+an expander that turns each Lagrangian or generator member into raw
+(coefficient, factors) terms for one ``GradedPoly.from_raw``.  It yields
+exactly one model or a list of positioned diagnostics with stable codes.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import NamedTuple
 
-from .algebra import EVEN, GradedPoly, ODD, as_poly, perm_sign, poly_sum
+from .algebra import EVEN, GradedPoly, ODD, _canon_factors, _merge, as_poly, perm_sign
 from .errors import GaugelabError, IndexOutOfRange, UnknownVariable
-from .jets import total_derivative
 from .koszul import ModelBuilder, ModelSpec
 
 
@@ -57,94 +64,45 @@ class ModelFormatError(GaugelabError):
 
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
+    \s* (?: \#.*
   | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_-]*)
+  | (?P<name>odd-field(?!\w)|[A-Za-z_]\w*)
   | (?P<punct>[=\[\](),;:+\-*/^])
-""", re.VERBOSE)
+  | (?P<bad>.) )
+""", re.VERBOSE | re.ASCII)
+
+# Deepest nesting of (...) and d[i](...) in one expression; parsing takes
+# three stack frames per level.
+_MAX_NESTING = 200
+_TOO_DEEP = "expression nested too deeply"
 
 
-class Token(NamedTuple):
-    kind: str        # "int" | "name" | "punct" | "end"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize_line(line: str, lineno: int, diags: list) -> list[Token]:
-    out = []
-    pos = 0
-    while pos < len(line):
-        mo = _TOKEN_RE.match(line, pos)
-        if mo is None:
-            diags.append(Diagnostic(lineno, pos + 1, "E-SYNTAX",
-                                    f"unexpected character {line[pos]!r}"))
+def _tokenize_line(line: str, lineno: int, diags: list) -> list:
+    """The line's (kind, text, column) tokens; [] after a bad character."""
+    toks = [(kind, mo[kind], mo.start(kind) + 1)
+            for mo in _TOKEN_RE.finditer(line) if (kind := mo.lastgroup)]
+    for kind, text, col in toks:
+        if kind == "bad":
+            diags.append(Diagnostic(lineno, col, "E-SYNTAX", f"unexpected character {text!r}"))
             return []
-        if mo.lastgroup == "comment":
-            break
-        if mo.lastgroup != "ws":
-            out.append(Token(mo.lastgroup, mo.group(), lineno, mo.start() + 1))
-        pos = mo.end()
-    return out
+    return toks
 
 
 # ---------------------------------------------------------------------------
-# expression AST
+# expression AST: an index is an int or a letter, and each node ends with
+# its (line, column)
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class Ref:
-    """A variable reference: the ``name`` is the declared table name."""
-    name: str
-    indices: tuple   # of ("let", str) | ("lit", int)
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class DTot:
-    index: tuple     # ("let", str) | ("lit", int)
-    sub: object
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class Eps:
-    indices: tuple
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class Delta:
-    a: tuple
-    b: tuple
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class Add:
-    items: tuple     # of (sign, node)
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple   # of node | ("div", node)
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class FamilyDef:
-    stage: int
-    name: str
-    indices: tuple
-    expr: object
-    pos: tuple
+Num = namedtuple("Num", "value pos")                # value: int | Fraction
+Ref = namedtuple("Ref", "name indices pos")         # name: the declared table name
+DTot = namedtuple("DTot", "index sub pos")
+Eps = namedtuple("Eps", "indices pos")
+Delta = namedtuple("Delta", "a b pos")
+Add = namedtuple("Add", "items pos")                # items: (sign, node) pairs
+Mul = namedtuple("Mul", "coeff factors pos")        # coeff: the literal factors' product;
+                                                    # factors: node | ("div", node)
+Pow = namedtuple("Pow", "base k pos")               # k >= 1
+# letters: whether any index of the definition is a letter
+FamilyDef = namedtuple("FamilyDef", "stage name indices expr pos letters")
 
 
 @dataclass
@@ -153,176 +111,195 @@ class ModelDocument:
 
     dim: int | None = None
     decls: list = field(default_factory=list)      # (name, parity, arity, antisym, pos)
-    lagrangian: tuple | None = None                 # (expr, pos)
+    lagrangian: tuple | None = None                 # (expr, pos, letters)
     families: list = field(default_factory=list)    # FamilyDef
-
-
-class _ExprParser:
-    def __init__(self, tokens: list[Token], diags: list):
-        self.toks = tokens
-        self.i = 0
-        self.diags = diags
-
-    def peek(self) -> Token:
-        if self.i < len(self.toks):
-            return self.toks[self.i]
-        last = self.toks[-1] if self.toks else Token("end", "", 1, 1)
-        return Token("end", "", last.line, last.col + len(last.text))
-
-    def take(self) -> Token:
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> Token | None:
-        t = self.peek()
-        if t.text == text:
-            return self.take()
-        self.diags.append(Diagnostic(t.line, t.col, "E-SYNTAX",
-                                     f"expected {text!r}, found {t.text or 'end of line'!r}"))
-        return None
-
-    def fail(self, msg: str):
-        t = self.peek()
-        self.diags.append(Diagnostic(t.line, t.col, "E-SYNTAX", msg))
-        raise _Bail()
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
-
-    # expr := term (("+"|"-") term)*
-    def expr(self):
-        pos = (self.peek().line, self.peek().col)
-        items = [(1, self.term())]
-        while self.peek().text in ("+", "-"):
-            sign = 1 if self.take().text == "+" else -1
-            items.append((sign, self.term()))
-        if len(items) == 1 and items[0][0] == 1:
-            return items[0][1]
-        return Add(tuple(items), pos)
-
-    # term := signed (("*"|"/") signed)*
-    def term(self):
-        pos = (self.peek().line, self.peek().col)
-        factors = [self.signed()]
-        while self.peek().text in ("*", "/"):
-            op = self.take().text
-            f = self.signed()
-            factors.append(f if op == "*" else ("div", f))
-        if len(factors) == 1 and not isinstance(factors[0], tuple):
-            return factors[0]
-        return Mul(tuple(factors), pos)
-
-    def signed(self):
-        sign = 1
-        while self.peek().text in ("+", "-"):
-            if self.take().text == "-":
-                sign = -sign
-        node = self.power()
-        if sign == -1:
-            pos = (self.peek().line, self.peek().col)
-            return Mul((Num(Fraction(-1), pos), node), pos)
-        return node
-
-    def power(self):
-        base = self.atom()
-        if self.peek().text == "^":
-            self.take()
-            t = self.take()
-            if t.kind != "int":
-                self.fail("exponent must be a nonnegative integer")
-            k = int(t.text)
-            if k == 0:
-                return Num(Fraction(1), (t.line, t.col))
-            return Mul((base,) * k, (t.line, t.col))
-        return base
-
-    def _index(self) -> tuple:
-        t = self.take()
-        if t.kind == "int":
-            return ("lit", int(t.text))
-        if t.kind == "name":
-            return ("let", t.text)
-        self.diags.append(Diagnostic(t.line, t.col, "E-SYNTAX",
-                                     f"expected an index, found {t.text!r}"))
-        raise _Bail()
-
-    def _index_list(self) -> tuple:
-        self.expect("[") or self._bail()
-        out = []
-        if self.peek().text != "]":
-            out.append(self._index())
-            while self.peek().text == ",":
-                self.take()
-                out.append(self._index())
-        self.expect("]") or self._bail()
-        return tuple(out)
-
-    def _bail(self):
-        raise _Bail()
-
-    def atom(self):
-        t = self.peek()
-        pos = (t.line, t.col)
-        if t.kind == "int":
-            self.take()
-            return Num(Fraction(int(t.text)), pos)
-        if t.text == "(":
-            self.take()
-            e = self.expr()
-            self.expect(")") or self._bail()
-            return e
-        if t.kind == "name":
-            name = self.take().text
-            if name == "d":
-                idxs = self._index_list()
-                if len(idxs) != 1:
-                    self.diags.append(Diagnostic(*pos, "E-SYNTAX",
-                                                 "d[] takes exactly one index"))
-                    raise _Bail()
-                self.expect("(") or self._bail()
-                sub = self.expr()
-                self.expect(")") or self._bail()
-                return DTot(idxs[0], sub, pos)
-            if name == "eps":
-                return Eps(self._index_list(), pos)
-            if name == "delta":
-                idxs = self._index_list()
-                if len(idxs) != 2:
-                    self.diags.append(Diagnostic(*pos, "E-SYNTAX",
-                                                 "delta[] takes exactly two indices"))
-                    raise _Bail()
-                return Delta(idxs[0], idxs[1], pos)
-            if name == "sbar":
-                self.expect("(") or self._bail()
-                inner = self.take()
-                if inner.kind != "name":
-                    self.fail("sbar(...) needs a field name")
-                self.expect(")") or self._bail()
-                idxs = self._index_list() if self.peek().text == "[" else ()
-                return Ref(f"sbar({inner.text})", idxs, pos)
-            if name == "cbar":
-                self.expect("(") or self._bail()
-                stage_tok = self.take()
-                if stage_tok.kind != "int":
-                    self.fail("cbar(...) needs a stage number")
-                tag = stage_tok.text
-                if self.peek().text == ":":
-                    self.take()
-                    fam = self.take()
-                    if fam.kind != "name":
-                        self.fail("cbar(K:FAMILY) needs a family name")
-                    tag = f"{tag}:{fam.text}"
-                self.expect(")") or self._bail()
-                idxs = self._index_list() if self.peek().text == "[" else ()
-                return Ref(f"cbar({tag})", idxs, pos)
-            idxs = self._index_list() if self.peek().text == "[" else ()
-            return Ref(name, idxs, pos)
-        self.fail(f"unexpected token {t.text or 'end of line'!r}")
 
 
 class _Bail(Exception):
     pass
+
+
+def _reject(diags: list, pos: tuple, code: str, msg: str):
+    diags.append(Diagnostic(*pos, code, msg))
+    raise _Bail()
+
+
+class _ExprParser:
+    """Recursive descent over one line's tokens, closed by end-of-line tokens."""
+
+    def __init__(self, toks: list, line: int, diags: list, start: int = 0):
+        end = ("end", "", toks[-1][2] + len(toks[-1][1]))
+        # two, since a rule that takes the first one still looks at the next
+        self.toks = toks + [end, end]
+        self.i = start
+        self.line = line
+        self.diags = diags
+        self.depth = 0
+        self.letters = False
+
+    def take(self) -> tuple:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def error(self, col: int, msg: str):
+        _reject(self.diags, (self.line, col), "E-SYNTAX", msg)
+
+    def fail(self, msg: str):
+        self.error(self.toks[self.i][2], msg)
+
+    def expect(self, text: str) -> None:
+        found = self.toks[self.i][1]
+        if found != text:
+            self.fail(f"expected {text!r}, found {found or 'end of line'!r}")
+        self.i += 1
+
+    def at_end(self) -> bool:
+        return self.toks[self.i][0] == "end"
+
+    # expr := term (("+"|"-") term)*
+    def expr(self):
+        toks = self.toks
+        pos = (self.line, toks[self.i][2])
+        items = [(1, self.term())]
+        while toks[self.i][1] in ("+", "-"):
+            sign = 1 if self.take()[1] == "+" else -1
+            items.append((sign, self.term()))
+        return items[0][1] if len(items) == 1 else Add(tuple(items), pos)
+
+    # term := ("+"|"-")* power (("*"|"/") ("+"|"-")* power)*
+    def term(self):
+        """One product; its signs and literal factors fold into one coefficient.
+
+        A division by 0 or by a non-literal stays a factor: elaboration
+        evaluates it in its place and reports it at the product.
+        """
+        toks = self.toks
+        pos = (self.line, toks[self.i][2])
+        coeff = 1
+        factors = []
+        div = False
+        while True:
+            while toks[self.i][1] in ("+", "-"):
+                if self.take()[1] == "-":
+                    coeff = -coeff
+            node = self.atom()
+            if toks[self.i][1] == "^":
+                node = self.power(node)
+            if node.__class__ is not Num:
+                factors.append(("div", node) if div else node)
+            elif not div:
+                coeff = coeff * node.value
+            elif node.value:
+                coeff = Fraction(coeff) / node.value
+            else:
+                factors.append(("div", node))
+            op = toks[self.i][1]
+            if op != "*" and op != "/":
+                break
+            div = op == "/"
+            self.i += 1
+        if not factors:
+            return Num(coeff, pos)
+        if coeff == 1 and len(factors) == 1 and factors[0].__class__ is not tuple:
+            return factors[0]
+        return Mul(coeff, tuple(factors), pos)
+
+    def power(self, base):
+        self.i += 1
+        kind, text, col = self.take()
+        if kind != "int":
+            self.fail("exponent must be a nonnegative integer")
+        k = int(text)
+        if k == 0:
+            return Num(1, (self.line, col))
+        if base.__class__ is Num:
+            return Num(base.value ** k, (self.line, col))
+        return Pow(base, k, (self.line, col))
+
+    def _index(self):
+        kind, text, col = self.take()
+        if kind == "int":
+            return int(text)
+        if kind != "name":
+            self.error(col, f"expected an index, found {text!r}")
+        self.letters = True
+        return text
+
+    def _index_list(self) -> tuple:
+        self.expect("[")
+        out = []
+        if self.toks[self.i][1] != "]":
+            out.append(self._index())
+            while self.toks[self.i][1] == ",":
+                self.i += 1
+                out.append(self._index())
+        self.expect("]")
+        return tuple(out)
+
+    def _open(self) -> None:
+        """Take the "(" of a nested expression, within the nesting limit."""
+        col = self.toks[self.i][2]
+        self.expect("(")
+        if self.depth == _MAX_NESTING:
+            self.error(col, _TOO_DEEP)
+        self.depth += 1
+
+    def _close(self) -> None:
+        self.expect(")")
+        self.depth -= 1
+
+    def atom(self):
+        kind, text, col = self.toks[self.i]
+        pos = (self.line, col)
+        if kind == "name":
+            self.i += 1
+            if text == "d":
+                idxs = self._index_list()
+                if len(idxs) != 1:
+                    self.error(col, "d[] takes exactly one index")
+                self._open()
+                sub = self.expr()
+                self._close()
+                return DTot(idxs[0], sub, pos)
+            if text == "eps":
+                return Eps(self._index_list(), pos)
+            if text == "delta":
+                idxs = self._index_list()
+                if len(idxs) != 2:
+                    self.error(col, "delta[] takes exactly two indices")
+                return Delta(idxs[0], idxs[1], pos)
+            if text == "sbar":
+                self.expect("(")
+                inner = self.take()
+                if inner[0] != "name":
+                    self.fail("sbar(...) needs a field name")
+                self.expect(")")
+                text = f"sbar({inner[1]})"
+            elif text == "cbar":
+                self.expect("(")
+                stage_kind, tag, _ = self.take()
+                if stage_kind != "int":
+                    self.fail("cbar(...) needs a stage number")
+                if self.toks[self.i][1] == ":":
+                    self.i += 1
+                    fam = self.take()
+                    if fam[0] != "name":
+                        self.fail("cbar(K:FAMILY) needs a family name")
+                    tag = f"{tag}:{fam[1]}"
+                self.expect(")")
+                text = f"cbar({tag})"
+            idxs = self._index_list() if self.toks[self.i][1] == "[" else ()
+            return Ref(text, idxs, pos)
+        if kind == "int":
+            self.i += 1
+            return Num(int(text), pos)
+        if text == "(":
+            self._open()
+            e = self.expr()
+            self._close()
+            return e
+        self.fail(f"unexpected token {text or 'end of line'!r}")
 
 
 def parse_model(text: str):
@@ -335,37 +312,35 @@ def parse_model(text: str):
         if not toks:
             continue
         saw_statement = True
-        head = toks[0]
+        _, head, col = toks[0]
         try:
-            if head.text == "dim":
-                if len(toks) != 2 or toks[1].kind != "int":
-                    diags.append(Diagnostic(lineno, head.col, "E-SYNTAX",
-                                            "usage: dim N"))
+            if head == "dim":
+                if len(toks) != 2 or toks[1][0] != "int":
+                    diags.append(Diagnostic(lineno, col, "E-SYNTAX", "usage: dim N"))
                     continue
                 if doc.dim is not None:
-                    diags.append(Diagnostic(lineno, head.col, "E-DUP-DECL",
+                    diags.append(Diagnostic(lineno, col, "E-DUP-DECL",
                                             "dimension already declared"))
                     continue
-                doc.dim = int(toks[1].text)
-            elif head.text in ("field", "odd-field"):
-                _parse_field(doc, toks, diags)
-            elif head.text == "L":
-                p = _ExprParser(toks[1:], diags)
-                if p.expect("=") is None:
-                    continue
+                doc.dim = int(toks[1][1])
+            elif head in ("field", "odd-field"):
+                _parse_field(doc, toks, lineno, diags)
+            elif head == "L":
+                p = _ExprParser(toks, lineno, diags, 1)
+                p.expect("=")
                 expr = p.expr()
                 if not p.at_end():
                     p.fail("trailing tokens after the Lagrangian")
                 if doc.lagrangian is not None:
-                    diags.append(Diagnostic(lineno, head.col, "E-DUP-DECL",
+                    diags.append(Diagnostic(lineno, col, "E-DUP-DECL",
                                             "Lagrangian already declared"))
                     continue
-                doc.lagrangian = (expr, (lineno, head.col))
-            elif head.text == "stage":
-                _parse_stage(doc, toks, diags)
+                doc.lagrangian = (expr, (lineno, col), p.letters)
+            elif head == "stage":
+                _parse_stage(doc, toks, lineno, diags)
             else:
-                diags.append(Diagnostic(lineno, head.col, "E-SYNTAX",
-                                        f"unknown statement {head.text!r}"))
+                diags.append(Diagnostic(lineno, col, "E-SYNTAX",
+                                        f"unknown statement {head!r}"))
         except _Bail:
             continue
     if not saw_statement:
@@ -375,61 +350,53 @@ def parse_model(text: str):
     return doc, diags
 
 
-def _parse_field(doc: ModelDocument, toks: list[Token], diags: list) -> None:
-    parity = ODD if toks[0].text == "odd-field" else EVEN
-    if len(toks) < 2 or toks[1].kind != "name":
-        diags.append(Diagnostic(toks[0].line, toks[0].col, "E-SYNTAX",
-                                "usage: field NAME [ARITY [antisym]]"))
+def _parse_field(doc: ModelDocument, toks: list, line: int, diags: list) -> None:
+    col = toks[0][2]
+    parity = ODD if toks[0][1] == "odd-field" else EVEN
+    usage = Diagnostic(line, col, "E-SYNTAX", "usage: field NAME [ARITY [antisym]]")
+    if len(toks) < 2 or toks[1][0] != "name":
+        diags.append(usage)
         return
-    name = toks[1].text
+    name = toks[1][1]
     arity = 0
     antisym = False
-    rest = toks[2:]
+    rest = [t[1] for t in toks[2:]]
     if rest:
-        if (len(rest) not in (3, 4) or rest[0].text != "[" or rest[1].kind != "int"
-                or rest[-1].text != "]"
-                or (len(rest) == 4 and rest[2].text != "antisym")):
-            diags.append(Diagnostic(toks[0].line, toks[0].col, "E-SYNTAX",
-                                    "usage: field NAME [ARITY [antisym]]"))
+        if (len(rest) not in (3, 4) or rest[0] != "[" or toks[3][0] != "int"
+                or rest[-1] != "]" or (len(rest) == 4 and rest[2] != "antisym")):
+            diags.append(usage)
             return
-        arity = int(rest[1].text)
+        arity = int(rest[1])
         antisym = len(rest) == 4
     if any(d[0] == name for d in doc.decls):
-        diags.append(Diagnostic(toks[0].line, toks[1].col, "E-DUP-DECL",
+        diags.append(Diagnostic(line, toks[1][2], "E-DUP-DECL",
                                 f"field {name!r} already declared"))
         return
-    doc.decls.append((name, parity, arity, antisym, (toks[0].line, toks[0].col)))
+    doc.decls.append((name, parity, arity, antisym, (line, col)))
 
 
-def _parse_stage(doc: ModelDocument, toks: list[Token], diags: list) -> None:
-    if len(toks) < 3 or toks[1].kind != "int" or toks[2].text != ":":
-        diags.append(Diagnostic(toks[0].line, toks[0].col, "E-SYNTAX",
+def _parse_stage(doc: ModelDocument, toks: list, line: int, diags: list) -> None:
+    if len(toks) < 3 or toks[1][0] != "int" or toks[2][1] != ":":
+        diags.append(Diagnostic(line, toks[0][2], "E-SYNTAX",
                                 "usage: stage K: NAME[idx,...] = expr ; ..."))
         return
-    stage = int(toks[1].text)
-    body = toks[3:]
-    chunks: list[list[Token]] = [[]]
-    for t in body:
-        if t.text == ";":
-            chunks.append([])
-        else:
-            chunks[-1].append(t)
-    for chunk in chunks:
+    stage = int(toks[1][1])
+    cuts = [i for i, t in enumerate(toks) if t[1] == ";"]
+    for start, stop in zip([2] + cuts, cuts + [len(toks)]):
+        chunk = toks[start + 1:stop]
         if not chunk:
             continue
-        p = _ExprParser(chunk, diags)
+        p = _ExprParser(chunk, line, diags)
         try:
-            name_tok = p.take()
-            if name_tok.kind != "name":
+            kind, name, col = p.take()
+            if kind != "name":
                 p.fail("a generator definition starts with a family name")
             idxs = p._index_list()
-            if p.expect("=") is None:
-                continue
+            p.expect("=")
             expr = p.expr()
             if not p.at_end():
                 p.fail("trailing tokens after a generator definition")
-            doc.families.append(FamilyDef(stage, name_tok.text, idxs, expr,
-                                          (name_tok.line, name_tok.col)))
+            doc.families.append(FamilyDef(stage, name, idxs, expr, (line, col), p.letters))
         except _Bail:
             continue
 
@@ -437,7 +404,30 @@ def _parse_stage(doc: ModelDocument, toks: list[Token], diags: list) -> None:
 # ---------------------------------------------------------------------------
 # index analysis and evaluation
 
+def _fold(raw) -> list:
+    """Merged nonzero terms, with canonical factors, of raw terms."""
+    acc: dict = {}
+    for c, fs in raw:
+        r = _canon_factors(fs)
+        if r is not None:
+            _merge(acc, r[1], c if r[0] > 0 else -c)
+    return [(c, fs) for fs, c in acc.items() if c]
+
+
+def _fold_product(a: list, b: list) -> list:
+    return _fold((ca * cb, fa + fb) for ca, fa in a for cb, fb in b)
+
+
 class _Expander:
+    """Evaluates expressions to raw (coefficient, factors) terms.
+
+    Factors stay in written order and like terms stay apart: a sum or a
+    summed letter concatenates term lists, and ``GradedPoly.from_raw``
+    canonicalises each member once.  Only a product with a factor of several
+    terms, a power of a sum and a derivative of a product fold their terms,
+    which keeps ``(A+B)^12`` at 13 terms.
+    """
+
     def __init__(self, table, n: int, diags: list):
         self.table = table
         self.n = n
@@ -446,35 +436,29 @@ class _Expander:
 
     def frees(self, node) -> frozenset:
         """Free letters after binding; populates the per-node binding table."""
-        if isinstance(node, Num):
+        cls = node.__class__
+        if cls is Num:
             return frozenset()
-        if isinstance(node, (Ref, Eps)):
-            letters = [i[1] for i in node.indices if i[0] == "let"]
-            return self._bind(node, letters)
-        if isinstance(node, Delta):
-            letters = [i[1] for i in (node.a, node.b) if i[0] == "let"]
-            return self._bind(node, letters)
-        if isinstance(node, DTot):
+        if cls is Ref or cls is Eps:
+            return self._bind(node, [i for i in node.indices if i.__class__ is str])
+        if cls is Delta:
+            return self._bind(node, [i for i in (node.a, node.b) if i.__class__ is str])
+        if cls is DTot:
             letters = list(self.frees(node.sub))
-            if node.index[0] == "let":
-                letters.append(node.index[1])
+            if node.index.__class__ is str:
+                letters.append(node.index)
             return self._bind(node, letters)
-        if isinstance(node, Mul):
+        if cls is Mul:
             letters = []
             for f in node.factors:
-                sub = f[1] if isinstance(f, tuple) else f
-                letters.extend(self.frees(sub))
+                letters.extend(self.frees(f[1] if f.__class__ is tuple else f))
             return self._bind(node, letters)
-        if isinstance(node, Add):
-            sets = [self.frees(sub) for _, sub in node.items]
-            first = sets[0]
-            for s in sets[1:]:
-                if s != first:
-                    self.diags.append(Diagnostic(*node.pos, "E-FREE-SUM",
-                                                 "summands carry different free indices"))
-                    raise _Bail()
-            return first
-        raise TypeError(node)
+        if cls is Pow:
+            return self._bind(node, list(self.frees(node.base)) * node.k)
+        sets = [self.frees(sub) for _, sub in node.items]
+        if any(s != sets[0] for s in sets[1:]):
+            _reject(self.diags, node.pos, "E-FREE-SUM", "summands carry different free indices")
+        return sets[0]
 
     def _bind(self, node, letters) -> frozenset:
         counts: dict[str, int] = {}
@@ -482,85 +466,122 @@ class _Expander:
             counts[l] = counts.get(l, 0) + 1
         over = sorted(l for l, c in counts.items() if c > 2)
         if over:
-            self.diags.append(Diagnostic(*node.pos, "E-IDX-ARITY",
-                                         f"index letter {over[0]!r} appears more than twice"))
-            raise _Bail()
+            _reject(self.diags, node.pos, "E-IDX-ARITY",
+                    f"index letter {over[0]!r} appears more than twice")
         here = tuple(sorted(l for l, c in counts.items() if c == 2))
         if here:
             self.bound[id(node)] = here
         return frozenset(l for l, c in counts.items() if c == 1)
 
-    def eval(self, node, env) -> GradedPoly:
-        here = self.bound.get(id(node), ())
+    def eval(self, node, env) -> list:
+        here = self.bound.get(id(node)) if self.bound else None
         if not here:
-            return self._eval(node, env)
-        return poly_sum(self._eval(node, {**env, **dict(zip(here, assign))})
-                        for assign in product(range(self.n), repeat=len(here)))
+            return self._terms(node, env)
+        return [t for assign in product(range(self.n), repeat=len(here))
+                for t in self._terms(node, {**env, **dict(zip(here, assign))})]
 
     def _idx(self, idx, env, pos) -> int:
-        if idx[0] == "lit":
-            v = idx[1]
-        else:
+        if idx.__class__ is str:
             try:
-                v = env[idx[1]]
+                idx = env[idx]
             except KeyError:
-                self.diags.append(Diagnostic(*pos, "E-FREE-IDX",
-                                             f"unbound index letter {idx[1]!r}"))
-                raise _Bail() from None
-        if not 0 <= v < self.n:
-            self.diags.append(Diagnostic(*pos, "E-IDX-RANGE",
-                                         f"index {v} out of range for dim {self.n}"))
-            raise _Bail()
-        return v
+                _reject(self.diags, pos, "E-FREE-IDX", f"unbound index letter {idx!r}")
+        if not 0 <= idx < self.n:
+            _reject(self.diags, pos, "E-IDX-RANGE", f"index {idx} out of range for dim {self.n}")
+        return idx
 
-    def _eval(self, node, env) -> GradedPoly:
-        if isinstance(node, Num):
-            return GradedPoly.constant(node.value)
-        if isinstance(node, Eps):
-            if len(node.indices) != self.n:
-                self.diags.append(Diagnostic(*node.pos, "E-EPS-ARITY",
-                                             f"eps takes {self.n} indices here"))
-                raise _Bail()
-            vals = tuple(self._idx(i, env, node.pos) for i in node.indices)
-            return GradedPoly.constant(perm_sign(vals))
-        if isinstance(node, Delta):
-            a = self._idx(node.a, env, node.pos)
-            b_ = self._idx(node.b, env, node.pos)
-            return GradedPoly.constant(1 if a == b_ else 0)
-        if isinstance(node, Ref):
-            vals = tuple(self._idx(i, env, node.pos) for i in node.indices)
+    def _terms(self, node, env) -> list:
+        cls = node.__class__
+        if cls is Ref:
+            vals = tuple([self._idx(i, env, node.pos) for i in node.indices])
             try:
-                sign, sym = self.table.jet(node.name, vals, ())
+                sign, sym = self.table.jet(node.name, vals)
             except UnknownVariable:
-                self.diags.append(Diagnostic(*node.pos, "E-UNKNOWN-VAR",
-                                             f"unknown variable {node.name!r}"))
-                raise _Bail() from None
+                _reject(self.diags, node.pos, "E-UNKNOWN-VAR", f"unknown variable {node.name!r}")
             except IndexOutOfRange as e:
-                self.diags.append(Diagnostic(*node.pos, "E-IDX-RANGE", str(e)))
-                raise _Bail() from None
-            if sym is None:
-                return GradedPoly.zero()
-            return GradedPoly.from_symbol(sym, sign)
-        if isinstance(node, DTot):
-            lam = self._idx(node.index, env, node.pos)
-            return total_derivative(self.eval(node.sub, env), lam, self.n)
-        if isinstance(node, Add):
-            return poly_sum(self.eval(sub, env) if sign > 0 else -self.eval(sub, env)
-                            for sign, sub in node.items)
-        if isinstance(node, Mul):
-            acc = GradedPoly.constant(1)
+                _reject(self.diags, node.pos, "E-IDX-RANGE", str(e))
+            return [] if sym is None else [(sign, (sym,))]
+        if cls is Mul:
+            terms = [(node.coeff, ())] if node.coeff else []
             for f in node.factors:
-                if isinstance(f, tuple):
-                    v = self.eval(f[1], env)
-                    if v.max_degree() > 0 or v.is_zero():
-                        self.diags.append(Diagnostic(*node.pos, "E-SYNTAX",
-                                                     "division only by nonzero rational constants"))
-                        raise _Bail()
-                    acc = acc.scale(Fraction(1) / v.terms[0][1])
+                if f.__class__ is tuple:
+                    q = _fold(self.eval(f[1], env))
+                    if len(q) != 1 or q[0][1]:
+                        _reject(self.diags, node.pos, "E-SYNTAX",
+                                "division only by nonzero rational constants")
+                    q = Fraction(q[0][0])
+                    terms = [(c / q, fs) for c, fs in terms]
+                    continue
+                ts = self.eval(f, env)
+                if len(ts) == 1:
+                    c1, g = ts[0]
+                    terms = [(c if c1 == 1 else c * c1, fs + g) for c, fs in terms]
                 else:
-                    acc = acc * self.eval(f, env)
-            return acc
+                    terms = _fold_product(terms, ts)
+            return terms
+        if cls is DTot:
+            lam = self._idx(node.index, env, node.pos)
+            sub = self.eval(node.sub, env)
+            raw = [(c, fs[:i] + (f.raised(lam),) + fs[i + 1:])
+                   for c, fs in sub for i, f in enumerate(fs)]
+            # Leibniz split a product: fold, so chained d[] stay small
+            return _fold(raw) if len(raw) > len(sub) else raw
+        if cls is Add:
+            out = []
+            for sign, sub in node.items:
+                ts = self.eval(sub, env)
+                out.extend(ts if sign > 0 else [(-c, fs) for c, fs in ts])
+            return out
+        if cls is Num:
+            return [(node.value, ())] if node.value else []
+        if cls is Pow:
+            base = self.eval(node.base, env)
+            k = node.k
+            if len(base) == 1:
+                c, fs = base[0]
+                return [(c ** k, fs * k)]
+            out = [(1, ())]
+            while True:
+                if k & 1:
+                    out = _fold_product(out, base)
+                k >>= 1
+                if not k:
+                    return out
+                base = _fold_product(base, base)
+        if cls is Eps:
+            if len(node.indices) != self.n:
+                _reject(self.diags, node.pos, "E-EPS-ARITY", f"eps takes {self.n} indices here")
+            s = perm_sign([self._idx(i, env, node.pos) for i in node.indices])
+            return [(s, ())] if s else []
+        if cls is Delta:
+            equal = self._idx(node.a, env, node.pos) == self._idx(node.b, env, node.pos)
+            return [(1, ())] if equal else []
         raise TypeError(node)
+
+
+def _member_assignments(ex: _Expander, fd: FamilyDef, dim: int) -> list:
+    """(components, letter values) of each member a family definition gives."""
+    kinds = {i.__class__ for i in fd.indices}
+    if len(kinds) > 1:
+        _reject(ex.diags, fd.pos, "E-SYNTAX", "family indices must be all letters or all integers")
+    if kinds == {int}:
+        if list(fd.indices) != sorted(set(fd.indices)):
+            _reject(ex.diags, fd.pos, "E-SYNTAX",
+                    "concrete family indices must be strictly increasing")
+        free = ex.frees(fd.expr) if fd.letters else None
+        if free:
+            _reject(ex.diags, fd.pos, "E-FREE-IDX",
+                    f"member definition has free indices {sorted(free)}")
+        return [(fd.indices, {})]
+    letters = fd.indices
+    if len(set(letters)) != len(letters):
+        _reject(ex.diags, fd.pos, "E-IDX-ARITY", "family indices must be distinct letters")
+    free = ex.frees(fd.expr) if fd.letters else frozenset()
+    if free != frozenset(letters):
+        _reject(ex.diags, fd.pos, "E-FREE-IDX", f"free indices {sorted(free)} do not match "
+                                                f"the family indices {sorted(letters)}")
+    return [(comps, dict(zip(letters, comps)))
+            for comps in combinations(range(dim), len(letters))]
 
 
 def elaborate(doc: ModelDocument, name: str = "model"):
@@ -581,15 +602,18 @@ def elaborate(doc: ModelDocument, name: str = "model"):
     if doc.lagrangian is None:
         diags.append(Diagnostic(1, 1, "E-L-MISSING", "missing 'L = ...' statement"))
         return None, diags
-    lexpr, lpos = doc.lagrangian
+    lexpr, lpos, letters = doc.lagrangian
     try:
-        free = ex.frees(lexpr)
+        free = ex.frees(lexpr) if letters else None
         if free:
             diags.append(Diagnostic(*lpos, "E-FREE-IDX",
                                     f"the Lagrangian has free indices {sorted(free)}"))
             return None, diags
-        builder.set_lagrangian(ex.eval(lexpr, {}))
+        builder.set_lagrangian(GradedPoly.from_raw(ex.eval(lexpr, {})))
     except _Bail:
+        return None, diags
+    except RecursionError:
+        diags.append(Diagnostic(*lpos, "E-SYNTAX", _TOO_DEEP))
         return None, diags
 
     stages = sorted({f.stage for f in doc.families})
@@ -607,63 +631,26 @@ def elaborate(doc: ModelDocument, name: str = "model"):
         for famname in sorted(grouped):
             members: dict[tuple, list] = {}
             arity = None
-            antisym = None
             for fd in grouped[famname]:
-                if arity is None:
-                    arity = len(fd.indices)
-                    antisym = arity > 1
-                elif arity != len(fd.indices):
-                    diags.append(Diagnostic(*fd.pos, "E-IDX-ARITY",
-                                            f"family {famname!r} redefined with a different arity"))
-                    ok = False
-                    continue
-                kinds = {i[0] for i in fd.indices}
-                if len(kinds) > 1:
-                    diags.append(Diagnostic(*fd.pos, "E-SYNTAX",
-                                            "family indices must be all letters or all integers"))
-                    ok = False
-                    continue
                 try:
-                    if not fd.indices or kinds == {"let"}:
-                        letters = tuple(i[1] for i in fd.indices)
-                        if len(set(letters)) != len(letters):
-                            diags.append(Diagnostic(*fd.pos, "E-IDX-ARITY",
-                                                    "family indices must be distinct letters"))
-                            ok = False
-                            continue
-                        free = ex.frees(fd.expr)
-                        if free != frozenset(letters):
-                            diags.append(Diagnostic(*fd.pos, "E-FREE-IDX",
-                                                    f"free indices {sorted(free)} do not match "
-                                                    f"the family indices {sorted(letters)}"))
-                            ok = False
-                            continue
-                        for comps in combinations(range(doc.dim), arity):
-                            env = dict(zip(letters, comps))
-                            members.setdefault(comps, []).append(ex.eval(fd.expr, env))
-                    else:
-                        comps = tuple(i[1] for i in fd.indices)
-                        if list(comps) != sorted(set(comps)):
-                            diags.append(Diagnostic(*fd.pos, "E-SYNTAX",
-                                                    "concrete family indices must be strictly increasing"))
-                            ok = False
-                            continue
-                        free = ex.frees(fd.expr)
-                        if free:
-                            diags.append(Diagnostic(*fd.pos, "E-FREE-IDX",
-                                                    f"member definition has free indices {sorted(free)}"))
-                            ok = False
-                            continue
-                        members.setdefault(comps, []).append(ex.eval(fd.expr, {}))
+                    if arity is None:
+                        arity = len(fd.indices)
+                    elif arity != len(fd.indices):
+                        _reject(diags, fd.pos, "E-IDX-ARITY",
+                                f"family {famname!r} redefined with a different arity")
+                    for comps, env in _member_assignments(ex, fd, doc.dim):
+                        members.setdefault(comps, []).extend(ex.eval(fd.expr, env))
                 except _Bail:
                     ok = False
-                    continue
+                except RecursionError:
+                    diags.append(Diagnostic(*fd.pos, "E-SYNTAX", _TOO_DEEP))
+                    ok = False
             if arity is None:
                 continue
             for comps in combinations(range(doc.dim), arity):
                 members.setdefault(comps, [])
             fams.append((famname, arity, arity > 1,
-                         {comps: poly_sum(ps) for comps, ps in members.items()}))
+                         {comps: GradedPoly.from_raw(raw) for comps, raw in members.items()}))
         if not ok:
             return None, diags
         try:

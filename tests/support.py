@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: random inputs, an independent
-dense-elimination rank oracle, and plain-arithmetic copies of the term
-kernels."""
+dense-elimination rank oracle, plain-arithmetic copies of the term kernels,
+and a polynomial-valued copy of the model-file expander."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
-from gaugelab import GradedPoly, trivial_model
-from gaugelab.algebra import _canon_factors, _term_parity
+from gaugelab import GradedPoly, poly_sum, total_derivative, trivial_model
+from gaugelab.algebra import _canon_factors, _term_parity, perm_sign
+from gaugelab.errors import IndexOutOfRange, UnknownVariable
 
 
 def two_field_model(n=2):
@@ -230,3 +231,123 @@ def assert_canonical_coefficients(p):
     """Every stored coefficient is a nonzero Fraction."""
     for _, c in p.terms:
         assert type(c) is Fraction and c != 0, (p, c)
+
+
+# A copy of the model-file expander as it was before loading emitted raw
+# terms: it evaluates every node to a GradedPoly, multiplies products factor
+# by factor and expands x^k as k factors.  It walks plain tuple trees
+# instead of the parser's nodes:
+#   ("num", int)  ("ref", name, indices)  ("eps", indices)  ("delta", i, j)
+#   ("d", index, sub)  ("add", ((sign, sub), ...))  ("neg", sub)
+#   ("mul", (sub | ("div", sub), ...))  ("pow", sub, k)
+# where an index is an int or a letter.  A diagnostic raises OracleError
+# with its code.
+
+class OracleError(Exception):
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+
+
+class OracleExpander:
+    def __init__(self, table, n):
+        self.table = table
+        self.n = n
+        self.bound = {}
+
+    def frees(self, node):
+        kind = node[0]
+        if kind == "num" or (kind == "pow" and node[2] == 0):
+            return frozenset()
+        if kind in ("ref", "eps", "delta"):
+            idxs = node[1:] if kind == "delta" else node[-1]
+            return self._bind(node, [i for i in idxs if isinstance(i, str)])
+        if kind == "d":
+            letters = list(self.frees(node[2]))
+            if isinstance(node[1], str):
+                letters.append(node[1])
+            return self._bind(node, letters)
+        if kind in ("mul", "neg", "pow"):
+            letters = []
+            for f in self._factors(node):
+                letters.extend(self.frees(f[1] if f[0] == "div" else f))
+            return self._bind(node, letters)
+        sets = [self.frees(sub) for _, sub in node[1]]
+        if any(s != sets[0] for s in sets[1:]):
+            raise OracleError("E-FREE-SUM")
+        return sets[0]
+
+    @staticmethod
+    def _factors(node):
+        if node[0] == "neg":
+            return (("num", -1), node[1])
+        if node[0] == "pow":
+            return (node[1],) * node[2]
+        return node[1]
+
+    def _bind(self, node, letters):
+        counts = {}
+        for l in letters:
+            counts[l] = counts.get(l, 0) + 1
+        if any(c > 2 for c in counts.values()):
+            raise OracleError("E-IDX-ARITY")
+        here = tuple(sorted(l for l, c in counts.items() if c == 2))
+        if here:
+            self.bound[id(node)] = here
+        return frozenset(l for l, c in counts.items() if c == 1)
+
+    def eval(self, node, env):
+        here = self.bound.get(id(node), ())
+        if not here:
+            return self._eval(node, env)
+        return poly_sum(self._eval(node, {**env, **dict(zip(here, assign))})
+                        for assign in product(range(self.n), repeat=len(here)))
+
+    def _idx(self, idx, env):
+        v = env[idx] if isinstance(idx, str) else idx
+        if not 0 <= v < self.n:
+            raise OracleError("E-IDX-RANGE")
+        return v
+
+    def _eval(self, node, env):
+        kind = node[0]
+        if kind == "num" or (kind == "pow" and node[2] == 0):
+            return GradedPoly.constant(node[1] if kind == "num" else 1)
+        if kind == "eps":
+            if len(node[1]) != self.n:
+                raise OracleError("E-EPS-ARITY")
+            return GradedPoly.constant(perm_sign([self._idx(i, env) for i in node[1]]))
+        if kind == "delta":
+            return GradedPoly.constant(int(self._idx(node[1], env) == self._idx(node[2], env)))
+        if kind == "ref":
+            vals = tuple(self._idx(i, env) for i in node[2])
+            try:
+                sign, sym = self.table.jet(node[1], vals, ())
+            except UnknownVariable:
+                raise OracleError("E-UNKNOWN-VAR") from None
+            except IndexOutOfRange:
+                raise OracleError("E-IDX-RANGE") from None
+            return GradedPoly.zero() if sym is None else GradedPoly.from_symbol(sym, sign)
+        if kind == "d":
+            return total_derivative(self.eval(node[2], env), self._idx(node[1], env), self.n)
+        if kind == "add":
+            return poly_sum(self.eval(sub, env) if sign > 0 else -self.eval(sub, env)
+                            for sign, sub in node[1])
+        acc = GradedPoly.constant(1)
+        for f in self._factors(node):
+            if f[0] == "div":
+                v = self.eval(f[1], env)
+                if v.max_degree() > 0 or v.is_zero():
+                    raise OracleError("E-SYNTAX")
+                acc = acc.scale(Fraction(1) / v.terms[0][1])
+            else:
+                acc = acc * self.eval(f, env)
+        return acc
+
+
+def oracle_expand(table, node):
+    """The polynomial of a closed tree, as the expander used to compute it."""
+    ex = OracleExpander(table, table.n)
+    if ex.frees(node):
+        raise OracleError("E-FREE-IDX")
+    return ex.eval(node, {})

@@ -152,6 +152,11 @@ BAD_INPUT = [
     (["check", "--zoo", "bf:99999999999"],
      r"error: zoo model 'bf:99999999999' is too large to build"),
     (["zoo", "bf:99999999999"], r"error: zoo model 'bf:99999999999' is too large to build"),
+    # nesting too deep to parse
+    (["check", "--model", "{deep_model}"],
+     r".*:3:205: E-SYNTAX: expression nested too deeply$"),
+    (["check", "--model", "{deep_d_model}"],
+     r".*:4:1020: E-SYNTAX: expression nested too deeply$"),
 ]
 
 
@@ -173,9 +178,15 @@ def test_bad_input_exits_2_with_one_line(argv, stderr, tmp_path, capsys, monkeyp
     option_model.write_text(render_model(zoo_model("bf:2")) + "option jet-order 1\n")
     binary_model = tmp_path / "binary.glm"
     binary_model.write_bytes(b"\xff\xfedim 2\n")
+    deep_model = tmp_path / "deep.glm"
+    deep_model.write_text("dim 1\nfield A\nL = " + "(" * 3000 + "A" + ")" * 3000 + "\n")
+    deep_d_model = tmp_path / "deep_d.glm"
+    deep_d_model.write_text("dim 1\nfield A\nL = A\nstage 0: D[] = "
+                            + "d[0](" * 3000 + "sbar(A)" + ")" * 3000 + "\n")
     directory = tmp_path / "reports"
     directory.mkdir()
     paths = {"model": model, "option_model": option_model, "binary_model": binary_model,
+             "deep_model": deep_model, "deep_d_model": deep_d_model,
              "unwritable": tmp_path / "missing" / "r.json", "directory": directory}
     argv = [a.format(**paths) for a in argv]
     assert run_command(argv) == 2

@@ -1,19 +1,26 @@
 """Model-file parsing, index expansion, diagnostics, and round-trips."""
 
+import re
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab import (
     GradedPoly,
+    ModelBuilder,
     load_model,
+    parse_model,
     parse_or_raise,
     render_model,
     total_derivative,
     zoo_model,
 )
-from support import rescaled_tower
+from gaugelab import dsl
+from support import OracleError, oracle_expand, rescaled_tower
 
 BF2_TEXT = """\
 # two-dimensional topological model
@@ -150,6 +157,72 @@ def test_power_notation():
         [(Fraction(1, 2), (s0, s0))])
 
 
+def test_letter_families_match_zoo():
+    text = ("dim 3\nfield A\nfield B[2 antisym]\n"
+            "L = 1/6*A*eps[m,n,r]*d[m](B[n,r])\n"
+            "stage 0: D[a] = -d[b](sbar(B)[a,b])\n"
+            "stage 1: D[] = d[a](cbar(0)[a])\n")
+    m, diags = load_model(text, name="bf:3")
+    assert diags == []
+    assert m == zoo_model("bf:3")
+
+
+def test_minus_between_names_is_subtraction():
+    def lagrangian(expr):
+        m, diags = load_model(f"dim 1\nfield A\nfield B\nL = {expr}\n")
+        assert diags == []
+        return m.lagrangian.coefficient
+
+    assert lagrangian("2*A-3*B") == lagrangian("2*A - 3*B")
+    assert lagrangian("A-B") == lagrangian("A - B")
+    assert lagrangian("A-B").terms[1][1] == -1
+
+
+def raw_terms(header, expr):
+    """The expander's raw terms of expr, before canonicalisation."""
+    doc, diags = parse_model(header + "L = 0\n")
+    assert diags == []
+    b = ModelBuilder("raw", doc.dim)
+    for name, parity, arity, antisym, _ in doc.decls:
+        b.add_field(name, parity=parity, arity=arity, antisym=antisym)
+    parser = dsl._ExprParser(dsl._tokenize_line(expr, 1, []), 1, [])
+    return dsl._Expander(b.table, doc.dim, []).eval(parser.expr(), {})
+
+
+def test_large_power_is_one_term():
+    m, diags = load_model("dim 1\nfield A\nodd-field psi\nL = 2*A^3000\n")
+    assert diags == []
+    ((fs, c),) = m.lagrangian.coefficient.terms
+    assert len(fs) == 3000 and len(set(fs)) == 1 and c == 2
+    assert len(raw_terms("dim 1\nfield A\n", "A^3000")) == 1
+    m, diags = load_model("dim 1\nfield A\nodd-field psi\nL = A*psi^2 + (A*psi)^3\n")
+    assert diags == [] and m.lagrangian.coefficient.is_zero()
+
+
+def test_power_of_sum_has_binomial_coefficients():
+    header = "dim 1\nfield A\nfield B\n"
+    m, diags = load_model(header + "L = (A+B)^12\n")
+    assert diags == []
+    t = m.table
+    A, B = t.symbol("A"), t.symbol("B")
+    assert m.lagrangian.coefficient == GradedPoly.from_raw(
+        [(comb(12, k), (A,) * k + (B,) * (12 - k)) for k in range(13)])
+    assert len(raw_terms(header, "(A+B)^12")) == 13
+    assert len(raw_terms(header, "(A+B)*(A+B)*(A-B)")) == 4
+
+
+def test_nesting_within_the_limit_loads():
+    depth = dsl._MAX_NESTING
+    m, diags = load_model("dim 1\nfield A\nL = " + "(" * depth + "A" + ")" * depth + "\n")
+    assert diags == [] and m.lagrangian.coefficient == GradedPoly.from_symbol(m.table.symbol("A"))
+    text = "dim 1\nfield A\nL = A*" + "d[0](" * depth + "A" + ")" * depth + "\n"
+    m, diags = load_model(text)
+    assert diags == []
+    t = m.table
+    assert m.lagrangian.coefficient == GradedPoly.from_raw(
+        [(1, (t.symbol("A"), t.symbol("A", (), (0,) * depth)))])
+
+
 def test_round_trip_all_zoo_models():
     for spec in ("bf:2", "bf:3", "bf:4", "trivial", "scalar:2", "scalar:3"):
         m = zoo_model(spec)
@@ -196,3 +269,253 @@ def test_odd_field_round_trip():
     # odd square under the total derivative collapses to zero
     assert total_derivative(GradedPoly.from_raw(
         [(Fraction(1, 2), (t.symbol("psi"), t.symbol("psi")))]), 0).is_zero()
+
+
+# Malformed model files and the exact diagnostics they produce.  Every code
+# the README lists appears at least once.
+H = "dim 2\nfield s\nodd-field psi\nfield v[1]\nfield w[2 antisym]\n"
+GOLDEN_DIAGNOSTICS = [
+    (H + 'L = s $ v[0]\n', ["6:7: E-SYNTAX: unexpected character '$'"]),
+    (H + 'L = s +\n', ["6:8: E-SYNTAX: unexpected token 'end of line'"]),
+    (H + 'L = s*\n', ["6:7: E-SYNTAX: unexpected token 'end of line'"]),
+    (H + 'L =\n', ["6:4: E-SYNTAX: unexpected token 'end of line'"]),
+    # a bare L is reported on its own line, after the L
+    (H + 'L\n', ["6:2: E-SYNTAX: expected '=', found 'end of line'"]),
+    (H + 'L = (s\n', ["6:7: E-SYNTAX: expected ')', found 'end of line'"]),
+    (H + 'L = s)\n', ['6:6: E-SYNTAX: trailing tokens after the Lagrangian']),
+    (H + 'L = s v[0]\n', ['6:7: E-SYNTAX: trailing tokens after the Lagrangian']),
+    (H + 'L = s^x + v[0]\n', ['6:9: E-SYNTAX: exponent must be a nonnegative integer']),
+    (H + 'L = s^\n', ['6:7: E-SYNTAX: exponent must be a nonnegative integer']),
+    (H + 'L = s^-1\n', ['6:8: E-SYNTAX: exponent must be a nonnegative integer']),
+    (H + 'L = v[+]\n', ["6:7: E-SYNTAX: expected an index, found '+'"]),
+    (H + 'L = d[0,1](s)\n', ['6:5: E-SYNTAX: d[] takes exactly one index']),
+    (H + 'L = d[0]()\n', ["6:10: E-SYNTAX: unexpected token ')'"]),
+    (H + 'L = d[0] s\n', ["6:10: E-SYNTAX: expected '(', found 's'"]),
+    (H + 'L = delta[0]\n', ['6:5: E-SYNTAX: delta[] takes exactly two indices']),
+    (H + 'L = sbar(1)\n', ['6:11: E-SYNTAX: sbar(...) needs a field name']),
+    (H + 'L = cbar(x)\n', ['6:11: E-SYNTAX: cbar(...) needs a stage number']),
+    (H + 'L = cbar(0:1)\n', ['6:13: E-SYNTAX: cbar(K:FAMILY) needs a family name']),
+    (H + 'L = s\nL = v[0]\n', ['7:1: E-DUP-DECL: Lagrangian already declared']),
+    ('dim x\nfield s\nL = s\n', ['1:1: E-SYNTAX: usage: dim N']),
+    ('dim 2\ndim 3\nfield s\nL = s\n', ['2:1: E-DUP-DECL: dimension already declared']),
+    ('dim 2\nfield\nL = 0\n', ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    ('dim 2\nfield s[x]\nL = 0\n', ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    ('dim 2\nfield s[2 sym]\nL = 0\n', ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    ('dim 2\nfield s\nfield s\nL = s\n', ["3:7: E-DUP-DECL: field 's' already declared"]),
+    (H + 'frobnicate 3\nL = s\n', ["6:1: E-SYNTAX: unknown statement 'frobnicate'"]),
+    (H + 'L = s\nstage x\n', ['7:1: E-SYNTAX: usage: stage K: NAME[idx,...] = expr ; ...']),
+    (H + 'L = s\nstage 0: 1[] = sbar(s)\n', ['7:11: E-SYNTAX: a generator definition starts with a family name']),
+    (H + 'L = s\nstage 0: D = sbar(s)\n', ["7:12: E-SYNTAX: expected '[', found '='"]),
+    (H + 'L = s\nstage 0: D[] sbar(s)\n', ["7:14: E-SYNTAX: expected '=', found 'sbar'"]),
+    (H + 'L = s\nstage 0: P[] = ; Q[] = sbar(s)\n', ["7:15: E-SYNTAX: unexpected token 'end of line'"]),
+    (H + 'L = s\nstage 0: D[] = sbar(s) s\n', ['7:24: E-SYNTAX: trailing tokens after a generator definition']),
+    (H + 'L = s +\nstage 0: D[] = $\nfield q[\n',
+     ["6:8: E-SYNTAX: unexpected token 'end of line'", "7:16: E-SYNTAX: unexpected character '$'", '8:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    (H + 'L = 1/s\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
+    (H + 'L = s/0\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
+    (H + 'L = s/(1-1)\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
+    (H + 'L = s/v[0]*$\n', ["6:12: E-SYNTAX: unexpected character '$'"]),
+    (H + 'L = s/d[0](s)\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
+    ('', ['1:1: E-EMPTY: the model file has no statements']),
+    ('# only a comment\n\n', ['1:1: E-EMPTY: the model file has no statements']),
+    ('field s\nL = s\n', ["1:1: E-DIM-MISSING: missing 'dim N' statement"]),
+    ('dim 2\nfield s\n', ["1:1: E-L-MISSING: missing 'L = ...' statement"]),
+    (H + 'L = v[a]*v[a]*v[a]\n', ["6:5: E-IDX-ARITY: index letter 'a' appears more than twice"]),
+    (H + 'L = v[a]*(v[a] + w[a,b])\n', ['6:11: E-FREE-SUM: summands carry different free indices']),
+    (H + 'L = v[a]\n', ["6:1: E-FREE-IDX: the Lagrangian has free indices ['a']"]),
+    (H + 'L = v[a]^3\n', ["6:10: E-IDX-ARITY: index letter 'a' appears more than twice"]),
+    (H + 'L = s + d[a](v[b])\n', ['6:5: E-FREE-SUM: summands carry different free indices']),
+    (H + 'L = s\nstage 0: D[a] = sbar(v)[b]\n', ["7:10: E-FREE-IDX: free indices ['b'] do not match the family indices ['a']"]),
+    (H + 'L = s\nstage 0: D[0] = sbar(v)[a]\n', ["7:10: E-FREE-IDX: member definition has free indices ['a']"]),
+    (H + 'L = s\nstage 0: D[a,0] = sbar(w)[a,0]\n', ['7:10: E-SYNTAX: family indices must be all letters or all integers']),
+    (H + 'L = s\nstage 0: D[a,a] = sbar(w)[a,a]\n', ['7:10: E-IDX-ARITY: family indices must be distinct letters']),
+    (H + 'L = s\nstage 0: D[1,0] = sbar(w)[0,1]\n', ['7:10: E-SYNTAX: concrete family indices must be strictly increasing']),
+    (H + 'L = s\nstage 0: D[0] = sbar(v)[0]; D[0,1] = sbar(w)[0,1]\n', ["7:29: E-IDX-ARITY: family 'D' redefined with a different arity"]),
+    (H + 'L = s*Q\n', ["6:7: E-UNKNOWN-VAR: unknown variable 'Q'"]),
+    (H + 'L = sbar(Q)\n', ["6:5: E-UNKNOWN-VAR: unknown variable 'sbar(Q)'"]),
+    (H + 'L = cbar(3)\n', ["6:5: E-UNKNOWN-VAR: unknown variable 'cbar(3)'"]),
+    (H + 'L = v[2]*v[2]\n', ['6:5: E-IDX-RANGE: index 2 out of range for dim 2']),
+    (H + 'L = d[5](s)\n', ['6:5: E-IDX-RANGE: index 5 out of range for dim 2']),
+    (H + 'L = v[0,1]\n', ['6:5: E-IDX-RANGE: v expects 1 component indices, got 2']),
+    (H + 'L = eps[0,5]\n', ['6:5: E-IDX-RANGE: index 5 out of range for dim 2']),
+    (H + 'L = eps[0]\n', ['6:5: E-EPS-ARITY: eps takes 2 indices here']),
+    (H + 'L = eps[a,a]*Q\n', ["6:14: E-UNKNOWN-VAR: unknown variable 'Q'"]),
+    (H + 'L = s\nstage 1: D[] = sbar(s)\n', ['1:1: E-STAGE-ORDER: stages must be 0,1,... without gaps, got [1]']),
+    (H + 'L = s\nstage 0: D[] = s\n', ['1:1: E-SHAPE: generator D (stage 0) has a term of antifield number 0, expected 1']),
+    (H + 'L = s\nstage 0: D[] = sbar(s) + sbar(psi)\n', ['1:1: E-SHAPE: generator D() has mixed parity']),
+    # names have no hyphen, and the input is ASCII
+    (H + 'L = 2*s-3*psi\n', []),
+    ('dim 1\nfield my-field\nL = my-field\n',
+     ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    ('dim 1\nfield A\nL = \u0663*A\n', ["3:5: E-SYNTAX: unexpected character '\u0663'"]),
+    ('dim 1\nfield A\nL = A\xa0+ A\n', ["3:6: E-SYNTAX: unexpected character '\\xa0'"]),
+    # nesting deeper than the parser allows
+    ('dim 1\nfield A\nL = ' + '(' * 3000 + 'A' + ')' * 3000 + '\n',
+     ['3:205: E-SYNTAX: expression nested too deeply']),
+    ('dim 1\nfield A\nL = ' + 'd[0](' * 3000 + 'A' + ')' * 3000 + '\n',
+     ['3:1009: E-SYNTAX: expression nested too deeply']),
+    ('dim 1\nfield A\nL = 1\nstage 0: D[] = ' + 'd[0](' * 300 + 'sbar(A)' + ')' * 300 + '\n',
+     ['4:1020: E-SYNTAX: expression nested too deeply']),
+    # within the parser's limit, but too deep to elaborate: each level nests
+    # a sum, a product and a power
+    ('dim 1\nfield A\nL = ' + '(' * 200 + 'A' + ')^1*A+A' * 200 + '\n',
+     ['3:1: E-SYNTAX: expression nested too deeply']),
+    (H + 'L = Q/0\n', ["6:5: E-UNKNOWN-VAR: unknown variable 'Q'"]),
+    (H + 'L = 2/0*Q\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
+    (H + 'L = -s/2/0\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
+    (H + 'L = s^2^3\n', ['6:8: E-SYNTAX: trailing tokens after the Lagrangian']),
+    (H + 'L = 2^3/s\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
+    (H + 'L = s*(v[0]/(eps[0,1] - eps[1,0] - delta[0,1]*2 + d[0](s)))\n', ['6:8: E-SYNTAX: division only by nonzero rational constants']),
+]
+
+
+@pytest.mark.parametrize("text, expected", GOLDEN_DIAGNOSTICS,
+                         ids=[text.splitlines()[-1][:40] if text.strip() else repr(text)
+                              for text, _ in GOLDEN_DIAGNOSTICS])
+def test_golden_diagnostics(text, expected):
+    m, diags = load_model(text)
+    assert [str(d) for d in diags] == expected
+    assert (m is None) == bool(expected)
+
+
+def test_golden_diagnostics_cover_every_documented_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme[readme.index("Parse errors carry"):]
+    block = block[:block.index("\n\n")]
+    documented = set(re.findall(r"`(E-[A-Z-]+)`", block))
+    seen = {d.split(": ")[1] for _, expected in GOLDEN_DIAGNOSTICS for d in expected}
+    assert documented and documented <= seen
+
+
+# Random expressions over the fields of H, as tuple trees that render to
+# model-file text (the node forms are listed in support.py).  Every letter
+# of a subexpression is free in it or summed within it, so the trees are
+# well formed; divisions are by constants, zero now and then.
+VECTORS = ("v", "chi", "sbar(v)", "sbar(chi)")
+SCALARS = ("s", "psi", "sbar(s)", "sbar(psi)")
+HF = H + "odd-field chi[1]\n"
+
+
+@st.composite
+def expressions(draw, free=(), depth=3, fresh="abcdefg"):
+    free = tuple(free)
+    letter = fresh[0]
+    kinds = ["leaf"]
+    if depth > 0:
+        kinds += ["add", "mul", "neg", "d"] + (["pow"] if not free else [])
+        if len(free) < 2:
+            kinds.append("sum")
+    kind = draw(st.sampled_from(kinds))
+    sub = lambda f, **kw: expressions(f, depth - 1, fresh[1:], **kw)
+    lit = st.integers(0, 1)
+    if kind == "leaf":
+        if not free:
+            return draw(st.one_of(
+                st.tuples(st.just("num"), st.integers(0, 4)),
+                st.tuples(st.just("ref"), st.sampled_from(SCALARS), st.just(())),
+                st.tuples(st.just("ref"), st.sampled_from(VECTORS), st.tuples(lit)),
+                st.tuples(st.just("ref"), st.sampled_from(("w", "sbar(w)")),
+                          st.tuples(lit, lit)),
+                st.tuples(st.just("eps"), st.tuples(lit, lit)),
+                st.tuples(st.just("delta"), lit, lit)))
+        if len(free) == 1:
+            a = free[0]
+            return draw(st.one_of(
+                st.tuples(st.just("ref"), st.sampled_from(VECTORS), st.just((a,))),
+                st.tuples(st.just("ref"), st.just("w"),
+                          st.sampled_from(((a, 0), (1, a)))),
+                st.tuples(st.just("delta"), st.just(a), lit)))
+        pair = draw(st.permutations(free))
+        return draw(st.sampled_from((("ref", "w", tuple(pair)), ("eps", tuple(pair)),
+                                     ("delta",) + tuple(pair))))
+    if kind == "add":
+        n = draw(st.integers(2, 3))
+        return ("add", tuple((draw(st.sampled_from((1, -1))), draw(sub(free)))
+                             for _ in range(n)))
+    if kind == "neg":
+        return ("neg", draw(sub(free)))
+    if kind == "d":
+        if free and draw(st.booleans()):
+            return ("d", free[0], draw(sub(free[1:])))
+        return ("d", draw(lit), draw(sub(free)))
+    if kind == "sum":
+        # a letter summed over a product, or over d[letter](...)
+        if draw(st.booleans()):
+            return ("d", letter, draw(sub(free + (letter,))))
+        return ("mul", (draw(sub(free + (letter,))), draw(sub((letter,)))))
+    if kind == "pow":
+        if draw(st.booleans()):
+            return ("pow", draw(sub((letter,))), 2)
+        return ("pow", draw(sub(())), draw(st.integers(0, 3)))
+    # a product: the free letters go to one factor, constants and divisions
+    # by constants around it
+    factors = [draw(sub(free))]
+    for _ in range(draw(st.integers(1, 3))):
+        choice = draw(st.integers(0, 4))
+        if choice == 0:
+            factors.append(("div", draw(st.sampled_from(
+                (("num", 3), ("num", 0), ("neg", ("num", 2)), ("eps", (1, 0)),
+                 ("add", ((1, ("num", 1)), (1, ("num", 1)))))))))
+        elif choice == 1:
+            factors.append(("num", draw(st.integers(0, 3))))
+        else:
+            factors.append(draw(sub(())))
+    return ("mul", tuple(factors))
+
+
+def render(node, tight=False):
+    kind = node[0]
+    if kind == "num":
+        return str(node[1])
+    if kind in ("ref", "eps"):
+        name = node[1] if kind == "ref" else "eps"
+        idxs = node[-1]
+        return name + ("[" + ",".join(map(str, idxs)) + "]" if idxs else "")
+    if kind == "delta":
+        return f"delta[{node[1]},{node[2]}]"
+    if kind == "d":
+        return f"d[{node[1]}]({render(node[2], tight)})"
+    if kind == "add":
+        plus, minus = ("+", "-") if tight else (" + ", " - ")
+        out = ""
+        for i, (sign, sub) in enumerate(node[1]):
+            text = render(sub, tight)
+            if sub[0] == "add":
+                text = f"({text})"
+            out += ("-" if sign < 0 else "") + text if i == 0 else (
+                (plus if sign > 0 else minus) + text)
+        return out
+    if kind == "neg":
+        return "-" + _factor(node[1], tight)
+    if kind == "pow":
+        base = node[1]
+        text = render(base, tight)
+        if base[0] not in ("num", "ref", "eps", "delta", "d"):
+            text = f"({text})"
+        return f"{text}^{node[2]}"
+    return "".join(("/" + _factor(f[1], tight)) if f[0] == "div"
+                   else ("*" if i else "") + _factor(f, tight)
+                   for i, f in enumerate(node[1]))
+
+
+def _factor(node, tight):
+    text = render(node, tight)
+    return f"({text})" if node[0] in ("add", "mul") else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions(), st.booleans())
+def test_expansion_matches_the_polynomial_oracle(tree, tight):
+    text = HF + "L = " + render(tree, tight) + "\n"
+    m, diags = load_model(text)
+    b = ModelBuilder("oracle", 2)
+    for name, parity, arity in (("s", 0, 0), ("psi", 1, 0), ("v", 0, 1), ("w", 0, 2),
+                                ("chi", 1, 1)):
+        b.add_field(name, parity=parity, arity=arity, antisym=arity == 2)
+    try:
+        want = oracle_expand(b.table, tree)
+    except OracleError as e:
+        assert m is None and [d.code for d in diags] == [e.code], (text, diags)
+        return
+    assert diags == [], text
+    assert m.lagrangian.coefficient == want, text
