@@ -1,11 +1,11 @@
 """Benchmark smoke check: a short traced run of every workload.
 
-    python3 scripts/bench_smoke.py [--seconds 5]
+    python3 scripts/bench_smoke.py
 
 Run from anywhere in a source checkout.  For each workload that
 BENCHMARK.json lists it runs
 
-    python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 1 --out F
+    python3 perfbench/run.py --workload W --seed 1 --seconds 5 --trace 1 --out F
 
 and fails unless the run prints ``"correct": true`` and every input's report
 sha256 in F equals the one in ``perfbench/baseline/W-seed1-trace0.json``.
@@ -16,7 +16,6 @@ has been renamed or deleted.  Exit 0 when every workload passes, 1 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
@@ -25,13 +24,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+SECONDS = 5
 
 
-def check(workload: str, seconds: float, out: Path) -> list[str]:
+def check(workload: str, out: Path) -> list[str]:
     """Problems of one smoke run of the workload; [] when it passes."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "1", "--out", str(out)],
+         "--seconds", str(SECONDS), "--trace", "1", "--out", str(out)],
         cwd=ROOT, capture_output=True, text=True)
     if done.returncode != 0:
         return [f"run.py exited {done.returncode}: {done.stderr.strip()[-2000:]}"]
@@ -53,15 +53,12 @@ def check(workload: str, seconds: float, out: Path) -> list[str]:
     return problems
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=5.0)
-    args = parser.parse_args(argv)
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for w in spec["workloads"]:
-            problems = check(w["name"], args.seconds, Path(tmp) / f"{w['name']}.json")
+            problems = check(w["name"], Path(tmp) / f"{w['name']}.json")
             print(f"{w['name']}: {'ok' if not problems else 'FAILED'}")
             for p in problems:
                 print(f"  {p}")

@@ -216,6 +216,23 @@ def _merge(acc: dict, key, c: Fraction) -> None:
     acc[key] = c if prev is None else prev + c
 
 
+def _accumulate(raw: Iterable[tuple]) -> dict:
+    """Canonical factors -> summed coefficient of (coefficient, factors) pairs.
+
+    Zero coefficients and terms with a repeated odd factor are dropped;
+    entries that cancel stay in the dict with coefficient 0.
+    """
+    acc: dict[Factors, Fraction] = {}
+    for coeff, factors in raw:
+        q = coeff if coeff.__class__ is Fraction else Fraction(coeff)
+        if q == 0:
+            continue
+        r = _canon_factors(factors)
+        if r is not None:
+            _merge(acc, r[1], q if r[0] > 0 else -q)
+    return acc
+
+
 _symbol_key = attrgetter("key")
 
 
@@ -277,17 +294,7 @@ class GradedPoly:
     @classmethod
     def from_raw(cls, raw: Iterable[tuple]) -> "GradedPoly":
         """Build from (coefficient, factor sequence) pairs in any factor order."""
-        acc: dict[Factors, Fraction] = {}
-        for coeff, factors in raw:
-            q = coeff if coeff.__class__ is Fraction else Fraction(coeff)
-            if q == 0:
-                continue
-            r = _canon_factors(tuple(factors))
-            if r is None:
-                continue
-            sign, fs = r
-            _merge(acc, fs, q if sign > 0 else -q)
-        return cls._from_dict(acc)
+        return cls._from_dict(_accumulate(raw))
 
     @property
     def terms(self) -> tuple:

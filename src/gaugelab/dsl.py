@@ -9,8 +9,9 @@ A model file is line-oriented:
     L = 1/2*A*eps[mu,nu]*d[mu](B[nu])
     stage 0: D[] = d[mu](sbar(B)[mu])
 
-Input is ASCII.  Names match ``[A-Za-z_][A-Za-z0-9_]*``, so ``A-B`` is a
-difference; ``odd-field`` is the one hyphenated keyword.  Expressions use
+Input is ASCII, and ASCII whitespace between tokens is skipped.  Names
+match ``[A-Za-z_][A-Za-z0-9_]*``, so ``A-B`` is a difference;
+``odd-field`` is the one hyphenated keyword.  Expressions use
 ``+ - * / ^``, integer literals, ``d[i](...)`` for total derivatives,
 ``eps[...]`` and ``delta[i,j]``, field names with component indices,
 ``sbar(NAME)[...]`` for field antifields and ``cbar(K)[...]`` (or
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebra import EVEN, GradedPoly, ODD, _canon_factors, _merge, as_poly, perm_sign
+from .algebra import EVEN, GradedPoly, ODD, _accumulate, as_poly, perm_sign
 from .errors import GaugelabError, IndexOutOfRange, UnknownVariable
 from .koszul import ModelBuilder, ModelSpec
 
@@ -68,7 +69,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<int>\d+)
   | (?P<name>odd-field(?!\w)|[A-Za-z_]\w*)
   | (?P<punct>[=\[\](),;:+\-*/^])
-  | (?P<bad>.) )
+  | (?P<bad>\S) )
 """, re.VERBOSE | re.ASCII)
 
 # Deepest nesting of (...) and d[i](...) in one expression; parsing takes
@@ -406,12 +407,7 @@ def _parse_stage(doc: ModelDocument, toks: list, line: int, diags: list) -> None
 
 def _fold(raw) -> list:
     """Merged nonzero terms, with canonical factors, of raw terms."""
-    acc: dict = {}
-    for c, fs in raw:
-        r = _canon_factors(fs)
-        if r is not None:
-            _merge(acc, r[1], c if r[0] > 0 else -c)
-    return [(c, fs) for fs, c in acc.items() if c]
+    return [(c, fs) for fs, c in _accumulate(raw).items() if c]
 
 
 def _fold_product(a: list, b: list) -> list:

@@ -366,6 +366,9 @@ GOLDEN_DIAGNOSTICS = [
     (H + 'L = s^2^3\n', ['6:8: E-SYNTAX: trailing tokens after the Lagrangian']),
     (H + 'L = 2^3/s\n', ['6:5: E-SYNTAX: division only by nonzero rational constants']),
     (H + 'L = s*(v[0]/(eps[0,1] - eps[1,0] - delta[0,1]*2 + d[0](s)))\n', ['6:8: E-SYNTAX: division only by nonzero rational constants']),
+    # ASCII whitespace at the end of a line, or alone on a line, is skipped
+    (H + 'L = s  \t\n', []),
+    (H + '  \t\nL = s \n  \n', []),
 ]
 
 
