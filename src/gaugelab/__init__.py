@@ -52,6 +52,7 @@ from .jets import (
     variational_derivative,
 )
 from .koszul import (
+    CheckResult,
     ModelBuilder,
     ModelSpec,
     NoetherGeneratorFamily,
@@ -62,9 +63,9 @@ from .koszul import (
     check_nilpotency,
     extended_lagrangian,
     identity_defect,
+    identity_witness,
     on_shell_reduce,
-    verify_noether_identity,
-    verify_stage_identity,
+    run_checks,
     verify_variational_supersymmetry,
 )
 from .homology import (
@@ -73,7 +74,6 @@ from .homology import (
     TruncationWindow,
     boundary_matrix,
     chain_basis,
-    generator_candidates,
     homology_dimension,
     kt_homology,
     regularity_probe,

@@ -2,8 +2,14 @@
 
 Human-readable lines go to stdout; ``--report PATH`` writes the JSON report
 (canonical polynomial strings, sorted keys), which is byte-identical across
-runs for a fixed model and command.  Exit codes: 0 all checks pass, 1 a check
-failed (the report carries the witness), 2 usage or parse error.
+runs for a fixed model and command.  Each command returns its exit code,
+report payload and stdout text; ``run_command`` checks the ``--report``
+target before any work, writes the report, prints the text, and is the one
+place where errors become exit codes.  Exit codes: 0 all checks pass, 1 a
+check failed (the report carries the witness) or the two differentials of a
+homology window do not compose to zero, 2 a usage, input or parse error,
+printed as one ``error:`` line (parse errors as one line per diagnostic)
+with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -15,163 +21,79 @@ import sys
 from pathlib import Path
 
 from .algebra import as_poly, factor_str, render_poly
-from .dsl import load_model, render_model
-from .errors import GaugelabError, MissingStage, NotAComplex
+from .dsl import ModelFormatError, parse_or_raise, render_model
+from .errors import GaugelabError, NotAComplex
 from .homology import TruncationWindow, kt_homology
-from .jets import apply_prolonged
-from .koszul import (
-    ascent_operator,
-    build_stage_differential,
-    check_ascent_nilpotency,
-    check_nilpotency,
-    extended_lagrangian,
-    identity_defect,
-    verify_variational_supersymmetry,
-)
+from .koszul import ascent_operator, run_checks
 from .zoo import zoo_model
 
 
-def _error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class UsageError(Exception):
+    """A command line or input file the CLI rejects before any work runs."""
 
 
-def _report_problem(path) -> str | None:
-    """Why ``--report PATH`` could not be written, or None; touches no file."""
+def _check_report_target(path) -> None:
+    """Raise UsageError when ``--report PATH`` could not be written; touches no file."""
     if not path:
-        return None
+        return
     target = Path(path)
     if target.is_dir():
-        return f"cannot write report {path}: it is a directory"
+        raise UsageError(f"cannot write report {path}: it is a directory")
     if not target.parent.is_dir():
-        return f"cannot write report {path}: {target.parent} is not a directory"
+        raise UsageError(f"cannot write report {path}: {target.parent} is not a directory")
     if not os.access(target.parent, os.W_OK | os.X_OK) or (
             target.exists() and not os.access(target, os.W_OK)):
-        return f"cannot write report {path}: permission denied"
-    return None
+        raise UsageError(f"cannot write report {path}: permission denied")
 
 
 def _zoo(spec: str):
-    """The built-in model, or None after printing why it could not be built."""
     try:
         return zoo_model(spec)
-    except (ValueError, GaugelabError) as e:
-        _error(e)
+    except ValueError as e:
+        raise UsageError(e) from None
     except MemoryError:
-        _error(f"zoo model {spec!r} is too large to build")
-    return None
+        raise UsageError(f"zoo model {spec!r} is too large to build") from None
 
 
 def _load(args) -> tuple:
-    """(model, resolved --stage) or (None, exit code) after printing the problem.
-
-    The ``--report`` target is checked first, so no work runs for a report
-    that could not be written.
-    """
-    problem = _report_problem(args.report)
-    if problem:
-        return None, _error(problem)
+    """(model, resolved --stage) from the model flags."""
     if args.zoo and args.model:
-        return None, _error("pass either --model or --zoo, not both")
+        raise UsageError("pass either --model or --zoo, not both")
     if not args.zoo and not args.model:
-        return None, _error("a model is required (--model PATH or --zoo NAME)")
+        raise UsageError("a model is required (--model PATH or --zoo NAME)")
     if args.zoo:
         spec = _zoo(args.zoo)
-        if spec is None:
-            return None, 2
     else:
         try:
             text = Path(args.model).read_text(encoding="utf-8")
-        except OSError as e:
-            return None, _error(e)
         except UnicodeDecodeError as e:
-            return None, _error(f"{args.model}: not UTF-8 text ({e.reason} at byte {e.start})")
-        spec, diags = load_model(text, name=Path(args.model).stem)
-        for d in diags:
-            print(f"{args.model}:{d}", file=sys.stderr)
-        if spec is None:
-            return None, 2
-    try:
-        return spec, spec.resolve_stage(args.stage)
-    except MissingStage as e:
-        return None, _error(e)
+            raise UsageError(f"{args.model}: not UTF-8 text "
+                             f"({e.reason} at byte {e.start})") from None
+        spec = parse_or_raise(text, name=Path(args.model).stem)
+    return spec, spec.resolve_stage(args.stage)
 
 
-def _emit(args, payload: dict) -> bool:
-    """Write the --report JSON; False after printing why it could not be written."""
-    if args.report:
-        data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        try:
-            Path(args.report).write_text(data)
-        except OSError as e:
-            _error(e)
-            return False
-    return True
+# Each command returns (exit code, report payload, stdout text).
 
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     m, N = _load(args)
-    if m is None:
-        return N
+    results = run_checks(m, N)
+    ok = all(r.ok for r in results)
     checks = []
-
-    def record(name: str, ok: bool, witness: str | None = None):
-        entry = {"name": name, "status": "pass" if ok else "fail"}
-        if witness is not None and not ok:
-            entry["witness"] = witness
+    for r in results:
+        entry = {"name": r.name, "status": "pass" if r.ok else "fail"}
+        if r.witness is not None:
+            entry["witness"] = r.witness
         checks.append(entry)
-        print(f"{name}: {'pass' if ok else 'FAIL'}")
-
-    try:
-        for fam in m.families:
-            if fam.stage > N:
-                continue
-            defects = [(ct, identity_defect(m, fam, ct)) for ct, _ in fam.sorted_members()]
-            bad = [(ct, d) for ct, d in defects if not d.is_zero()]
-            kind = "noether-identity" if fam.stage == 0 else f"stage-{fam.stage}-identity"
-            witness = None
-            if bad:
-                ct, d = bad[0]
-                witness = f"{fam.name}{list(ct)}: {render_poly(d)}"
-            record(f"{kind}[{fam.name}]", not bad, witness)
-
-        delta = build_stage_differential(m, N)
-        r = check_nilpotency(delta)
-        record("kt-nilpotency", r.ok,
-               None if r.ok else f"{factor_str(r.witness[0])}: {render_poly(r.witness[1])}")
-
-        le = extended_lagrangian(m, N)
-        closure = apply_prolonged(delta, le)
-        record("extended-lagrangian-closure", closure.is_zero(),
-               render_poly(as_poly(closure)))
-
-        u = ascent_operator(m, N)
-        record("gauge-supersymmetry", verify_variational_supersymmetry(m, u))
-
-        r = check_ascent_nilpotency(u)
-        record("ascent-nilpotency", r.ok,
-               None if r.ok else f"{factor_str(r.witness[0])}: {render_poly(r.witness[1])}")
-    except GaugelabError as e:
-        return _error(e)
-
-    ok = all(c["status"] == "pass" for c in checks)
-    if not _emit(args, {"model": m.name, "command": "check", "checks": checks}):
-        return 2
-    print(f"{'all checks pass' if ok else 'some checks FAILED'} ({m.name})")
-    return 0 if ok else 1
+    text = "".join(f"{r.name}: {'pass' if r.ok else 'FAIL'}\n" for r in results)
+    text += f"{'all checks pass' if ok else 'some checks FAILED'} ({m.name})\n"
+    return 0 if ok else 1, {"model": m.name, "command": "check", "checks": checks}, text
 
 
-def _cmd_gauge(args) -> int:
+def _cmd_gauge(args) -> tuple:
     m, N = _load(args)
-    if m is None:
-        return N
-    try:
-        u = ascent_operator(m, N)
-    except GaugelabError as e:
-        return _error(e)
+    u = ascent_operator(m, N)
     components = {factor_str(sym): render_poly(p) for sym, p in u.sorted_components()}
-    for target in sorted(components):
-        print(f"u({target}) = {components[target]}")
     payload = {
         "model": m.name,
         "command": "gauge",
@@ -181,24 +103,16 @@ def _cmd_gauge(args) -> int:
             "components": components,
         },
     }
-    return 0 if _emit(args, payload) else 2
+    return 0, payload, "".join(f"u({t}) = {components[t]}\n" for t in sorted(components))
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> tuple:
     try:
         w = TruncationWindow(args.jet_order, args.poly_degree, args.sector)
     except ValueError as e:
-        return _error(e)
+        raise UsageError(e) from None
     m, N = _load(args)
-    if m is None:
-        return N
-    try:
-        report = kt_homology(m, w, max_stage=N)
-    except NotAComplex as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except GaugelabError as e:
-        return _error(e)
+    report = kt_homology(m, w, max_stage=N)
     gens = [render_poly(as_poly(rep)) for rep in report.representatives]
     entry = {
         "sector": report.sector,
@@ -212,29 +126,21 @@ def _cmd_homology(args) -> int:
         },
         "generators": gens,
     }
-    if not _emit(args, {"model": m.name, "command": "homology", "homology": [entry]}):
-        return 2
-    print(f"sector {report.sector}: window homology dimension {report.dim_homology} "
-          f"(window-relative; jet order <= {w.max_jet_order}, degree <= {w.max_poly_degree})")
+    text = (f"sector {report.sector}: window homology dimension {report.dim_homology} "
+            f"(window-relative; jet order <= {w.max_jet_order}, "
+            f"degree <= {w.max_poly_degree})\n")
     if gens:
-        print("generator candidates found within the window:")
-        for g in gens:
-            print(f"  {g}")
+        text += "generator candidates found within the window:\n"
+        text += "".join(f"  {g}\n" for g in gens)
     else:
-        print("no generator candidates within this window")
-    return 0
+        text += "no generator candidates within this window\n"
+    return 0, {"model": m.name, "command": "homology", "homology": [entry]}, text
 
 
-def _cmd_zoo(args) -> int:
-    problem = _report_problem(args.report)
-    if problem:
-        return _error(problem)
+def _cmd_zoo(args) -> tuple:
     m = _zoo(args.name)
-    if m is None:
-        return 2
     text = render_model(m)
-    sys.stdout.write(text)
-    return 0 if _emit(args, {"model": m.name, "command": "zoo", "dsl": text}) else 2
+    return 0, {"model": m.name, "command": "zoo", "dsl": text}, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,11 +183,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
+    """Run one command line and return its exit code.
+
+    The one place where errors become exit codes: each is printed to stderr
+    before anything reaches stdout, and no report is written.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
-    return args.func(args)
+    try:
+        _check_report_target(args.report)
+        code, payload, text = args.func(args)
+        if args.report:
+            Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except NotAComplex as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except ModelFormatError as e:
+        for d in e.diagnostics:
+            print(f"{args.model}:{d}", file=sys.stderr)
+        return 2
+    except (UsageError, GaugelabError, OSError) as e:  # OSError: the model or report file
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

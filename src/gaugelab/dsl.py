@@ -346,7 +346,7 @@ def parse_model(text: str):
             continue
     if not saw_statement:
         diags.append(Diagnostic(1, 1, "E-EMPTY", "the model file has no statements"))
-    if any(d.code != "W" for d in diags):
+    if diags:
         return None, diags
     return doc, diags
 
@@ -662,8 +662,7 @@ def load_model(text: str, name: str = "model"):
     doc, diags = parse_model(text)
     if doc is None:
         return None, diags
-    spec, more = elaborate(doc, name)
-    return spec, list(diags) + list(more)
+    return elaborate(doc, name)
 
 
 def parse_or_raise(text: str, name: str = "model") -> ModelSpec:

@@ -144,9 +144,6 @@ class HomologyReport:
     representatives: tuple
     window_relative: bool = True
 
-    def found_generators(self) -> bool:
-        return self.dim_homology > 0
-
 
 def _window_boundaries(bm_in: BoundaryMatrix, window_set: set) -> list[dict]:
     """Boundary vectors (over window chain coordinates) of the in-map image
@@ -265,15 +262,6 @@ def kt_homology(m: ModelSpec, w: TruncationWindow,
         m, w.sector, max_stage)
     return homology_dimension(m, delta_in, delta_out, w,
                               max_stage_out=out_cap, max_stage_in=in_cap)
-
-
-def generator_candidates(m: ModelSpec, w: TruncationWindow,
-                         max_stage: int | None = None) -> tuple:
-    """Homology representatives at the sector, for inspection and promotion.
-
-    An empty result means "none within this window", not a proof of absence.
-    """
-    return kt_homology(m, w, max_stage).representatives
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,19 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
             # interned symbols match by identity; the key test keeps a symbol
             # of an equal declaration from another model matching by value
             if f is x or (f.key == xkey and f == x):
+                # factors are sorted, so further copies (only an even x has
+                # any) follow at once, and removing any one of them leaves
+                # the same term with the same sign
+                k = 1
+                for g in fs[i + 1:]:
+                    if not (g is x or (g.key == xkey and g == x)):
+                        break
+                    k += 1
+                if k > 1:
+                    c = c * k
                 sign = -outer if (x.parity and pref & 1) else outer
                 _merge(acc, fs[:i] + fs[i + 1:], c if sign > 0 else -c)
+                break
             pref ^= f.parity
     return GradedPoly._from_dict(acc)
 
@@ -116,7 +127,7 @@ def euler_lagrange(table: VariableTable, L) -> dict[JetSymbol, GradedPoly]:
     return out
 
 
-def is_dH_exact(table: VariableTable, P) -> bool:
+def is_dH_exact(P) -> bool:
     """True when every variational derivative of the density vanishes."""
     poly = as_poly(P)
     targets = sorted({(f.var, f.components) for f in poly.symbols()},
@@ -293,7 +304,7 @@ def _insert_image(acc, fs, i, img, coeff):
         _merge(acc, out, c if sign > 0 else -c)
 
 
-def first_variation_residual(table: VariableTable, L, v: VerticalDerivation) -> Density:
+def first_variation_residual(L, v: VerticalDerivation) -> Density:
     """v(L) minus the contraction of v with the variational one-form of L.
 
     For every vertical derivation the result is a total divergence; the
@@ -302,10 +313,10 @@ def first_variation_residual(table: VariableTable, L, v: VerticalDerivation) -> 
     """
     if v.side != LEFT:
         raise ValueError("first variation is taken along left derivations")
-    return Density(as_poly(apply_prolonged(v, L))) - contracted_el_density(table, L, v)
+    return Density(as_poly(apply_prolonged(v, L))) - contracted_el_density(L, v)
 
 
-def contracted_el_density(table: VariableTable, L, v: VerticalDerivation) -> Density:
+def contracted_el_density(L, v: VerticalDerivation) -> Density:
     """The density sum_x v^x * (variational derivative of L w.r.t. x)."""
     parts = []
     for sym, comp in v.sorted_components():
@@ -315,6 +326,6 @@ def contracted_el_density(table: VariableTable, L, v: VerticalDerivation) -> Den
     return Density(poly_sum(parts))
 
 
-def is_variational_supersymmetry(table: VariableTable, L, v: VerticalDerivation) -> bool:
+def is_variational_supersymmetry(L, v: VerticalDerivation) -> bool:
     """True when the contracted Euler-Lagrange density of v is a total divergence."""
-    return is_dH_exact(table, contracted_el_density(table, L, v))
+    return is_dH_exact(contracted_el_density(L, v))

@@ -34,8 +34,10 @@ from .algebra import (
     ODD,
     VariableTable,
     as_poly,
+    factor_str,
     grading_of,
     poly_sum,
+    render_poly,
 )
 from .errors import (
     EvenDerivation,
@@ -398,18 +400,14 @@ def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedP
     return poly_sum(parts)
 
 
-def verify_noether_identity(m: ModelSpec, fam: NoetherGeneratorFamily) -> bool:
-    """Exact polynomial-zero check of the stage-0 identity for every member."""
-    if fam.stage != 0:
-        raise ValueError("verify_noether_identity takes a stage-0 family")
-    return all(identity_defect(m, fam, ct).is_zero() for ct, _ in fam.sorted_members())
-
-
-def verify_stage_identity(m: ModelSpec, fam: NoetherGeneratorFamily) -> bool:
-    """Exact polynomial-zero check of the stage-k identity (k >= 1)."""
-    if fam.stage < 1:
-        raise ValueError("verify_stage_identity takes a stage >= 1 family")
-    return all(identity_defect(m, fam, ct).is_zero() for ct, _ in fam.sorted_members())
+def identity_witness(m: ModelSpec, fam: NoetherGeneratorFamily) -> tuple | None:
+    """(components, defect) of the first member whose stage identity does not
+    vanish exactly, or None when every member's does."""
+    for ct, _ in fam.sorted_members():
+        defect = identity_defect(m, fam, ct)
+        if not defect.is_zero():
+            return ct, defect
+    return None
 
 
 def extended_lagrangian(m: ModelSpec, N: int | None = None) -> Density:
@@ -468,12 +466,58 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
                               parity=ODD, side=LEFT, antifield_delta=0, ghost_delta=1)
 
 
-def verify_variational_supersymmetry(m: ModelSpec, v: VerticalDerivation,
-                                     L=None) -> bool:
+def verify_variational_supersymmetry(m: ModelSpec, v: VerticalDerivation) -> bool:
     """Is the contraction of v with the Euler-Lagrange form a total divergence."""
-    if L is None:
-        L = m.lagrangian
-    return is_variational_supersymmetry(m.table, L, v)
+    return is_variational_supersymmetry(m.lagrangian, v)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    ok: bool
+    witness: str | None = None   # the rendered first failure; None when ok
+
+
+def _failed(name: str, label: str, poly: GradedPoly) -> CheckResult:
+    return CheckResult(name, False, f"{label}: {render_poly(poly)}")
+
+
+def _nilpotency_result(name: str, r: NilpotencyResult) -> CheckResult:
+    return CheckResult(name, True) if r.ok else _failed(name, factor_str(r.witness[0]),
+                                                        r.witness[1])
+
+
+def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
+    """The fixed check sequence of the tower cut at stage N, in report order.
+
+    Every stage identity up to N, Koszul-Tate nilpotency, closure of the
+    extended Lagrangian under the stage differential, gauge supersymmetry of
+    the ascent operator, and ascent nilpotency.  Every check runs even after
+    one fails; a failing check carries its first failure as the witness,
+    except gauge supersymmetry, which has none.
+    """
+    N = m.resolve_stage(N)
+    results = []
+    for fam in m.families:
+        if fam.stage > N:
+            continue
+        kind = "noether-identity" if fam.stage == 0 else f"stage-{fam.stage}-identity"
+        name = f"{kind}[{fam.name}]"
+        found = identity_witness(m, fam)
+        results.append(CheckResult(name, True) if found is None
+                       else _failed(name, f"{fam.name}{list(found[0])}", found[1]))
+
+    delta = build_stage_differential(m, N)
+    results.append(_nilpotency_result("kt-nilpotency", check_nilpotency(delta)))
+
+    closure = as_poly(apply_prolonged(delta, extended_lagrangian(m, N)))
+    results.append(CheckResult("extended-lagrangian-closure", closure.is_zero(),
+                               None if closure.is_zero() else render_poly(closure)))
+
+    u = ascent_operator(m, N)
+    results.append(CheckResult("gauge-supersymmetry", verify_variational_supersymmetry(m, u)))
+    results.append(_nilpotency_result("ascent-nilpotency", check_ascent_nilpotency(u)))
+    return results
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import gaugelab
-from gaugelab import load_model, render_model, zoo_model
+import gaugelab.cli
+from gaugelab import load_model, render_model, run_checks, zoo_model
 from gaugelab.cli import run_command
-from support import flip_first_term, rebuild_with_mutation
+from support import drop_first_term, flip_first_term, rebuild_with_mutation
 
 
 def test_check_passes_on_zoo_models(tmp_path, capsys):
@@ -139,6 +140,9 @@ BAD_INPUT = [
     (["homology", "--zoo", "bf:2", "--report", "{directory}"], "error: "),
     (["zoo", "bf:2", "--report", "{directory}"], "error: "),
     (["check", "--zoo", "bf:2", "--report", "{model}/r.json"], "error: "),
+    # ... also when the command's own arguments are bad too
+    (["homology", "--zoo", "bf:2", "--sector", "-1", "--report", "{unwritable}"],
+     r"error: cannot write report .*missing.r\.json: .* is not a directory$"),
     # a model file that is not UTF-8 text
     (["check", "--model", "{binary_model}"], "error: .*not UTF-8"),
     # the retired option statement is an unknown statement
@@ -224,6 +228,66 @@ def test_report_bytes_match_golden(command, name, tmp_path, capsys):
     assert run_command([command, "--zoo", name, "--report", str(report)]) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORTS[(command, name)]
+
+
+# (zoo model, stage, components, mutation) -> sha256 of the failing check
+# report of the mutant written to bad.glm; the witnesses fix most of the bytes
+MUTANT_REPORTS = {
+    ("bf:3", 0, (1,), "flip"): "7b9fdf1ac0bf1b2505ef7dd0a37276e95c792cafcc9dd423f7da3dd35685d1d8",
+    ("bf:3", 1, (), "flip"): "49a1fa783f66a2bf3ceb98ac6635709f0b1d2799ea039f785947c4e1a71fc705",
+    ("bf:3", 0, (2,), "drop"): "702f1cd6490f2d63866cfc90e02f4e6af04b220aaf64ece6a8302d287bf5f6a6",
+    ("bf:4", 1, (1,), "drop"): "94cee3c38ee69b22f2494abf5ca80a9a4b01437b36e5bffa5c3bd1799febfa6d",
+    ("bf:4", 2, (), "drop"): "f5b56c6d7a254562f624957d2b46378d32c4752c4f86c8422371d092e55b8a16",
+}
+MUTATIONS = {"flip": flip_first_term, "drop": drop_first_term}
+
+
+def _mutant(case):
+    name, stage, comps, how = case
+    return rebuild_with_mutation(zoo_model(name), stage, "D", comps, MUTATIONS[how])
+
+
+@pytest.mark.parametrize("case", sorted(MUTANT_REPORTS), ids=str)
+def test_failing_report_bytes_match_golden(case, tmp_path, capsys):
+    model_file = tmp_path / "bad.glm"
+    model_file.write_text(render_model(_mutant(case)))
+    report = tmp_path / "r.json"
+    assert run_command(["check", "--model", str(model_file), "--report", str(report)]) == 1
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == MUTANT_REPORTS[case]
+    out = capsys.readouterr().out
+    assert out.endswith("some checks FAILED (bad)\n")
+
+
+@pytest.mark.parametrize("source", ["bf:2", "bf:3", "bf:4", "bf:5", "trivial", "scalar:2",
+                                    *sorted(MUTANT_REPORTS)], ids=str)
+def test_run_checks_is_the_check_report(source, tmp_path, capsys):
+    m = zoo_model(source) if isinstance(source, str) else _mutant(source)
+    model_file = tmp_path / "m.glm"
+    model_file.write_text(render_model(m))
+    report = tmp_path / "r.json"
+    code = run_command(["check", "--model", str(model_file), "--report", str(report)])
+    checks = json.loads(report.read_text())["checks"]
+    results = run_checks(m)
+    assert [(r.name, r.ok) for r in results] == \
+        [(c["name"], c["status"] == "pass") for c in checks]
+    assert [r.witness for r in results] == [c.get("witness") for c in checks]
+    assert all(r.witness is None for r in results if r.ok)
+    assert code == (0 if all(r.ok for r in results) else 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"{r.name}: {'pass' if r.ok else 'FAIL'}" for r in results]
+
+
+@pytest.mark.parametrize("command", [["check", "--zoo", "bf:2"], ["gauge", "--zoo", "bf:2"],
+                                     ["zoo", "bf:2"]])
+def test_report_write_failure_prints_nothing_to_stdout(command, tmp_path, capsys, monkeypatch):
+    # a target that passes the early check but fails at write time
+    monkeypatch.setattr(gaugelab.cli, "_check_report_target", lambda path: None)
+    assert run_command([*command, "--report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def _run_python(*args):

@@ -16,7 +16,6 @@ from gaugelab import (
     build_stage_differential,
     chain_basis,
     free_scalar_model,
-    generator_candidates,
     homology_dimension,
     kt_homology,
     regularity_probe,
@@ -158,12 +157,12 @@ def test_trivial_model_stage0_closure_kills_h1():
 
 def test_generator_candidates():
     m = bf_model(2)
-    reps = generator_candidates(m, TruncationWindow(1, 1, 1), max_stage=-1)
+    reps = kt_homology(m, TruncationWindow(1, 1, 1), max_stage=-1).representatives
     assert len(reps) == 1
     m2 = free_scalar_model(2)
-    assert generator_candidates(m2, TruncationWindow(1, 1, 1), max_stage=-1) == ()
+    assert kt_homology(m2, TruncationWindow(1, 1, 1), max_stage=-1).representatives == ()
     m3 = trivial_model([("x", 0)], n=1)
-    reps3 = generator_candidates(m3, TruncationWindow(0, 1, 1), max_stage=-1)
+    reps3 = kt_homology(m3, TruncationWindow(0, 1, 1), max_stage=-1).representatives
     assert [render_poly(r.coefficient) for r in reps3] == ["sbar(x)"]
 
 

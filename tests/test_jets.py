@@ -205,16 +205,16 @@ def test_integration_by_parts_residual_is_divergence():
             lhs = lhs + fl * multi_total_derivative(fprime, mi)
             t = multi_total_derivative(fl, mi) * fprime
             rhs = rhs + t if len(mi) % 2 == 0 else rhs - t
-        assert is_dH_exact(T, Density(lhs - rhs))
+        assert is_dH_exact(Density(lhs - rhs))
 
 
 def test_is_dH_exact_examples():
     s = T.symbol("s")
     s1 = T.symbol("s", (), (1,))
     p = total_derivative(GradedPoly.from_raw([(1, (s, s1))]), 0)
-    assert is_dH_exact(T, Density(p))
-    assert not is_dH_exact(T, Density(GradedPoly.from_raw([(1, (s, s))])))
-    assert is_dH_exact(T, Density(GradedPoly.constant(1)))
+    assert is_dH_exact(Density(p))
+    assert not is_dH_exact(Density(GradedPoly.from_raw([(1, (s, s))])))
+    assert is_dH_exact(Density(GradedPoly.constant(1)))
 
 
 def _ghost_derivation(model, parity=1):
@@ -265,10 +265,10 @@ def test_first_variation_residual_examples():
     t = m.table
     comps = {t.symbol("s"): GradedPoly.from_symbol(t.symbol("sbar(s)"))}
     v = VerticalDerivation(comps, parity=1, side="left")
-    r = first_variation_residual(t, m.lagrangian, v)
-    assert is_dH_exact(t, r)
+    r = first_variation_residual(m.lagrangian, v)
+    assert is_dH_exact(r)
     zero = VerticalDerivation({}, parity=1, side="left")
-    assert first_variation_residual(t, m.lagrangian, zero).is_zero()
+    assert first_variation_residual(m.lagrangian, zero).is_zero()
 
 
 def test_first_variation_residual_randomized():
@@ -280,20 +280,30 @@ def test_first_variation_residual_randomized():
             z = T.symbol(nm)
             comps[z] = random_poly(RNG, POOL, max_terms=2, parity=(par + z.parity) % 2)
         v = VerticalDerivation(comps, parity=par, side="left")
-        assert is_dH_exact(T, first_variation_residual(T, L, v))
+        assert is_dH_exact(first_variation_residual(L, v))
+
+
+# the same two fields declared by a second, separately built model: its
+# symbols are other objects that compare equal by value
+OTHER = two_field_model().table
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 1))
-def test_derivative_kernels_match_plain_arithmetic_oracles(seed, lam):
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(1, 12))
+def test_derivative_kernels_match_plain_arithmetic_oracles(seed, lam, k):
     rng = random.Random(seed)
+    # an even factor to the k-th power, each copy taken from either model
+    name, deriv = rng.choice((("s", ()), ("s", (0,)), ("sbar(psi)", ())))
+    copies = [rng.choice((T, OTHER)).symbol(name, (), deriv) for _ in range(k)]
     inputs = [random_poly(rng, POOL, max_terms=5), unit_poly(rng, POOL, max_terms=5),
-              poly_sum([unit_poly(rng, POOL), raised_pair(rng, POOL, lam)])]
+              poly_sum([unit_poly(rng, POOL), raised_pair(rng, POOL, lam)]),
+              GradedPoly.from_raw([(Fraction(rng.randint(1, 9), rng.randint(1, 9)), copies)]),
+              GradedPoly.from_raw([(1, copies + rng.sample(POOL, 2))])]
     for p in inputs:
         got = total_derivative(p, lam)
         assert got == oracle_total_derivative(p, lam)
         assert_canonical_coefficients(got)
-        for x in p.symbols():
+        for x in {*p.symbols(), *copies}:
             for side in ("left", "right"):
                 got = partial_derivative(p, x, side)
                 assert got == oracle_partial_derivative(p, x, side)
