@@ -6,8 +6,13 @@ variable, a tuple of component indices, and a symmetric derivative multi-index
 commute).  A monomial is a tuple of jet symbols kept in one global total
 order; putting factors into that order contributes a sign of -1 for every
 transposition of two odd factors, and a repeated odd factor annihilates the
-monomial.  Coefficients are ``fractions.Fraction``, so two polynomials are
-equal exactly when their canonical representations coincide.
+monomial.  Coefficients are exact rationals: a polynomial stores ``int``
+numerators over one positive common denominator in lowest terms (the gcd of
+the denominator and every numerator is 1, and the zero polynomial has
+denominator 1).  That form is unique, so two polynomials are equal exactly
+when their stored forms coincide, and the term kernels do only ``int``
+arithmetic.  ``GradedPoly.terms`` is the ``(factors, Fraction)`` view of the
+same terms, and the public constructors accept any rational coefficients.
 
 Antisymmetric index blocks store only strictly increasing component tuples;
 permuted input components are folded into the coefficient with the
@@ -20,7 +25,10 @@ value, so symbols and polynomials of two separately built models with equal
 declarations compare and hash equal.  Pickling re-interns: an unpickled
 symbol is looked up in (or added to) its unpickled declaration's table, and
 a pickled declaration carries no table.  Two threads racing on the first
-request for a coordinate can at worst make two equal symbols.
+request for a coordinate can at worst make two equal symbols.  A variable
+table empties its declarations' symbol tables when it is freed, so a model
+needs no cyclic garbage collection; a declaration that outlives its table
+interns afresh, into symbols equal by value to the old ones.
 
 All values here are immutable and hashable and may be shared freely between
 threads or worker processes.
@@ -31,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations, product
-from operator import attrgetter
+from math import gcd, lcm
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, ModelMismatch, UnknownVariable
@@ -44,8 +53,6 @@ ANTIFIELD = "antifield"
 GHOST = "ghost"
 
 _KIND_RANK = {FIELD: 0, ANTIFIELD: 1, GHOST: 2}
-
-_F1 = Fraction(1)
 
 MultiIndex = tuple
 
@@ -125,7 +132,7 @@ class JetSymbol:
         return len(self.derivative)
 
     def zero_order(self) -> "JetSymbol":
-        return self._zero
+        return self._zero or self
 
     def raised(self, lam: int) -> "JetSymbol":
         return _intern(self.var, self.components, tuple(sorted(self.derivative + (lam,))))
@@ -163,7 +170,8 @@ def _intern(var: GradedVariableDecl, comps: tuple, deriv: tuple) -> JetSymbol:
     sym.key = (var.stage, _KIND_RANK[var.kind], var.name, comps, deriv)
     sym.parity = var.parity
     sym._hash = hash(sym.key)
-    sym._zero = _intern(var, comps, ()) if deriv else sym
+    # None, not sym itself: a symbol must not be a reference cycle
+    sym._zero = _intern(var, comps, ()) if deriv else None
     var.symbols[(comps, deriv)] = sym
     return sym
 
@@ -206,7 +214,7 @@ def _canon_factors(factors: Sequence[JetSymbol]):
     return sign, tuple(out)
 
 
-def _merge(acc: dict, key, c: Fraction) -> None:
+def _merge(acc: dict, key, c) -> None:
     """Add c into acc[key]; a first insert stores c itself, never 0 + c.
 
     Callers apply a +-1 sign as ``c if sign > 0 else -c``: negation skips
@@ -234,6 +242,7 @@ def _accumulate(raw: Iterable[tuple]) -> dict:
 
 
 _symbol_key = attrgetter("key")
+_numerator = itemgetter(1)
 
 
 def _term_key(term: tuple) -> tuple:
@@ -259,19 +268,31 @@ INHOMOGENEOUS = "inhomogeneous"
 
 
 class GradedPoly:
-    """Canonical sum of monomials; construction-normalized and immutable."""
+    """Canonical sum of monomials; construction-normalized and immutable.
 
-    __slots__ = ("_terms",)
+    ``_terms`` holds (factors, nonzero int numerator) pairs in canonical
+    order over the positive common denominator ``_den``, in lowest terms.
+    """
 
-    def __init__(self, terms: tuple = ()):
-        # terms must already be canonical: sorted factor tuples, no zeros
-        self._terms = terms
+    __slots__ = ("_terms", "_den")
+
+    def __init__(self, terms: Iterable[tuple] = ()):
+        """From (canonical factor tuple, rational) pairs with distinct factor
+        tuples, in any order; zero coefficients are dropped."""
+        qs = [(fs, _rational(c)) for fs, c in terms]
+        den = lcm(*[q.denominator for _, q in qs])
+        # over the lcm of reduced denominators the numerators share no factor
+        items = [(fs, q.numerator * (den // q.denominator)) for fs, q in qs if q]
+        items.sort(key=_term_key)
+        self._terms = tuple(items)
+        self._den = den if items else 1
 
     @classmethod
-    def _from_dict(cls, acc: Mapping[Factors, Fraction]) -> "GradedPoly":
-        items = [(fs, c) for fs, c in acc.items() if c != 0]
+    def _from_dict(cls, acc: Mapping[Factors, int], den: int) -> "GradedPoly":
+        """The polynomial of acc's int numerators over den; zeros are dropped."""
+        items = [(fs, c) for fs, c in acc.items() if c]
         items.sort(key=_term_key)
-        return cls(tuple(items))
+        return _reduced(tuple(items), den)
 
     @classmethod
     def zero(cls) -> "GradedPoly":
@@ -279,26 +300,22 @@ class GradedPoly:
 
     @classmethod
     def constant(cls, value) -> "GradedPoly":
-        q = Fraction(value)
-        if q == 0:
-            return _ZERO
-        return cls((((), q),))
+        return _monomial((), value)
 
     @classmethod
     def from_symbol(cls, sym: JetSymbol, coeff=1) -> "GradedPoly":
-        q = Fraction(coeff)
-        if q == 0:
-            return _ZERO
-        return cls((((sym,), q),))
+        return _monomial((sym,), coeff)
 
     @classmethod
     def from_raw(cls, raw: Iterable[tuple]) -> "GradedPoly":
         """Build from (coefficient, factor sequence) pairs in any factor order."""
-        return cls._from_dict(_accumulate(raw))
+        return cls(_accumulate(raw).items())
 
     @property
     def terms(self) -> tuple:
-        return self._terms
+        """(factors, nonzero Fraction) pairs in canonical order."""
+        den = self._den
+        return tuple((fs, Fraction(c, den)) for fs, c in self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -307,10 +324,11 @@ class GradedPoly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradedPoly) and self._terms == other._terms
+        return (isinstance(other, GradedPoly) and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash((self._terms, self._den))
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         return poly_sum((self, other)) if isinstance(other, GradedPoly) else NotImplemented
@@ -319,24 +337,26 @@ class GradedPoly:
         return poly_sum((self, -other)) if isinstance(other, GradedPoly) else NotImplemented
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(tuple((fs, -c) for fs, c in self._terms))
+        return _make(tuple((fs, -c) for fs, c in self._terms), self._den)
 
     def scale(self, q) -> "GradedPoly":
         if q == 1:
             return self
         if q == -1:
             return -self
-        q = Fraction(q)
-        if q == 0:
+        q = _rational(q)
+        if not q:
             return _ZERO
-        return GradedPoly(tuple((fs, c * q) for fs, c in self._terms))
+        num = q.numerator
+        return _reduced(tuple((fs, c * num) for fs, c in self._terms),
+                        self._den * q.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        acc: dict[Factors, Fraction] = {}
+        acc: dict[Factors, int] = {}
         for fa, ca in self._terms:
             for fb, cb in other._terms:
                 r = _canon_factors(fa + fb)
@@ -345,7 +365,7 @@ class GradedPoly:
                 sign, fs = r
                 c = ca * cb
                 _merge(acc, fs, c if sign > 0 else -c)
-        return GradedPoly._from_dict(acc)
+        return GradedPoly._from_dict(acc, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -371,7 +391,38 @@ class GradedPoly:
         return f"GradedPoly({render_poly(self)})"
 
 
-_ZERO = GradedPoly(())
+def _make(terms: tuple, den: int) -> GradedPoly:
+    """A polynomial of terms already in canonical form over den."""
+    p = object.__new__(GradedPoly)
+    p._terms = terms
+    p._den = den
+    return p
+
+
+def _rational(c):
+    """c itself when it is an int or a Fraction, else Fraction(c)."""
+    return c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
+
+
+def _monomial(fs: Factors, coeff) -> GradedPoly:
+    """coeff times the monomial of canonical factors fs."""
+    q = _rational(coeff)
+    return _make(((fs, q.numerator),), q.denominator) if q else _ZERO
+
+
+def _reduced(terms: tuple, den: int) -> GradedPoly:
+    """The polynomial of sorted nonzero int terms over den, in lowest terms."""
+    if not terms:
+        return _ZERO
+    if den != 1:
+        g = gcd(den, *map(_numerator, terms))
+        if g != 1:
+            den //= g
+            terms = tuple((fs, c // g) for fs, c in terms)
+    return _make(terms, den)
+
+
+_ZERO = _make((), 1)
 
 
 def poly_sum(polys: Iterable[GradedPoly]) -> GradedPoly:
@@ -380,12 +431,16 @@ def poly_sum(polys: Iterable[GradedPoly]) -> GradedPoly:
     Every sum of polynomials goes through here; build a list of the parts
     and sum it once rather than adding them one at a time.
     """
-    acc: dict[Factors, Fraction] = {}
+    polys = list(polys)
+    den = lcm(*[p._den for p in polys])
+    acc: dict[Factors, int] = {}
     for p in polys:
+        k = den // p._den
         for fs, c in p._terms:
+            c *= k
             prev = acc.get(fs)
             acc[fs] = c if prev is None else prev + c
-    return GradedPoly._from_dict(acc)
+    return GradedPoly._from_dict(acc, den)
 
 
 def normalize(table: "VariableTable", raw: Iterable[tuple]) -> GradedPoly:
@@ -424,7 +479,7 @@ def grading_of(p: GradedPoly):
     The zero polynomial and rational constants grade as (0, 0, 0).
     """
     grading = None
-    for fs, _ in p.terms:
+    for fs, _ in p._terms:
         g = term_grading(fs)
         if grading is None:
             grading = g
@@ -515,6 +570,12 @@ class VariableTable:
         self._by_name: dict[str, GradedVariableDecl] = {}
         for d in decls:
             self.declare(d)
+
+    def __del__(self) -> None:
+        # a declaration and its interned symbols (whose var it is) form a
+        # cycle; emptying the tables lets reference counting free the model
+        for d in self._decls:
+            d.symbols.clear()
 
     @property
     def n(self) -> int:

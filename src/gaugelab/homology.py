@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Density, GHOST, GradedPoly, JetSymbol
+from .algebra import Density, GHOST, GradedPoly, JetSymbol, _monomial
 from .errors import GradingMismatch, NotAComplex
 from .jets import VerticalDerivation, apply_prolonged
 from .koszul import ModelSpec, build_stage_differential
@@ -116,7 +116,7 @@ def boundary_matrix(delta: VerticalDerivation, m: ModelSpec,
     target: list = []
     columns = []
     for fs in source:
-        image = apply_prolonged(delta, GradedPoly(((fs, Fraction(1)),)))
+        image = apply_prolonged(delta, _monomial(fs, 1))
         col = {}
         for tfs, c in image.terms:
             i = index.get(tfs)
@@ -175,7 +175,7 @@ def _window_boundaries(bm_in: BoundaryMatrix, window_set: set) -> list[dict]:
 def _density_from_vec(vec: dict) -> Density:
     lead = min(vec)
     scale = Fraction(1) / vec[lead]
-    return Density(GradedPoly._from_dict({fs: c * scale for fs, c in vec.items()}))
+    return Density(GradedPoly((fs, c * scale) for fs, c in vec.items()))
 
 
 def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,

@@ -16,9 +16,8 @@ All operations are pure functions of immutable values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -51,9 +50,9 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be left or right, got {side!r}")
-    acc: dict[Factors, Fraction] = {}
+    acc: dict[Factors, int] = {}
     xkey = x.key
-    for fs, c in p.terms:
+    for fs, c in p._terms:
         outer = -1 if side == RIGHT and x.parity and not _term_parity(fs) else 1
         pref = 0
         for i, f in enumerate(fs):
@@ -74,7 +73,7 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
                 _merge(acc, fs[:i] + fs[i + 1:], c if sign > 0 else -c)
                 break
             pref ^= f.parity
-    return GradedPoly._from_dict(acc)
+    return GradedPoly._from_dict(acc, p._den)
 
 
 def total_derivative(p, lam: int, n: int | None = None):
@@ -83,8 +82,8 @@ def total_derivative(p, lam: int, n: int | None = None):
         raise IndexOutOfRange(f"derivative index {lam} out of range")
     density = isinstance(p, Density)
     poly = as_poly(p)
-    acc: dict[Factors, Fraction] = {}
-    for fs, c in poly.terms:
+    acc: dict[Factors, int] = {}
+    for fs, c in poly._terms:
         for i, f in enumerate(fs):
             raw = fs[:i] + (f.raised(lam),) + fs[i + 1:]
             r = _canon_factors(raw)
@@ -92,7 +91,7 @@ def total_derivative(p, lam: int, n: int | None = None):
                 continue
             sign, out = r
             _merge(acc, out, c if sign > 0 else -c)
-    result = GradedPoly._from_dict(acc)
+    result = GradedPoly._from_dict(acc, poly._den)
     return Density(result) if density else result
 
 
@@ -219,10 +218,12 @@ class VerticalDerivation:
     The action on a derived symbol v_(L) is the L-th total derivative of the
     component on v; the prolongation is implied, never stored.  ``side``
     selects the left or the right Leibniz rule.  Missing components act as
-    zero.  Treat instances as immutable.
+    zero.  Treat instances as immutable.  ``den`` is the lcm of the
+    components' denominators; every image's denominator divides it.
     """
 
-    __slots__ = ("parity", "side", "components", "antifield_delta", "ghost_delta", "_cache")
+    __slots__ = ("parity", "side", "components", "antifield_delta", "ghost_delta", "den",
+                 "_cache")
 
     def __init__(self, components: Mapping[JetSymbol, GradedPoly], parity: int,
                  side: str = LEFT, antifield_delta: int = 0, ghost_delta: int = 0):
@@ -237,7 +238,7 @@ class VerticalDerivation:
             if poly.is_zero():
                 continue
             want = (parity + sym.parity) % 2
-            if any(_term_parity(fs) != want for fs, _ in poly.terms):
+            if any(_term_parity(fs) != want for fs, _ in poly._terms):
                 raise GradingMismatch(f"component on {sym!r} must have parity {want}")
             cleaned[sym] = poly
         self.parity = parity
@@ -245,6 +246,7 @@ class VerticalDerivation:
         self.components = dict(sorted(cleaned.items(), key=lambda t: t[0].key))
         self.antifield_delta = antifield_delta
         self.ghost_delta = ghost_delta
+        self.den = lcm(*[p._den for p in cleaned.values()])
         self._cache: dict[JetSymbol, GradedPoly] = {}
 
     def is_zero(self) -> bool:
@@ -271,15 +273,16 @@ def apply_prolonged(v: VerticalDerivation, P):
     """Apply the prolonged derivation with the graded Leibniz rule of v.side."""
     density = isinstance(P, Density)
     poly = as_poly(P)
-    acc: dict[Factors, Fraction] = {}
-    for fs, c in poly.terms:
+    vden = v.den
+    acc: dict[Factors, int] = {}
+    for fs, c in poly._terms:
         if v.side == LEFT:
             pref = 0
             for i, f in enumerate(fs):
                 img = v.image(f)
                 if img is not None:
                     sign = -1 if (v.parity and pref & 1) else 1
-                    _insert_image(acc, fs, i, img, c if sign > 0 else -c)
+                    _insert_image(acc, fs, i, img, (c if sign > 0 else -c) * (vden // img._den))
                 pref ^= f.parity
         else:
             suffix = [0] * (len(fs) + 1)
@@ -289,13 +292,15 @@ def apply_prolonged(v: VerticalDerivation, P):
                 img = v.image(f)
                 if img is not None:
                     sign = -1 if (v.parity and suffix[i + 1] & 1) else 1
-                    _insert_image(acc, fs, i, img, c if sign > 0 else -c)
-    result = GradedPoly._from_dict(acc)
+                    _insert_image(acc, fs, i, img, (c if sign > 0 else -c) * (vden // img._den))
+    result = GradedPoly._from_dict(acc, poly._den * vden)
     return Density(result) if density else result
 
 
 def _insert_image(acc, fs, i, img, coeff):
-    for gf, gc in img.terms:
+    """Add coeff times img, with img's factor substituted at position i of fs,
+    into acc; coeff already carries img's share of the common denominator."""
+    for gf, gc in img._terms:
         r = _canon_factors(fs[:i] + gf + fs[i + 1:])
         if r is None:
             continue

@@ -33,6 +33,7 @@ from .algebra import (
     JetSymbol,
     ODD,
     VariableTable,
+    _reduced,
     as_poly,
     factor_str,
     grading_of,
@@ -265,7 +266,7 @@ class ModelBuilder:
     def _check_shape(self, stage, fname, poly) -> None:
         """Stage-k generators: linear in stage-(k-1) antifields, plus an
         optional stage-(k-2) antifield times field antifield correction."""
-        for fs, _ in poly.terms:
+        for fs, _ in poly._terms:
             anti = [f for f in fs if f.var.kind == ANTIFIELD]
             stages = sorted(f.var.stage for f in anti)
             ant = sum(f.var.antifield_number for f in fs)
@@ -349,11 +350,10 @@ def generator_g_part(fam: NoetherGeneratorFamily, comps) -> GradedPoly:
     """Monomials of the member linear in the previous level of antifields."""
     member = fam.member(comps)
     want_stage = fam.stage - 1
-    keep = []
-    for fs, c in member.terms:
-        if any(f.var.kind == ANTIFIELD and f.var.stage == want_stage for f in fs):
-            keep.append((fs, c))
-    return GradedPoly(tuple(keep))
+    keep = tuple((fs, c) for fs, c in member._terms
+                 if any(f.var.kind == ANTIFIELD and f.var.stage == want_stage for f in fs))
+    # a subset of the terms can have a larger common factor than all of them
+    return _reduced(keep, member._den)
 
 
 def generator_h_part(fam: NoetherGeneratorFamily, comps) -> GradedPoly:
@@ -589,5 +589,5 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
             if not vec.is_zero():
                 span.add({fs: c for fs, c in vec.terms})
     residual_vec = span.reduce({fs: c for fs, c in p.terms})
-    residual = GradedPoly._from_dict(residual_vec)
+    residual = GradedPoly(residual_vec.items())
     return OnShellResult(residual, residual.is_zero())

@@ -4,6 +4,7 @@ and a polynomial-valued copy of the model-file expander."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 
 from gaugelab import GradedPoly, poly_sum, total_derivative, trivial_model
 from gaugelab.algebra import _canon_factors, _term_parity, perm_sign
@@ -28,8 +29,9 @@ def jet_pool(table, names, max_order, n=None):
 
 
 def random_poly(rng, pool, max_terms=4, max_degree=3, parity=None,
-                coeff_range=(-3, 3)):
-    """Random canonical polynomial over the pool, optionally parity-pure."""
+                coeff_range=(-3, 3), max_den=3):
+    """Random canonical polynomial over the pool, optionally parity-pure,
+    with coefficient denominators drawn from 1..max_den."""
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         for _attempt in range(50):
@@ -42,7 +44,7 @@ def random_poly(rng, pool, max_terms=4, max_degree=3, parity=None,
         else:
             continue
         num = rng.randint(*coeff_range)
-        den = rng.randint(1, 3)
+        den = rng.randint(1, max_den)
         terms.append((Fraction(num, den), fs))
     return GradedPoly.from_raw(terms)
 
@@ -158,9 +160,10 @@ def drop_first_term(poly):
     return poly - GradedPoly(((fs, c),))
 
 
-# Plain copies of the term kernels: every coefficient fold is
-# acc.get(k, Fraction(0)) + c * sign, with no shortcut for a first insert or a
-# +-1 sign.  GradedPoly._from_dict drops the zeros and sorts.
+# Plain copies of the term kernels over the Fraction view: every coefficient
+# fold is acc.get(k, Fraction(0)) + c * sign, with no shortcut for a first
+# insert, a +-1 sign or a common denominator.  The public constructor
+# GradedPoly(terms) drops the zeros and sorts.
 
 def oracle_mul(a, b):
     acc = {}
@@ -171,7 +174,7 @@ def oracle_mul(a, b):
                 continue
             sign, fs = r
             acc[fs] = acc.get(fs, Fraction(0)) + ca * cb * sign
-    return GradedPoly._from_dict(acc)
+    return GradedPoly(acc.items())
 
 
 def oracle_partial_derivative(p, x, side="left"):
@@ -185,7 +188,7 @@ def oracle_partial_derivative(p, x, side="left"):
                 rest = fs[:i] + fs[i + 1:]
                 acc[rest] = acc.get(rest, Fraction(0)) + c * sign * outer
             pref ^= f.parity
-    return GradedPoly._from_dict(acc)
+    return GradedPoly(acc.items())
 
 
 def oracle_total_derivative(p, lam):
@@ -197,7 +200,7 @@ def oracle_total_derivative(p, lam):
                 continue
             sign, out = r
             acc[out] = acc.get(out, Fraction(0)) + c * sign
-    return GradedPoly._from_dict(acc)
+    return GradedPoly(acc.items())
 
 
 def oracle_apply_prolonged(v, p):
@@ -224,11 +227,18 @@ def oracle_apply_prolonged(v, p):
                     continue
                 s, out = r
                 acc[out] = acc.get(out, Fraction(0)) + c * sign * gc * s
-    return GradedPoly._from_dict(acc)
+    return GradedPoly(acc.items())
 
 
 def assert_canonical_coefficients(p):
-    """Every stored coefficient is a nonzero Fraction."""
+    """The stored form is nonzero int numerators over a positive denominator
+    in lowest terms (denominator 1 for zero), and the view yields nonzero
+    Fractions."""
+    nums = [c for _, c in p._terms]
+    assert all(type(c) is int and c != 0 for c in nums), p._terms
+    assert type(p._den) is int and p._den >= 1, p._den
+    assert gcd(p._den, *nums) == 1, (p._den, nums)
+    assert nums or p._den == 1, p._den
     for _, c in p.terms:
         assert type(c) is Fraction and c != 0, (p, c)
 

@@ -173,11 +173,31 @@ def test_mul_matches_plain_arithmetic_oracle(seed):
     u = unit_poly(rng, POOL, max_terms=5)
     # (u + w)(u - w) with w even: the cross terms cancel in the accumulator
     w = unit_poly(rng, POOL, max_terms=2, parity=0)
-    for x, y in ((a, u), (u, a), (u, u), (u + w, u - w), (a, -a)):
+    m = random_poly(rng, POOL, max_terms=5, max_den=12)
+    for x, y in ((a, u), (u, a), (u, u), (u + w, u - w), (a, -a), (a, m), (m, m)):
         got = x * y
         assert got == oracle_mul(x, y)
         assert_canonical_coefficients(got)
     assert_canonical_coefficients(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((5, 7, 11, 12)))
+def test_mixed_denominators_reduce_to_lowest_terms(seed, d):
+    rng = random.Random(seed)
+    a, b = (random_poly(rng, POOL, max_terms=5, max_den=12) for _ in range(2))
+    q = Fraction(rng.choice((1, 2, 3, 5, 7, 11)), d)
+    total = poly_sum([a, b])
+    assert total == GradedPoly.from_raw((c, fs) for p in (a, b) for fs, c in p.terms)
+    # sums over the lcm of the denominators that cancel down to b alone, and
+    # integer multiples of b that a common factor brings back to b
+    for got in (poly_sum([a, b, -a]), poly_sum([total, -a]),
+                poly_sum([b.scale(d), a, -a]).scale(Fraction(1, d)),
+                poly_sum([b.scale(q), b.scale(1 - q)]), b.scale(q).scale(1 / q)):
+        assert got == b and hash(got) == hash(b)
+        assert_canonical_coefficients(got)
+    for got in (total, a.scale(q), a * b.scale(q)):
+        assert_canonical_coefficients(got)
 
 
 def test_mul_cancels_to_zero_coefficients_and_drops_them():
@@ -199,6 +219,33 @@ def test_scale_by_one_and_minus_one():
     assert p.scale(-1).scale(-1) == p
     assert_canonical_coefficients(p.scale(-1))
     assert p.scale(0).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fraction_view_is_the_public_contract(seed):
+    rng = random.Random(seed)
+    p = random_poly(rng, POOL, max_terms=5, max_den=12)
+    r = random_poly(rng, POOL, max_terms=5, max_den=12)
+    # the view rebuilds the identical stored form
+    back = GradedPoly(p.terms)
+    assert back == p and back._terms == p._terms and back._den == p._den
+    assert GradedPoly(reversed(p.terms)) == p
+    assert_canonical_coefficients(back)
+    # equality of polynomials is equality of their views, whatever the route
+    same = poly_sum([p.scale(7), r, -r]).scale(Fraction(1, 7))
+    for q in (same, r, p.scale(Fraction(5, 11)), GradedPoly.zero()):
+        assert (p == q) == (p.terms == q.terms)
+        if p == q:
+            assert hash(p) == hash(q)
+    assert p == same
+    # the benchmark's defect: the first term's sign flipped through the view
+    if p:
+        (fs, c), *rest = p.terms
+        flipped = GradedPoly(((fs, -c),) + tuple(rest))
+        assert flipped == p - GradedPoly.from_raw([(2 * c, fs)])
+        assert flipped.terms == ((fs, -c),) + tuple(rest)
+        assert_canonical_coefficients(flipped)
 
 
 def test_exact_coefficients_at_256_bit_scale():

@@ -296,6 +296,7 @@ def test_derivative_kernels_match_plain_arithmetic_oracles(seed, lam, k):
     name, deriv = rng.choice((("s", ()), ("s", (0,)), ("sbar(psi)", ())))
     copies = [rng.choice((T, OTHER)).symbol(name, (), deriv) for _ in range(k)]
     inputs = [random_poly(rng, POOL, max_terms=5), unit_poly(rng, POOL, max_terms=5),
+              random_poly(rng, POOL, max_terms=5, max_den=12),
               poly_sum([unit_poly(rng, POOL), raised_pair(rng, POOL, lam)]),
               GradedPoly.from_raw([(Fraction(rng.randint(1, 9), rng.randint(1, 9)), copies)]),
               GradedPoly.from_raw([(1, copies + rng.sample(POOL, 2))])]
@@ -346,6 +347,26 @@ def test_apply_prolonged_matches_plain_arithmetic_oracle(seed, par, side):
     v = _random_derivation(rng, par, side)
     for p in (random_poly(rng, POOL, max_terms=4), unit_poly(rng, POOL, max_terms=4),
               SQUARE, poly_sum([SQUARE, unit_poly(rng, POOL)])):
+        got = apply_prolonged(v, p)
+        assert got == oracle_apply_prolonged(v, p)
+        assert_canonical_coefficients(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.sampled_from(("left", "right")))
+def test_apply_prolonged_over_mixed_denominators(seed, par, side):
+    rng = random.Random(seed)
+    comps = {}
+    for z, comp in _random_derivation(rng, par, side).components.items():
+        comp = comp.scale(Fraction(rng.choice((1, 2, 3, 5)), rng.choice((1, 4, 5, 7, 11, 12))))
+        if (par + z.parity) % 2 == 0:
+            # a constant part that total derivatives drop, so the images of
+            # derived symbols have other denominators than the component
+            comp = comp + GradedPoly.constant(Fraction(1, rng.choice((5, 7, 11))))
+        comps[z] = comp
+    v = VerticalDerivation(comps, parity=par, side=side)
+    for p in (random_poly(rng, POOL, max_terms=4, max_den=12), SQUARE,
+              poly_sum([SQUARE.scale(Fraction(1, 6)), unit_poly(rng, POOL)])):
         got = apply_prolonged(v, p)
         assert got == oracle_apply_prolonged(v, p)
         assert_canonical_coefficients(got)

@@ -1,7 +1,10 @@
 """Stage differentials, identity verification, the extended Lagrangian,
 and the ascent operator."""
 
+import gc
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -23,12 +26,18 @@ from gaugelab import (
     identity_witness,
     multi_total_derivative,
     on_shell_reduce,
+    run_checks,
     total_derivative,
     trivial_model,
     verify_variational_supersymmetry,
 )
-from gaugelab.koszul import ModelBuilder
-from support import drop_first_term, flip_first_term, rebuild_with_mutation
+from gaugelab.koszul import ModelBuilder, generator_g_part, generator_h_part
+from support import (
+    assert_canonical_coefficients,
+    drop_first_term,
+    flip_first_term,
+    rebuild_with_mutation,
+)
 
 RNG = random.Random(5)
 
@@ -276,11 +285,15 @@ def test_supported_correction_shape_accepted():
     t = b.table
     sx = t.symbol("sbar(x)")
     b.add_stage([("D", 0, False, {(): GradedPoly.from_symbol(sx)})])
-    b.add_stage([("E", 0, False, {(): GradedPoly.from_symbol(t.symbol("cbar(0)")) +
-                                      GradedPoly.from_raw(
-        [(1, (sx, t.symbol("sbar(x)", (), (0,))))])})])
+    g = GradedPoly.from_symbol(t.symbol("cbar(0)"), Fraction(1, 2))
+    h = GradedPoly.from_raw([(Fraction(1, 3), (sx, t.symbol("sbar(x)", (), (0,))))])
+    b.add_stage([("E", 0, False, {(): g + h})])
     m = b.build()
     assert m.max_stage == 1
+    # over the member's denominator 6 each part keeps its own lowest terms
+    fam = m.families_at(1)[0]
+    assert generator_g_part(fam, ()) == g and generator_h_part(fam, ()) == h
+    assert_canonical_coefficients(generator_g_part(fam, ()))
 
 
 def test_unsupported_correction_shape_rejected():
@@ -384,3 +397,19 @@ def test_scaled_trivial_round_trips_through_model_file():
     text = render_model(m)
     assert "cbar(0:Da)" in text
     assert parse_or_raise(text) == m
+
+
+def test_checked_model_is_freed_by_reference_counting():
+    # declarations intern their symbols and each symbol points back at its
+    # declaration; a model must still be freed without the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        m = bf_model(4)
+        assert all(r.ok for r in run_checks(m))
+        refs = [weakref.ref(d) for d in m.table.decls]
+        del m
+        assert all(ref() is None for ref in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
