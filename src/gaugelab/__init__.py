@@ -9,7 +9,6 @@ window-relative homology lab over exact rationals.
 from .algebra import (
     ANTIFIELD,
     BaseSpace,
-    Density,
     EVEN,
     FIELD,
     GHOST,

@@ -497,14 +497,18 @@ def _coeff_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def render_poly(p: GradedPoly) -> str:
-    """Deterministic textual form used in reports and golden files."""
+def _render_terms(p: GradedPoly, monomial_str) -> str:
+    """The signed sum of p's terms, each monomial rendered by monomial_str.
+
+    The model-file renderer calls this, not ``render_poly``, whose traced
+    call count measures report rendering only.
+    """
     if p.is_zero():
         return "0"
     parts = []
     for i, (fs, c) in enumerate(p.terms):
         mag = abs(c)
-        body = "*".join(factor_str(f) for f in fs)
+        body = monomial_str(fs)
         if not body:
             piece = _coeff_str(mag)
         elif mag == 1:
@@ -518,30 +522,17 @@ def render_poly(p: GradedPoly) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class Density:
-    """A horizontal density: coefficient times the implicit volume form."""
-
-    coefficient: GradedPoly
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-    def __add__(self, other: "Density") -> "Density":
-        return Density(self.coefficient + other.coefficient)
-
-    def __sub__(self, other: "Density") -> "Density":
-        return Density(self.coefficient - other.coefficient)
-
-    def __neg__(self) -> "Density":
-        return Density(-self.coefficient)
-
-    def scale(self, q) -> "Density":
-        return Density(self.coefficient.scale(q))
+def render_poly(p: GradedPoly) -> str:
+    """Deterministic textual form used in reports and golden files."""
+    return _render_terms(p, lambda fs: "*".join(map(factor_str, fs)))
 
 
 def as_poly(x) -> GradedPoly:
-    return x.coefficient if isinstance(x, Density) else x
+    """The identity; a density is its coefficient polynomial.
+
+    Kept only because the benchmark harness in ``perfbench/`` imports it.
+    """
+    return x
 
 
 def perm_sign(seq: Sequence[int]) -> int:
@@ -654,6 +645,6 @@ class VariableTable:
             if not 0 <= d_ < self.n:
                 raise IndexOutOfRange(f"derivative index {d_} out of range for n={self.n}")
 
-    def validate_poly(self, p) -> None:
-        for sym in as_poly(p).symbols():
+    def validate_poly(self, p: GradedPoly) -> None:
+        for sym in p.symbols():
             self.validate_symbol(sym)

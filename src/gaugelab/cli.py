@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import as_poly, factor_str, render_poly
+from .algebra import factor_str, render_poly
 from .dsl import ModelFormatError, parse_or_raise, render_model
 from .errors import GaugelabError, NotAComplex
 from .homology import TruncationWindow, kt_homology
@@ -113,7 +113,7 @@ def _cmd_homology(args) -> tuple:
         raise UsageError(e) from None
     m, N = _load(args)
     report = kt_homology(m, w, max_stage=N)
-    gens = [render_poly(as_poly(rep)) for rep in report.representatives]
+    gens = [render_poly(rep) for rep in report.representatives]
     entry = {
         "sector": report.sector,
         "window": {"jet_order": w.max_jet_order, "poly_degree": w.max_poly_degree},

@@ -38,9 +38,9 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
-from .algebra import EVEN, GradedPoly, ODD, _accumulate, as_poly, perm_sign
+from .algebra import EVEN, GradedPoly, ODD, _accumulate, _render_terms, perm_sign
 from .errors import GaugelabError, IndexOutOfRange, UnknownVariable
 from .koszul import ModelBuilder, ModelSpec
 
@@ -319,6 +319,9 @@ def parse_model(text: str):
                 if len(toks) != 2 or toks[1][0] != "int":
                     diags.append(Diagnostic(lineno, col, "E-SYNTAX", "usage: dim N"))
                     continue
+                if int(toks[1][1]) < 1:
+                    diags.append(Diagnostic(lineno, col, "E-SYNTAX", "dim N needs N >= 1"))
+                    continue
                 if doc.dim is not None:
                     diags.append(Diagnostic(lineno, col, "E-DUP-DECL",
                                             "dimension already declared"))
@@ -564,6 +567,9 @@ def _member_assignments(ex: _Expander, fd: FamilyDef, dim: int) -> list:
         if list(fd.indices) != sorted(set(fd.indices)):
             _reject(ex.diags, fd.pos, "E-SYNTAX",
                     "concrete family indices must be strictly increasing")
+        if fd.indices and fd.indices[-1] >= dim:   # increasing: the last is the largest
+            _reject(ex.diags, fd.pos, "E-IDX-RANGE",
+                    f"index {fd.indices[-1]} out of range for dim {dim}")
         free = ex.frees(fd.expr) if fd.letters else None
         if free:
             _reject(ex.diags, fd.pos, "E-FREE-IDX",
@@ -675,15 +681,6 @@ def parse_or_raise(text: str, name: str = "model") -> ModelSpec:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _coeff_prefix(c: Fraction) -> str:
-    mag = abs(c)
-    if mag == 1:
-        return ""
-    if mag.denominator == 1:
-        return f"{mag.numerator}*"
-    return f"{mag.numerator}/{mag.denominator}*"
-
-
 def _symbol_dsl(sym) -> str:
     name = sym.var.name
     if sym.var.kind == "ghost":
@@ -696,27 +693,17 @@ def _symbol_dsl(sym) -> str:
     return s
 
 
+def _monomial_dsl(fs) -> str:
+    pieces = []
+    for sym, run in groupby(fs):
+        k = len(list(run))
+        base = _symbol_dsl(sym)
+        pieces.append(base if k == 1 else f"{base}^{k}")
+    return "*".join(pieces)
+
+
 def poly_to_dsl(p: GradedPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, (fs, c) in enumerate(p.terms):
-        pieces = []
-        j = 0
-        while j < len(fs):
-            k = j
-            while k < len(fs) and fs[k] == fs[j]:
-                k += 1
-            base = _symbol_dsl(fs[j])
-            pieces.append(base if k - j == 1 else f"{base}^{k - j}")
-            j = k
-        body = "*".join(pieces)
-        piece = _coeff_prefix(c) + body if body else str(abs(c))
-        if i == 0:
-            parts.append(piece if c > 0 else "-" + piece)
-        else:
-            parts.append((" + " if c > 0 else " - ") + piece)
-    return "".join(parts)
+    return _render_terms(p, _monomial_dsl)
 
 
 def render_model(m: ModelSpec) -> str:
@@ -730,7 +717,7 @@ def render_model(m: ModelSpec) -> str:
             lines.append(f"{head} {decl.name}[{decl.arity} antisym]")
         else:
             lines.append(f"{head} {decl.name}[{decl.arity}]")
-    lines.append(f"L = {poly_to_dsl(as_poly(m.lagrangian))}")
+    lines.append(f"L = {poly_to_dsl(m.lagrangian)}")
     for fam in m.families:
         for comps, poly in fam.sorted_members():
             idx = ",".join(str(c) for c in comps)

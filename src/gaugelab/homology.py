@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Density, GHOST, GradedPoly, JetSymbol, _monomial
+from .algebra import GHOST, GradedPoly, JetSymbol, _monomial
 from .errors import GradingMismatch, NotAComplex
 from .jets import VerticalDerivation, apply_prolonged
 from .koszul import ModelSpec, build_stage_differential
@@ -141,7 +141,7 @@ class HomologyReport:
     rank_in_window: int
     dim_cycles: int
     dim_homology: int
-    representatives: tuple
+    representatives: tuple      # GradedPoly densities, leading coefficient 1
     window_relative: bool = True
 
 
@@ -172,10 +172,10 @@ def _window_boundaries(bm_in: BoundaryMatrix, window_set: set) -> list[dict]:
     return vectors
 
 
-def _density_from_vec(vec: dict) -> Density:
+def _density_from_vec(vec: dict) -> GradedPoly:
     lead = min(vec)
     scale = Fraction(1) / vec[lead]
-    return Density(GradedPoly((fs, c * scale) for fs, c in vec.items()))
+    return GradedPoly((fs, c * scale) for fs, c in vec.items())
 
 
 def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,

@@ -2,10 +2,11 @@
 
 Everything acts on x-independent polynomials, so the explicit base-coordinate
 term of the total derivative is absent and a constant density counts as a
-total divergence.  Derivative multi-indices are multisets; the partial
-derivative with respect to a jet symbol picks out that exact multiset with
-coefficient 1 and no multinomial factor, and the total derivative raises one
-multiset entry per factor.
+total divergence.  The volume form then carries no information, so a density
+is its coefficient polynomial.  Derivative multi-indices are multisets; the
+partial derivative with respect to a jet symbol picks out that exact multiset
+with coefficient 1 and no multinomial factor, and the total derivative raises
+one multiset entry per factor.
 
 Total-divergence detection works on a single contractible chart: a density is
 a total divergence exactly when all of its variational derivatives vanish.
@@ -21,7 +22,6 @@ from math import comb, lcm
 from typing import Iterable, Mapping
 
 from .algebra import (
-    Density,
     FIELD,
     Factors,
     GradedPoly,
@@ -32,7 +32,6 @@ from .algebra import (
     _canon_factors,
     _merge,
     _term_parity,
-    as_poly,
     multi_index,
     poly_sum,
 )
@@ -76,14 +75,12 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
     return GradedPoly._from_dict(acc, p._den)
 
 
-def total_derivative(p, lam: int, n: int | None = None):
+def total_derivative(p: GradedPoly, lam: int, n: int | None = None) -> GradedPoly:
     """Total derivative d_lam: raises each factor's derivative multiset."""
     if lam < 0 or (n is not None and lam >= n):
         raise IndexOutOfRange(f"derivative index {lam} out of range")
-    density = isinstance(p, Density)
-    poly = as_poly(p)
     acc: dict[Factors, int] = {}
-    for fs, c in poly._terms:
+    for fs, c in p._terms:
         for i, f in enumerate(fs):
             raw = fs[:i] + (f.raised(lam),) + fs[i + 1:]
             r = _canon_factors(raw)
@@ -91,11 +88,10 @@ def total_derivative(p, lam: int, n: int | None = None):
                 continue
             sign, out = r
             _merge(acc, out, c if sign > 0 else -c)
-    result = GradedPoly._from_dict(acc, poly._den)
-    return Density(result) if density else result
+    return GradedPoly._from_dict(acc, p._den)
 
 
-def multi_total_derivative(p, Lam: Iterable[int], n: int | None = None):
+def multi_total_derivative(p: GradedPoly, Lam: Iterable[int], n: int | None = None):
     """Composition of total derivatives over a multi-index (order immaterial)."""
     out = p
     for lam in multi_index(Lam):
@@ -103,21 +99,21 @@ def multi_total_derivative(p, Lam: Iterable[int], n: int | None = None):
     return out
 
 
-def variational_derivative(P, decl: GradedVariableDecl, components=()) -> GradedPoly:
+def variational_derivative(P: GradedPoly, decl: GradedVariableDecl,
+                           components=()) -> GradedPoly:
     """Sum over present jets of (-1)^|L| d_L (left partial w.r.t. v[comps]_(L))."""
-    poly = as_poly(P)
     comps = tuple(components)
-    lams = sorted({f.derivative for f in poly.symbols()
+    lams = sorted({f.derivative for f in P.symbols()
                    if f.components == comps and (f.var is decl or f.var == decl)})
     parts = []
     for Lam in lams:
-        g = partial_derivative(poly, JetSymbol(decl, comps, Lam), LEFT)
+        g = partial_derivative(P, JetSymbol(decl, comps, Lam), LEFT)
         g = multi_total_derivative(g, Lam)
         parts.append(-g if len(Lam) % 2 else g)
     return poly_sum(parts)
 
 
-def euler_lagrange(table: VariableTable, L) -> dict[JetSymbol, GradedPoly]:
+def euler_lagrange(table: VariableTable, L: GradedPoly) -> dict[JetSymbol, GradedPoly]:
     """Euler-Lagrange expression for every dynamical field component."""
     out: dict[JetSymbol, GradedPoly] = {}
     for decl in table.kind_decls(FIELD):
@@ -126,13 +122,12 @@ def euler_lagrange(table: VariableTable, L) -> dict[JetSymbol, GradedPoly]:
     return out
 
 
-def is_dH_exact(P) -> bool:
+def is_dH_exact(P: GradedPoly) -> bool:
     """True when every variational derivative of the density vanishes."""
-    poly = as_poly(P)
-    targets = sorted({(f.var, f.components) for f in poly.symbols()},
+    targets = sorted({(f.var, f.components) for f in P.symbols()},
                      key=lambda t: (t[0].sort_rank, t[1]))
     for decl, comps in targets:
-        if not variational_derivative(poly, decl, comps).is_zero():
+        if not variational_derivative(P, decl, comps).is_zero():
             return False
     return True
 
@@ -269,13 +264,11 @@ class VerticalDerivation:
         return tuple(self.components.items())
 
 
-def apply_prolonged(v: VerticalDerivation, P):
+def apply_prolonged(v: VerticalDerivation, P: GradedPoly) -> GradedPoly:
     """Apply the prolonged derivation with the graded Leibniz rule of v.side."""
-    density = isinstance(P, Density)
-    poly = as_poly(P)
     vden = v.den
     acc: dict[Factors, int] = {}
-    for fs, c in poly._terms:
+    for fs, c in P._terms:
         if v.side == LEFT:
             pref = 0
             for i, f in enumerate(fs):
@@ -293,8 +286,7 @@ def apply_prolonged(v: VerticalDerivation, P):
                 if img is not None:
                     sign = -1 if (v.parity and suffix[i + 1] & 1) else 1
                     _insert_image(acc, fs, i, img, (c if sign > 0 else -c) * (vden // img._den))
-    result = GradedPoly._from_dict(acc, poly._den * vden)
-    return Density(result) if density else result
+    return GradedPoly._from_dict(acc, P._den * vden)
 
 
 def _insert_image(acc, fs, i, img, coeff):
@@ -309,7 +301,7 @@ def _insert_image(acc, fs, i, img, coeff):
         _merge(acc, out, c if sign > 0 else -c)
 
 
-def first_variation_residual(L, v: VerticalDerivation) -> Density:
+def first_variation_residual(L: GradedPoly, v: VerticalDerivation) -> GradedPoly:
     """v(L) minus the contraction of v with the variational one-form of L.
 
     For every vertical derivation the result is a total divergence; the
@@ -318,19 +310,19 @@ def first_variation_residual(L, v: VerticalDerivation) -> Density:
     """
     if v.side != LEFT:
         raise ValueError("first variation is taken along left derivations")
-    return Density(as_poly(apply_prolonged(v, L))) - contracted_el_density(L, v)
+    return apply_prolonged(v, L) - contracted_el_density(L, v)
 
 
-def contracted_el_density(L, v: VerticalDerivation) -> Density:
+def contracted_el_density(L: GradedPoly, v: VerticalDerivation) -> GradedPoly:
     """The density sum_x v^x * (variational derivative of L w.r.t. x)."""
     parts = []
     for sym, comp in v.sorted_components():
         e = variational_derivative(L, sym.var, sym.components)
         if not e.is_zero():
             parts.append(comp * e)
-    return Density(poly_sum(parts))
+    return poly_sum(parts)
 
 
-def is_variational_supersymmetry(L, v: VerticalDerivation) -> bool:
+def is_variational_supersymmetry(L: GradedPoly, v: VerticalDerivation) -> bool:
     """True when the contracted Euler-Lagrange density of v is a total divergence."""
     return is_dH_exact(contracted_el_density(L, v))

@@ -23,7 +23,6 @@ from itertools import combinations_with_replacement
 from .algebra import (
     ANTIFIELD,
     BaseSpace,
-    Density,
     EVEN,
     FIELD,
     GHOST,
@@ -34,7 +33,6 @@ from .algebra import (
     ODD,
     VariableTable,
     _reduced,
-    as_poly,
     factor_str,
     grading_of,
     poly_sum,
@@ -43,6 +41,7 @@ from .algebra import (
 from .errors import (
     EvenDerivation,
     GradingMismatch,
+    IndexOutOfRange,
     MissingStage,
     UnsupportedCorrection,
 )
@@ -168,7 +167,7 @@ class ModelSpec:
         return (isinstance(other, ModelSpec)
                 and self.table.base == other.table.base
                 and self.table.decls == other.table.decls
-                and as_poly(self.lagrangian) == as_poly(other.lagrangian)
+                and self.lagrangian == other.lagrangian
                 and self.families == other.families)
 
     def __repr__(self):
@@ -187,7 +186,7 @@ class ModelBuilder:
     def __init__(self, name: str, n: int):
         self.name = name
         self.table = VariableTable(BaseSpace(n))
-        self._lagrangian = Density(GradedPoly.zero())
+        self._lagrangian = GradedPoly.zero()
         self._families: list[NoetherGeneratorFamily] = []
         self._field_antifield = {}
         self._antifield_field = {}
@@ -207,10 +206,9 @@ class ModelBuilder:
         self._antifield_field[anti] = decl
         return decl
 
-    def set_lagrangian(self, L) -> None:
-        poly = as_poly(L)
-        self.table.validate_poly(poly)
-        self._lagrangian = Density(poly)
+    def set_lagrangian(self, L: GradedPoly) -> None:
+        self.table.validate_poly(L)
+        self._lagrangian = L
 
     def add_stage(self, families) -> None:
         """Declare all generator families of the next stage at once.
@@ -225,11 +223,14 @@ class ModelBuilder:
             cleaned = {}
             parity = None
             for comps, poly in members.items():
-                poly = as_poly(poly)
+                comps = tuple(comps)
+                if len(comps) != arity or not all(0 <= c < self.table.n for c in comps):
+                    raise IndexOutOfRange(f"generator {fname}{list(comps)} needs {arity} "
+                                          f"component indices in 0..{self.table.n - 1}")
                 self.table.validate_poly(poly)
                 self._check_shape(stage, fname, poly)
                 if poly.is_zero():
-                    cleaned[tuple(comps)] = poly
+                    cleaned[comps] = poly
                     continue
                 g = grading_of(poly)
                 if g == INHOMOGENEOUS:
@@ -238,7 +239,7 @@ class ModelBuilder:
                     parity = g.parity
                 elif parity != g.parity:
                     raise GradingMismatch(f"family {fname} has members of mixed parity")
-                cleaned[tuple(comps)] = poly
+                cleaned[comps] = poly
             if parity is None:
                 parity = ODD if stage % 2 == 0 else EVEN
             built.append(NoetherGeneratorFamily(stage, fname, arity, antisym,
@@ -371,30 +372,24 @@ def _linear_antifield_coefficients(poly: GradedPoly, stage: int):
 def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedPoly:
     """The left-hand side of the stage identity for one family member.
 
-    Stage 0: the coefficients against field antifields contracted with the
-    total derivatives of the Euler-Lagrange expressions.  Stage k >= 1: the
-    coefficients against stage-(k-1) antifields contracted with the total
-    derivatives of the previous generators' antifield-linear parts, plus the
-    bare differential applied to the correction term.
+    The coefficients of the member's antifield-linear part against the
+    stage-(k-1) antifields, contracted with the total derivatives of what
+    each antifield resolves: the Euler-Lagrange expression for a field
+    antifield, the previous family's antifield-linear part otherwise.  At
+    stage k >= 1 the bare differential applied to the correction term is
+    added; stage-0 members have no correction.
     """
-    parts = []
-    if fam.stage == 0:
-        el = m.euler_lagrange_map()
-        for sym, coeff in _linear_antifield_coefficients(fam.member(comps), -1):
-            field = m.field_for_antifield(sym.var)
-            e = el[JetSymbol(field, sym.components)]
-            parts.append(coeff * multi_total_derivative(e, sym.derivative))
-        return poly_sum(parts)
     m.resolve_stage(fam.stage - 1)
-    gpart = generator_g_part(fam, comps)
-    for sym, coeff in _linear_antifield_coefficients(gpart, fam.stage - 1):
-        prev_fam = m.family_for_antifield(sym.var)
-        if prev_fam.stage == 0:
-            inner = prev_fam.member(sym.components)
+    parts = []
+    for sym, coeff in _linear_antifield_coefficients(generator_g_part(fam, comps),
+                                                     fam.stage - 1):
+        if fam.stage == 0:
+            inner = m.euler_lagrange_map()[JetSymbol(m.field_for_antifield(sym.var),
+                                                     sym.components)]
         else:
-            inner = generator_g_part(prev_fam, sym.components)
+            inner = generator_g_part(m.family_for_antifield(sym.var), sym.components)
         parts.append(coeff * multi_total_derivative(inner, sym.derivative))
-    hpart = generator_h_part(fam, comps)
+    hpart = generator_h_part(fam, comps) if fam.stage else GradedPoly.zero()
     if not hpart.is_zero():
         parts.append(apply_prolonged(build_stage_differential(m, -1), hpart))
     return poly_sum(parts)
@@ -410,14 +405,14 @@ def identity_witness(m: ModelSpec, fam: NoetherGeneratorFamily) -> tuple | None:
     return None
 
 
-def extended_lagrangian(m: ModelSpec, N: int | None = None) -> Density:
+def extended_lagrangian(m: ModelSpec, N: int | None = None) -> GradedPoly:
     """The original Lagrangian plus ghost * generator for every stage <= N.
 
     The stage differential annihilates the result exactly whenever the
     declared identities verify.
     """
     N = m.resolve_stage(N)
-    parts = [as_poly(m.lagrangian)]
+    parts = [m.lagrangian]
     for fam in m.families:
         if fam.stage > N:
             continue
@@ -425,7 +420,7 @@ def extended_lagrangian(m: ModelSpec, N: int | None = None) -> Density:
         for ct, member in fam.sorted_members():
             if not member.is_zero():
                 parts.append(GradedPoly.from_symbol(JetSymbol(ghost, ct)) * member)
-    return Density(poly_sum(parts))
+    return poly_sum(parts)
 
 
 def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
@@ -445,20 +440,15 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
         for fcomps, member in fam.sorted_members():
             if member.is_zero():
                 continue
-            if fam.stage == 0:
-                linear = member
-            else:
-                linear = generator_g_part(fam, fcomps)
             groups: dict[tuple, dict] = {}
-            for sym, coeff in _linear_antifield_coefficients(linear, fam.stage - 1):
+            for sym, coeff in _linear_antifield_coefficients(generator_g_part(fam, fcomps),
+                                                             fam.stage - 1):
                 key = (sym.var, sym.components)
                 groups.setdefault(key, {})[sym.derivative] = coeff
             for (anti_decl, acomps), family_map in groups.items():
                 e = eta(CoefficientFamily(family_map))
-                if fam.stage == 0:
-                    target_decl = m.field_for_antifield(anti_decl)
-                else:
-                    target_decl = m.family_ghost(m.family_for_antifield(anti_decl))
+                target_decl = (m.field_for_antifield(anti_decl) if fam.stage == 0
+                               else m.family_ghost(m.family_for_antifield(anti_decl)))
                 parts.setdefault(JetSymbol(target_decl, acomps), []).extend(
                     GradedPoly.from_symbol(JetSymbol(ghost, fcomps, Lam)) * coeff
                     for Lam, coeff in e.items)
@@ -510,7 +500,7 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
     delta = build_stage_differential(m, N)
     results.append(_nilpotency_result("kt-nilpotency", check_nilpotency(delta)))
 
-    closure = as_poly(apply_prolonged(delta, extended_lagrangian(m, N)))
+    closure = apply_prolonged(delta, extended_lagrangian(m, N))
     results.append(CheckResult("extended-lagrangian-closure", closure.is_zero(),
                                None if closure.is_zero() else render_poly(closure)))
 

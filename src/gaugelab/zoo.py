@@ -43,23 +43,11 @@ def bf_model(n: int) -> ModelSpec:
     b.set_lagrangian(GradedPoly.from_raw(
         [(c, [t.symbol(nm, cc, dd) for nm, cc, dd in fs]) for c, fs in raw]))
 
-    # stage 0: divergence of the B antifield, one member per (n-2)-tuple
-    members = {}
-    for comps in combinations(range(n), n - 2):
-        acc = []
-        for nu in range(n):
-            if nu in comps:
-                continue
-            sign = perm_sign((nu,) + comps)
-            sym = t.symbol("sbar(B)", tuple(sorted((nu,) + comps)), (nu,))
-            acc.append((Fraction(sign), (sym,)))
-        members[comps] = GradedPoly.from_raw(acc)
-    b.add_stage([("D", n - 2, n - 2 > 1, members)])
-
-    # stage k: divergence of the stage-(k-1) antifield family
-    for k in range(1, n - 1):
+    # stage k: divergence of the stage-(k-1) antifield family, the B antifield
+    # at stage 0; one member per (n-2-k)-tuple
+    for k in range(n - 1):
         arity = n - 2 - k
-        prev = f"cbar({k - 1})"
+        prev = "sbar(B)" if k == 0 else f"cbar({k - 1})"
         members = {}
         for comps in combinations(range(n), arity):
             acc = []

@@ -332,7 +332,7 @@ def test_symbols_of_separately_built_models_are_equal_by_value(coord):
 def test_polynomials_of_separately_built_models_are_equal_by_value():
     m1, m2 = bf_model(3), bf_model(3)
     assert m1 == m2
-    l1, l2 = m1.lagrangian.coefficient, m2.lagrangian.coefficient
+    l1, l2 = m1.lagrangian, m2.lagrangian
     assert l1 == l2 and hash(l1) == hash(l2)
     assert l1.terms[0][0][0] is not l2.terms[0][0][0]
     for f1, f2 in zip(m1.families, m2.families):
@@ -372,7 +372,7 @@ def test_pickle_round_trip_re_interns():
     assert m == bf_model(3)
     t = m.table
     a = t.symbol("A")
-    first = m.lagrangian.coefficient.terms[0][0]
+    first = m.lagrangian.terms[0][0]
     assert first[0] is a and first[0].var is t.decl("A")
     for fam in m.families:
         for _, poly in fam.sorted_members():

@@ -161,6 +161,10 @@ BAD_INPUT = [
      r".*:3:205: E-SYNTAX: expression nested too deeply$"),
     (["check", "--model", "{deep_d_model}"],
      r".*:4:1020: E-SYNTAX: expression nested too deeply$"),
+    # a base dimension below 1, and a concrete member index outside 0..dim-1
+    (["check", "--model", "{dim0_model}"], r".*:1:1: E-SYNTAX: dim N needs N >= 1$"),
+    (["check", "--model", "{range_model}"],
+     r".*:4:10: E-IDX-RANGE: index 7 out of range for dim 2$"),
 ]
 
 
@@ -187,10 +191,15 @@ def test_bad_input_exits_2_with_one_line(argv, stderr, tmp_path, capsys, monkeyp
     deep_d_model = tmp_path / "deep_d.glm"
     deep_d_model.write_text("dim 1\nfield A\nL = A\nstage 0: D[] = "
                             + "d[0](" * 3000 + "sbar(A)" + ")" * 3000 + "\n")
+    dim0_model = tmp_path / "dim0.glm"
+    dim0_model.write_text("dim 0\nfield A\nL = A\n")
+    range_model = tmp_path / "range.glm"
+    range_model.write_text("dim 2\nfield A[1]\nL = A[0]*A[1]\nstage 0: D[7] = sbar(A)[0]\n")
     directory = tmp_path / "reports"
     directory.mkdir()
     paths = {"model": model, "option_model": option_model, "binary_model": binary_model,
              "deep_model": deep_model, "deep_d_model": deep_d_model,
+             "dim0_model": dim0_model, "range_model": range_model,
              "unwritable": tmp_path / "missing" / "r.json", "directory": directory}
     argv = [a.format(**paths) for a in argv]
     assert run_command(argv) == 2
@@ -219,13 +228,28 @@ GOLDEN_REPORTS = {
     ("gauge", "bf:5"): "39af887095fe71e4933b35bf0afdbf28016be18d532e6593c8de0ebd91f1ba7b",
     ("gauge", "trivial"): "9dfffae1125aa79be1f54036b5f19f9bbaf9068adb602f6e4c878c8ad98e601f",
     ("gauge", "scalar:2"): "7bce611658d1371ce03f051784823802f22eb57383ce3c327937cc2fae0f6e56",
+    ("zoo", "bf:2"): "692eff345dcaacf24a8ff2068e77fedf1e916100846610fbed693259ad8dc5a6",
+    ("zoo", "bf:3"): "de2bdab0714ba4a4604a91de2f714d8dd15c8fd85317aeb289d4e9841afbdf97",
+    ("zoo", "bf:4"): "7213441746e163c1d3ca39018d44a90f3e57702be6f18c09ee42e7486001aeea",
+    ("zoo", "bf:5"): "beed61263dd5538d6709d3cf90f2a68fa1eafae549175fb2a85c385769261ce1",
+    ("zoo", "trivial"): "cb5c4aa31c8057b6812227de50a4c8c85394aa5492a85d794327bf4c94fc068a",
+    ("zoo", "scalar:2"): "a909b4025de993bef7d367af68bcb7d1f16b81d68a5a56355f91a652c1c29615",
+    # 33 generators
+    ("homology", "bf:2 --sector 1 --jet-order 2 --poly-degree 2 --stage -1"):
+        "8a3f8287628394b1e4f99d515894f8c8bd98be8a959f82f37485c578a40c3acc",
+    # 4 generators
+    ("homology", "bf:3 --sector 2 --jet-order 2 --poly-degree 1 --stage 0"):
+        "01ca99152c8d1edbd86c8fc84528590e0a6ab275c1d40ae9cfedcc7c8f7ce25a",
 }
 
 
 @pytest.mark.parametrize("command, name", sorted(GOLDEN_REPORTS))
 def test_report_bytes_match_golden(command, name, tmp_path, capsys):
+    # name is the zoo model, then the command's further options
+    model, *options = name.split()
+    argv = ["zoo", model] if command == "zoo" else [command, "--zoo", model, *options]
     report = tmp_path / "r.json"
-    assert run_command([command, "--zoo", name, "--report", str(report)]) == 0
+    assert run_command([*argv, "--report", str(report)]) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORTS[(command, name)]
 

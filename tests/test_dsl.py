@@ -49,14 +49,14 @@ def test_eps_expansion_two_terms():
     t = m.table
     expect = (GradedPoly.from_symbol(t.symbol("B", (1,), (0,))) -
               GradedPoly.from_symbol(t.symbol("B", (0,), (1,))))
-    assert m.lagrangian.coefficient == expect
+    assert m.lagrangian == expect
 
 
 def test_eps_repeated_letter_is_zero():
     text = "dim 2\nfield A\nL = A*eps[mu,mu]\n"
     m, diags = load_model(text)
     assert not diags
-    assert m.lagrangian.coefficient.is_zero()
+    assert m.lagrangian.is_zero()
 
 
 def test_delta_contraction():
@@ -67,7 +67,7 @@ def test_delta_contraction():
     expect = GradedPoly.zero()
     for i in range(2):
         expect = expect + GradedPoly.from_raw([(1, (t.symbol("v", (i,)),) * 2)])
-    assert m.lagrangian.coefficient == expect
+    assert m.lagrangian == expect
 
 
 def test_index_used_three_times_is_rejected():
@@ -153,7 +153,7 @@ def test_power_notation():
     assert not diags
     t = m.table
     s0 = t.symbol("s", (), (0,))
-    assert m.lagrangian.coefficient == GradedPoly.from_raw(
+    assert m.lagrangian == GradedPoly.from_raw(
         [(Fraction(1, 2), (s0, s0))])
 
 
@@ -171,7 +171,7 @@ def test_minus_between_names_is_subtraction():
     def lagrangian(expr):
         m, diags = load_model(f"dim 1\nfield A\nfield B\nL = {expr}\n")
         assert diags == []
-        return m.lagrangian.coefficient
+        return m.lagrangian
 
     assert lagrangian("2*A-3*B") == lagrangian("2*A - 3*B")
     assert lagrangian("A-B") == lagrangian("A - B")
@@ -192,11 +192,11 @@ def raw_terms(header, expr):
 def test_large_power_is_one_term():
     m, diags = load_model("dim 1\nfield A\nodd-field psi\nL = 2*A^3000\n")
     assert diags == []
-    ((fs, c),) = m.lagrangian.coefficient.terms
+    ((fs, c),) = m.lagrangian.terms
     assert len(fs) == 3000 and len(set(fs)) == 1 and c == 2
     assert len(raw_terms("dim 1\nfield A\n", "A^3000")) == 1
     m, diags = load_model("dim 1\nfield A\nodd-field psi\nL = A*psi^2 + (A*psi)^3\n")
-    assert diags == [] and m.lagrangian.coefficient.is_zero()
+    assert diags == [] and m.lagrangian.is_zero()
 
 
 def test_power_of_sum_has_binomial_coefficients():
@@ -205,7 +205,7 @@ def test_power_of_sum_has_binomial_coefficients():
     assert diags == []
     t = m.table
     A, B = t.symbol("A"), t.symbol("B")
-    assert m.lagrangian.coefficient == GradedPoly.from_raw(
+    assert m.lagrangian == GradedPoly.from_raw(
         [(comb(12, k), (A,) * k + (B,) * (12 - k)) for k in range(13)])
     assert len(raw_terms(header, "(A+B)^12")) == 13
     assert len(raw_terms(header, "(A+B)*(A+B)*(A-B)")) == 4
@@ -214,12 +214,12 @@ def test_power_of_sum_has_binomial_coefficients():
 def test_nesting_within_the_limit_loads():
     depth = dsl._MAX_NESTING
     m, diags = load_model("dim 1\nfield A\nL = " + "(" * depth + "A" + ")" * depth + "\n")
-    assert diags == [] and m.lagrangian.coefficient == GradedPoly.from_symbol(m.table.symbol("A"))
+    assert diags == [] and m.lagrangian == GradedPoly.from_symbol(m.table.symbol("A"))
     text = "dim 1\nfield A\nL = A*" + "d[0](" * depth + "A" + ")" * depth + "\n"
     m, diags = load_model(text)
     assert diags == []
     t = m.table
-    assert m.lagrangian.coefficient == GradedPoly.from_raw(
+    assert m.lagrangian == GradedPoly.from_raw(
         [(1, (t.symbol("A"), t.symbol("A", (), (0,) * depth)))])
 
 
@@ -264,7 +264,7 @@ def test_odd_field_round_trip():
     assert not diags
     assert m.table.decl("psi").parity == 1
     t = m.table
-    assert m.lagrangian.coefficient == GradedPoly.from_raw(
+    assert m.lagrangian == GradedPoly.from_raw(
         [(1, (t.symbol("psi"), t.symbol("psi", (), (0,))))])
     # odd square under the total derivative collapses to zero
     assert total_derivative(GradedPoly.from_raw(
@@ -330,6 +330,8 @@ GOLDEN_DIAGNOSTICS = [
     (H + 'L = s\nstage 0: D[a,0] = sbar(w)[a,0]\n', ['7:10: E-SYNTAX: family indices must be all letters or all integers']),
     (H + 'L = s\nstage 0: D[a,a] = sbar(w)[a,a]\n', ['7:10: E-IDX-ARITY: family indices must be distinct letters']),
     (H + 'L = s\nstage 0: D[1,0] = sbar(w)[0,1]\n', ['7:10: E-SYNTAX: concrete family indices must be strictly increasing']),
+    (H + 'L = s\nstage 0: D[7] = sbar(v)[0]\n', ['7:10: E-IDX-RANGE: index 7 out of range for dim 2']),
+    (H + 'L = s\nstage 0: D[0,2] = sbar(w)[0,1]\n', ['7:10: E-IDX-RANGE: index 2 out of range for dim 2']),
     (H + 'L = s\nstage 0: D[0] = sbar(v)[0]; D[0,1] = sbar(w)[0,1]\n', ["7:29: E-IDX-ARITY: family 'D' redefined with a different arity"]),
     (H + 'L = s*Q\n', ["6:7: E-UNKNOWN-VAR: unknown variable 'Q'"]),
     (H + 'L = sbar(Q)\n', ["6:5: E-UNKNOWN-VAR: unknown variable 'sbar(Q)'"]),
@@ -369,6 +371,8 @@ GOLDEN_DIAGNOSTICS = [
     # ASCII whitespace at the end of a line, or alone on a line, is skipped
     (H + 'L = s  \t\n', []),
     (H + '  \t\nL = s \n  \n', []),
+    # a base dimension below 1
+    ('dim 0\nfield s\nL = s\n', ['1:1: E-SYNTAX: dim N needs N >= 1']),
 ]
 
 
@@ -521,4 +525,4 @@ def test_expansion_matches_the_polynomial_oracle(tree, tight):
         assert m is None and [d.code for d in diags] == [e.code], (text, diags)
         return
     assert diags == [], text
-    assert m.lagrangian.coefficient == want, text
+    assert m.lagrangian == want, text

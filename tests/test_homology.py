@@ -80,13 +80,13 @@ def test_bf2_sector1_kernel_is_the_divergence():
     w = TruncationWindow(1, 1, 1)
     report = homology_dimension(m, delta, delta, w, max_stage_out=-1, max_stage_in=-1)
     assert report.dim_homology == 1
-    rep = report.representatives[0].coefficient
+    rep = report.representatives[0]
     expect = (GradedPoly.from_symbol(t.symbol("sbar(B)", (0,), (0,))) +
               GradedPoly.from_symbol(t.symbol("sbar(B)", (1,), (1,))))
     assert rep == expect
     # no representative involves the antifield of the scalar field
     for r in report.representatives:
-        assert all(f.var.name != "sbar(A)" for fs, _ in r.coefficient.terms for f in fs)
+        assert all(f.var.name != "sbar(A)" for fs, _ in r.terms for f in fs)
 
 
 def test_bf2_sector1_rank_cross_checked_dense():
@@ -163,7 +163,7 @@ def test_generator_candidates():
     assert kt_homology(m2, TruncationWindow(1, 1, 1), max_stage=-1).representatives == ()
     m3 = trivial_model([("x", 0)], n=1)
     reps3 = kt_homology(m3, TruncationWindow(0, 1, 1), max_stage=-1).representatives
-    assert [render_poly(r.coefficient) for r in reps3] == ["sbar(x)"]
+    assert [render_poly(r) for r in reps3] == ["sbar(x)"]
 
 
 def test_window_monotonicity():
@@ -218,10 +218,10 @@ def test_bf3_sector1_cycles_reduce_to_generator_prolongations():
             vec = {fs: c for fs, c in multi_total_derivative(member, mi).terms}
             span.add(vec)
     for rep in report.representatives:
-        rem = span.reduce({fs: c for fs, c in rep.coefficient.terms})
+        rem = span.reduce({fs: c for fs, c in rep.terms})
         assert not rem
         assert all(f.var.name != "sbar(A)"
-                   for fs, _ in rep.coefficient.terms for f in fs)
+                   for fs, _ in rep.terms for f in fs)
 
 
 def test_regularity_probe_bf3():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gaugelab import (
     CoefficientFamily,
-    Density,
     GradedPoly,
     VerticalDerivation,
     apply_prolonged,
@@ -130,7 +129,7 @@ def test_euler_lagrange_kills_divergences():
     for _ in range(100):
         xi = random_poly(RNG, POOL)
         lam = RNG.randint(0, 1)
-        el = euler_lagrange(T, Density(total_derivative(xi, lam)))
+        el = euler_lagrange(T, total_derivative(xi, lam))
         assert all(e.is_zero() for e in el.values())
 
 
@@ -205,16 +204,16 @@ def test_integration_by_parts_residual_is_divergence():
             lhs = lhs + fl * multi_total_derivative(fprime, mi)
             t = multi_total_derivative(fl, mi) * fprime
             rhs = rhs + t if len(mi) % 2 == 0 else rhs - t
-        assert is_dH_exact(Density(lhs - rhs))
+        assert is_dH_exact(lhs - rhs)
 
 
 def test_is_dH_exact_examples():
     s = T.symbol("s")
     s1 = T.symbol("s", (), (1,))
     p = total_derivative(GradedPoly.from_raw([(1, (s, s1))]), 0)
-    assert is_dH_exact(Density(p))
-    assert not is_dH_exact(Density(GradedPoly.from_raw([(1, (s, s))])))
-    assert is_dH_exact(Density(GradedPoly.constant(1)))
+    assert is_dH_exact(p)
+    assert not is_dH_exact(GradedPoly.from_raw([(1, (s, s))]))
+    assert is_dH_exact(GradedPoly.constant(1))
 
 
 def _ghost_derivation(model, parity=1):
@@ -273,7 +272,7 @@ def test_first_variation_residual_examples():
 
 def test_first_variation_residual_randomized():
     for _ in range(100):
-        L = Density(random_poly(RNG, POOL, max_terms=3))
+        L = random_poly(RNG, POOL, max_terms=3)
         par = RNG.randint(0, 1)
         comps = {}
         for nm in ("s", "psi"):

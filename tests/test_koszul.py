@@ -11,6 +11,7 @@ import pytest
 from gaugelab import (
     EvenDerivation,
     GradedPoly,
+    IndexOutOfRange,
     MissingStage,
     UnsupportedCorrection,
     VerticalDerivation,
@@ -163,14 +164,14 @@ def test_nilpotency_identity_equivalence_under_mutation():
 
 def test_extended_lagrangian_examples():
     m = free_scalar_model(2)
-    assert extended_lagrangian(m, -1).coefficient == m.lagrangian.coefficient
+    assert extended_lagrangian(m, -1) == m.lagrangian
 
     m2 = bf_model(2)
     t = m2.table
     le = extended_lagrangian(m2)
-    expect = m2.lagrangian.coefficient + \
+    expect = m2.lagrangian + \
         GradedPoly.from_symbol(t.symbol("c(0)")) * m2.family(0).member(())
-    assert le.coefficient == expect
+    assert le == expect
 
 
 def test_extended_lagrangian_closure():
@@ -296,6 +297,31 @@ def test_supported_correction_shape_accepted():
     assert_canonical_coefficients(generator_g_part(fam, ()))
 
 
+def test_correction_term_enters_the_stage_identity():
+    # L = x*y; D = sbar(x)*x - sbar(y)*y; the bare differential sends
+    # sbar(x)*sbar(y) to D, so E = -cbar(0) + sbar(x)*sbar(y) is an identity
+    # only through its correction term
+    def stage_one(sign):
+        b = ModelBuilder("corrected", 1)
+        b.add_field("x", parity=0)
+        b.add_field("y", parity=0)
+        t = b.table
+        x, y, sx, sy = (t.symbol(name) for name in ("x", "y", "sbar(x)", "sbar(y)"))
+        b.set_lagrangian(GradedPoly.from_raw([(1, (x, y))]))
+        b.add_stage([("D", 0, False, {(): GradedPoly.from_raw([(1, (sx, x)), (-1, (sy, y))])})])
+        b.add_stage([("E", 0, False, {(): GradedPoly.from_raw(
+            [(sign, (t.symbol("cbar(0)"),)), (1, (sx, sy))])})])
+        return b.build()
+
+    m = stage_one(-1)
+    assert identity_witness(m, m.family(1)) is None
+    assert check_nilpotency(build_stage_differential(m)).ok
+    m = stage_one(1)
+    t = m.table
+    assert identity_witness(m, m.family(1)) == ((), GradedPoly.from_raw(
+        [(2, (t.symbol("x"), t.symbol("sbar(x)"))), (-2, (t.symbol("y"), t.symbol("sbar(y)")))]))
+
+
 def test_unsupported_correction_shape_rejected():
     b = ModelBuilder("bad", 1)
     b.add_field("x", parity=0)
@@ -307,6 +333,19 @@ def test_unsupported_correction_shape_rejected():
     with pytest.raises(UnsupportedCorrection):
         b.add_stage([("E", 0, False, {(): GradedPoly.from_raw(
             [(1, (t.symbol("c(0)"), t.symbol("cbar(0)")))])})])
+
+
+@pytest.mark.parametrize("comps", [(7,), (-1,), (), (0, 1)], ids=str)
+def test_member_keys_are_range_checked(comps):
+    # a member key has the family's arity and indices in 0..n-1
+    b = ModelBuilder("keys", 2)
+    b.add_field("A", parity=0, arity=1)
+    b.set_lagrangian(GradedPoly.zero())
+    member = GradedPoly.from_symbol(b.table.symbol("sbar(A)", (0,)))
+    with pytest.raises(IndexOutOfRange):
+        b.add_stage([("D", 1, False, {comps: member})])
+    b.add_stage([("D", 1, False, {(1,): member})])
+    assert b.build().family(0).member((1,)) == member
 
 
 def test_higher_stage_without_previous_stage_is_missing():
@@ -332,7 +371,7 @@ def test_extended_lagrangian_second_form():
                     GradedPoly.from_symbol(t.symbol(ghost, ct)) * \
                     GradedPoly.from_symbol(t.symbol(anti, ct))
         lhs = apply_prolonged(d, pairing)
-        rhs = extended_lagrangian(m).coefficient - m.lagrangian.coefficient
+        rhs = extended_lagrangian(m) - m.lagrangian
         assert lhs == rhs
 
 
