@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GHOST, GradedPoly, JetSymbol, _monomial
+from .algebra import GHOST, GradedPoly, _monomial
 from .errors import GradingMismatch, NotAComplex
-from .jets import VerticalDerivation, apply_prolonged
+from .jets import VerticalDerivation, apply_prolonged, window_jets
 from .koszul import ModelSpec, build_stage_differential
 from .linalg import LinearSpan, kernel_of_columns
-
-from itertools import combinations_with_replacement
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,9 @@ def chain_basis(m: ModelSpec, w: TruncationWindow,
     Ghost variables never enter chains; ``max_stage`` keeps only antifields of
     stage <= max_stage (fields and field antifields count as stage -1).
     """
-    pool: list[JetSymbol] = []
-    for decl in m.table.decls:
-        if decl.kind == GHOST:
-            continue
-        if max_stage is not None and decl.stage > max_stage:
-            continue
-        for ct in m.table.component_tuples(decl):
-            for k in range(w.max_jet_order + 1):
-                for mi in combinations_with_replacement(range(m.n), k):
-                    pool.append(JetSymbol(decl, ct, mi))
-    pool.sort(key=lambda s: s.key)
+    pool = window_jets(m.table, [d for d in m.table.decls if d.kind != GHOST
+                                 and (max_stage is None or d.stage <= max_stage)],
+                       w.max_jet_order)
     max_ant = max((s.var.antifield_number for s in pool), default=0)
     out: list[tuple] = []
 

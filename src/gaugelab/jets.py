@@ -17,7 +17,7 @@ All operations are pure functions of immutable values.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, lcm
 from typing import Iterable, Mapping
 
@@ -97,6 +97,21 @@ def multi_total_derivative(p: GradedPoly, Lam: Iterable[int], n: int | None = No
     for lam in multi_index(Lam):
         out = total_derivative(out, lam, n)
     return out
+
+
+def multi_indices(n: int, max_order: int) -> list[MultiIndex]:
+    """Every derivative multiset over n base directions up to max_order."""
+    return [mi for k in range(max_order + 1)
+            for mi in combinations_with_replacement(range(n), k)]
+
+
+def window_jets(table: VariableTable, decls, max_order: int) -> list[JetSymbol]:
+    """Every jet symbol of the given declarations up to the jet order,
+    sorted by key: the variable pool of a truncation window."""
+    mis = multi_indices(table.n, max_order)
+    return sorted((JetSymbol(decl, ct, mi) for decl in decls
+                   for ct in table.component_tuples(decl) for mi in mis),
+                  key=lambda s: s.key)
 
 
 def variational_derivative(P: GradedPoly, decl: GradedVariableDecl,

@@ -12,7 +12,10 @@ invites inconsistency.
 Stage-0 generator densities are linear in the field antifields.  A stage-k
 density (k >= 1) is a part linear in the stage-(k-1) antifields plus an
 optional correction bilinear in a stage-(k-2) antifield and a field
-antifield; any other shape raises UnsupportedCorrection.
+antifield; any other shape raises UnsupportedCorrection.  ``add_stage``
+splits every member into these two parts once, while it checks the shape,
+and stores the split on the family as ``parts``; the stage identities and
+the ascent operator read it from there.
 """
 
 from __future__ import annotations
@@ -54,26 +57,44 @@ from .jets import (
     eta,
     euler_lagrange,
     is_variational_supersymmetry,
+    multi_indices,
     multi_total_derivative,
     partial_derivative,
+    window_jets,
 )
+from .linalg import LinearSpan
 
 
 class NoetherGeneratorFamily:
-    """One family of stage-k generator densities, indexed by component tuples."""
+    """One family of stage-k generator densities, indexed by component tuples.
 
-    __slots__ = ("stage", "name", "arity", "antisym", "members", "parity")
+    ``antifield`` and ``ghost`` are the family's declarations; ``parts`` maps
+    each member's components to its (linear, correction) split, both in
+    lowest terms, with the member itself as the linear part when it has no
+    correction.
+    """
 
-    def __init__(self, stage, name, arity, antisym, members, parity):
+    __slots__ = ("stage", "name", "arity", "antisym", "members", "parity",
+                 "antifield", "ghost", "parts")
+
+    def __init__(self, stage, name, arity, antisym, members, parity, antifield, ghost,
+                 parts):
         self.stage = stage
         self.name = name
         self.arity = arity
-        self.antisym = antisym if arity >= 2 else False
+        self.antisym = antisym
         self.members = dict(sorted(members.items()))
         self.parity = parity
+        self.antifield = antifield
+        self.ghost = ghost
+        self.parts = parts
 
     def member(self, comps) -> GradedPoly:
         return self.members.get(tuple(comps), GradedPoly.zero())
+
+    def split(self, comps) -> tuple:
+        """The member's (linear, correction) parts; zero for a missing member."""
+        return self.parts.get(tuple(comps), (GradedPoly.zero(),) * 2)
 
     def sorted_members(self):
         return tuple(self.members.items())
@@ -91,18 +112,14 @@ class NoetherGeneratorFamily:
 class ModelSpec:
     """Immutable model: fields, Lagrangian, and the declared generator tower."""
 
-    def __init__(self, name, table, lagrangian, families,
-                 field_antifield, antifield_field, family_antifield,
-                 family_ghost):
+    def __init__(self, name, table, lagrangian, families, field_antifield):
         self.name = name
         self.table = table
         self.lagrangian = lagrangian
         self.families = tuple(sorted(families, key=lambda f: (f.stage, f.name)))
         self._field_antifield = field_antifield      # field decl -> antifield decl
-        self._antifield_field = antifield_field      # antifield decl -> field decl
-        self._family_antifield = family_antifield    # (stage, name) -> antifield decl
-        self._family_ghost = family_ghost            # (stage, name) -> ghost decl
-        self._antifield_family = {d: key for key, d in family_antifield.items()}
+        self._antifield_field = {a: f for f, a in field_antifield.items()}
+        self._antifield_family = {f.antifield: f for f in self.families}
         self._el_cache = None
 
     @property
@@ -133,15 +150,8 @@ class ModelSpec:
     def field_for_antifield(self, decl: GradedVariableDecl) -> GradedVariableDecl:
         return self._antifield_field[decl]
 
-    def family_antifield(self, fam: NoetherGeneratorFamily) -> GradedVariableDecl:
-        return self._family_antifield[(fam.stage, fam.name)]
-
-    def family_ghost(self, fam: NoetherGeneratorFamily) -> GradedVariableDecl:
-        return self._family_ghost[(fam.stage, fam.name)]
-
     def family_for_antifield(self, decl: GradedVariableDecl) -> NoetherGeneratorFamily:
-        stage, name = self._antifield_family[decl]
-        return self.family(stage, name)
+        return self._antifield_family[decl]
 
     def euler_lagrange_map(self) -> dict[JetSymbol, GradedPoly]:
         if self._el_cache is None:
@@ -189,9 +199,6 @@ class ModelBuilder:
         self._lagrangian = GradedPoly.zero()
         self._families: list[NoetherGeneratorFamily] = []
         self._field_antifield = {}
-        self._antifield_field = {}
-        self._family_antifield = {}
-        self._family_ghost = {}
         self._next_stage = 0
 
     def add_field(self, name: str, parity: int = EVEN, arity: int = 0,
@@ -203,7 +210,6 @@ class ModelBuilder:
             antifield_number=1, ghost_number=-1, stage=-1,
             arity=arity, antisym=antisym))
         self._field_antifield[decl] = anti
-        self._antifield_field[anti] = decl
         return decl
 
     def set_lagrangian(self, L: GradedPoly) -> None:
@@ -215,22 +221,29 @@ class ModelBuilder:
 
         ``families`` is a list of (name, arity, antisym, members) where
         members maps component tuples to generator densities written against
-        the current table.
+        the current table.  Every family is checked before any antifield or
+        ghost is declared, so a rejected call leaves the table unchanged.
         """
         stage = self._next_stage
+        n = self.table.n
+        families = list(families)
         built = []
         for fname, arity, antisym, members in families:
-            cleaned = {}
+            antisym = antisym if arity >= 2 else False
+            cleaned, parts = {}, {}
             parity = None
             for comps, poly in members.items():
                 comps = tuple(comps)
-                if len(comps) != arity or not all(0 <= c < self.table.n for c in comps):
-                    raise IndexOutOfRange(f"generator {fname}{list(comps)} needs {arity} "
-                                          f"component indices in 0..{self.table.n - 1}")
+                if (len(comps) != arity or not all(0 <= c < n for c in comps)
+                        or antisym and any(a >= b for a, b in zip(comps, comps[1:]))):
+                    raise IndexOutOfRange(
+                        f"generator {fname}{list(comps)} needs {arity} "
+                        f"{'strictly increasing ' if antisym else ''}"
+                        f"component indices in 0..{n - 1}")
                 self.table.validate_poly(poly)
-                self._check_shape(stage, fname, poly)
+                parts[comps] = _split_member(stage, fname, poly)
+                cleaned[comps] = poly
                 if poly.is_zero():
-                    cleaned[comps] = poly
                     continue
                 g = grading_of(poly)
                 if g == INHOMOGENEOUS:
@@ -239,56 +252,64 @@ class ModelBuilder:
                     parity = g.parity
                 elif parity != g.parity:
                     raise GradingMismatch(f"family {fname} has members of mixed parity")
-                cleaned[comps] = poly
             if parity is None:
                 parity = ODD if stage % 2 == 0 else EVEN
-            built.append(NoetherGeneratorFamily(stage, fname, arity, antisym,
-                                                cleaned, parity))
+            tag = f"{stage}:{fname}" if len(families) > 1 else f"{stage}"
+            anti = GradedVariableDecl(
+                name=f"cbar({tag})", kind=ANTIFIELD, parity=(parity + 1) % 2,
+                antifield_number=stage + 2, ghost_number=-(stage + 2),
+                stage=stage, arity=arity, antisym=antisym)
+            ghost = GradedVariableDecl(
+                name=f"c({tag})", kind=GHOST, parity=parity,
+                antifield_number=0, ghost_number=stage + 1,
+                stage=stage, arity=arity, antisym=antisym)
+            built.append(NoetherGeneratorFamily(stage, fname, arity, antisym, cleaned,
+                                                parity, anti, ghost, parts))
         if not built:
             raise ValueError("a stage needs at least one generator family")
+        names = [d.name for fam in built for d in (fam.antifield, fam.ghost)]
+        for name in names:
+            if names.count(name) > 1 or self.table.has(name):
+                raise ValueError(f"duplicate variable {name!r}")
         built.sort(key=lambda f: f.name)
-        multi = len(built) > 1
         for fam in built:
-            tag = f"{stage}:{fam.name}" if multi else f"{stage}"
-            anti_parity = (fam.parity + 1) % 2
-            anti = self.table.declare(GradedVariableDecl(
-                name=f"cbar({tag})", kind=ANTIFIELD, parity=anti_parity,
-                antifield_number=stage + 2, ghost_number=-(stage + 2),
-                stage=stage, arity=fam.arity, antisym=fam.antisym))
-            ghost = self.table.declare(GradedVariableDecl(
-                name=f"c({tag})", kind=GHOST, parity=(anti_parity + 1) % 2,
-                antifield_number=0, ghost_number=stage + 1,
-                stage=stage, arity=fam.arity, antisym=fam.antisym))
-            self._family_antifield[(stage, fam.name)] = anti
-            self._family_ghost[(stage, fam.name)] = ghost
-            self._families.append(fam)
+            self.table.declare(fam.antifield)
+            self.table.declare(fam.ghost)
+        self._families.extend(built)
         self._next_stage += 1
-
-    def _check_shape(self, stage, fname, poly) -> None:
-        """Stage-k generators: linear in stage-(k-1) antifields, plus an
-        optional stage-(k-2) antifield times field antifield correction."""
-        for fs, _ in poly._terms:
-            anti = [f for f in fs if f.var.kind == ANTIFIELD]
-            stages = sorted(f.var.stage for f in anti)
-            ant = sum(f.var.antifield_number for f in fs)
-            if any(f.var.kind == GHOST for f in fs):
-                raise UnsupportedCorrection(
-                    f"generator {fname} (stage {stage}) contains a ghost")
-            if ant != stage + 1:
-                raise GradingMismatch(
-                    f"generator {fname} (stage {stage}) has a term of antifield "
-                    f"number {ant}, expected {stage + 1}")
-            if stages == [stage - 1]:
-                continue
-            if stage >= 1 and stages == sorted([stage - 2, -1]):
-                continue
-            raise UnsupportedCorrection(
-                f"generator {fname} (stage {stage}) has an unsupported term shape")
 
     def build(self) -> ModelSpec:
         return ModelSpec(self.name, self.table, self._lagrangian, self._families,
-                         self._field_antifield, self._antifield_field,
-                         self._family_antifield, self._family_ghost)
+                         self._field_antifield)
+
+
+def _split_member(stage, fname, poly) -> tuple:
+    """A stage-k member's (linear, correction) parts: the terms linear in
+    stage-(k-1) antifields, and the optional stage-(k-2) antifield times
+    field antifield terms.  Any other term shape is rejected."""
+    linear, correction = [], []
+    for term in poly._terms:
+        fs = term[0]
+        if any(f.var.kind == GHOST for f in fs):
+            raise UnsupportedCorrection(
+                f"generator {fname} (stage {stage}) contains a ghost")
+        ant = sum(f.var.antifield_number for f in fs)
+        if ant != stage + 1:
+            raise GradingMismatch(
+                f"generator {fname} (stage {stage}) has a term of antifield "
+                f"number {ant}, expected {stage + 1}")
+        stages = sorted(f.var.stage for f in fs if f.var.kind == ANTIFIELD)
+        if stages == [stage - 1]:
+            linear.append(term)
+        elif stage >= 1 and stages == sorted([stage - 2, -1]):
+            correction.append(term)
+        else:
+            raise UnsupportedCorrection(
+                f"generator {fname} (stage {stage}) has an unsupported term shape")
+    if not correction:
+        return poly, GradedPoly.zero()
+    # a subset of the terms can have a larger common factor than all of them
+    return _reduced(tuple(linear), poly._den), _reduced(tuple(correction), poly._den)
 
 
 def build_stage_differential(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
@@ -309,10 +330,9 @@ def build_stage_differential(m: ModelSpec, N: int | None = None) -> VerticalDeri
     for fam in m.families:
         if fam.stage > N:
             continue
-        anti = m.family_antifield(fam)
         for ct, member in fam.sorted_members():
             if not member.is_zero():
-                comps[JetSymbol(anti, ct)] = member
+                comps[JetSymbol(fam.antifield, ct)] = member
     return VerticalDerivation(comps, parity=ODD, side=RIGHT,
                               antifield_delta=-1, ghost_delta=1)
 
@@ -347,20 +367,6 @@ def _self_application(v: VerticalDerivation) -> NilpotencyResult:
     return NilpotencyResult(True, None)
 
 
-def generator_g_part(fam: NoetherGeneratorFamily, comps) -> GradedPoly:
-    """Monomials of the member linear in the previous level of antifields."""
-    member = fam.member(comps)
-    want_stage = fam.stage - 1
-    keep = tuple((fs, c) for fs, c in member._terms
-                 if any(f.var.kind == ANTIFIELD and f.var.stage == want_stage for f in fs))
-    # a subset of the terms can have a larger common factor than all of them
-    return _reduced(keep, member._den)
-
-
-def generator_h_part(fam: NoetherGeneratorFamily, comps) -> GradedPoly:
-    return fam.member(comps) - generator_g_part(fam, comps)
-
-
 def _linear_antifield_coefficients(poly: GradedPoly, stage: int):
     """(antifield jet symbol, right-partial coefficient) pairs, sorted."""
     syms = sorted((s for s in poly.symbols()
@@ -372,26 +378,25 @@ def _linear_antifield_coefficients(poly: GradedPoly, stage: int):
 def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedPoly:
     """The left-hand side of the stage identity for one family member.
 
-    The coefficients of the member's antifield-linear part against the
-    stage-(k-1) antifields, contracted with the total derivatives of what
+    The coefficients of the member's linear part (``fam.parts``) against
+    the stage-(k-1) antifields, contracted with the total derivatives of what
     each antifield resolves: the Euler-Lagrange expression for a field
-    antifield, the previous family's antifield-linear part otherwise.  At
-    stage k >= 1 the bare differential applied to the correction term is
-    added; stage-0 members have no correction.
+    antifield, the previous family member's linear part otherwise.  The bare
+    differential applied to the correction is added when there is one;
+    stage-0 members have none.
     """
     m.resolve_stage(fam.stage - 1)
+    linear, correction = fam.split(comps)
     parts = []
-    for sym, coeff in _linear_antifield_coefficients(generator_g_part(fam, comps),
-                                                     fam.stage - 1):
+    for sym, coeff in _linear_antifield_coefficients(linear, fam.stage - 1):
         if fam.stage == 0:
             inner = m.euler_lagrange_map()[JetSymbol(m.field_for_antifield(sym.var),
                                                      sym.components)]
         else:
-            inner = generator_g_part(m.family_for_antifield(sym.var), sym.components)
+            inner = m.family_for_antifield(sym.var).split(sym.components)[0]
         parts.append(coeff * multi_total_derivative(inner, sym.derivative))
-    hpart = generator_h_part(fam, comps) if fam.stage else GradedPoly.zero()
-    if not hpart.is_zero():
-        parts.append(apply_prolonged(build_stage_differential(m, -1), hpart))
+    if not correction.is_zero():
+        parts.append(apply_prolonged(build_stage_differential(m, -1), correction))
     return poly_sum(parts)
 
 
@@ -416,10 +421,9 @@ def extended_lagrangian(m: ModelSpec, N: int | None = None) -> GradedPoly:
     for fam in m.families:
         if fam.stage > N:
             continue
-        ghost = m.family_ghost(fam)
         for ct, member in fam.sorted_members():
             if not member.is_zero():
-                parts.append(GradedPoly.from_symbol(JetSymbol(ghost, ct)) * member)
+                parts.append(GradedPoly.from_symbol(JetSymbol(fam.ghost, ct)) * member)
     return poly_sum(parts)
 
 
@@ -436,21 +440,20 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
     for fam in m.families:
         if fam.stage > N:
             continue
-        ghost = m.family_ghost(fam)
         for fcomps, member in fam.sorted_members():
             if member.is_zero():
                 continue
             groups: dict[tuple, dict] = {}
-            for sym, coeff in _linear_antifield_coefficients(generator_g_part(fam, fcomps),
+            for sym, coeff in _linear_antifield_coefficients(fam.parts[fcomps][0],
                                                              fam.stage - 1):
                 key = (sym.var, sym.components)
                 groups.setdefault(key, {})[sym.derivative] = coeff
             for (anti_decl, acomps), family_map in groups.items():
                 e = eta(CoefficientFamily(family_map))
                 target_decl = (m.field_for_antifield(anti_decl) if fam.stage == 0
-                               else m.family_ghost(m.family_for_antifield(anti_decl)))
+                               else m.family_for_antifield(anti_decl).ghost)
                 parts.setdefault(JetSymbol(target_decl, acomps), []).extend(
-                    GradedPoly.from_symbol(JetSymbol(ghost, fcomps, Lam)) * coeff
+                    GradedPoly.from_symbol(JetSymbol(fam.ghost, fcomps, Lam)) * coeff
                     for Lam, coeff in e.items)
     return VerticalDerivation({sym: poly_sum(ps) for sym, ps in parts.items()},
                               parity=ODD, side=LEFT, antifield_delta=0, ghost_delta=1)
@@ -527,8 +530,6 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
     means "not found at this window": enlarging the window can only grow the
     span, never shrink it.
     """
-    from .linalg import LinearSpan
-
     if p.is_zero():
         return OnShellResult(p, True)
     g = grading_of(p)
@@ -541,16 +542,8 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
     if max_jet_order is None:
         max_jet_order = p.max_jet_order() + max(e.max_jet_order()
                                                 for e in nonzero_el.values())
-    n = m.n
-    mis = [()]
-    for k in range(1, max_jet_order + 1):
-        mis.extend(combinations_with_replacement(range(n), k))
-    pool = []
-    for decl in m.table.decls:
-        for ct in m.table.component_tuples(decl):
-            for mi in mis:
-                pool.append(JetSymbol(decl, ct, mi))
-    pool.sort(key=lambda s: s.key)
+    mis = multi_indices(m.n, max_jet_order)
+    pool = window_jets(m.table, m.table.decls, max_jet_order)
 
     span = LinearSpan()
     generators = []

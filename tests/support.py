@@ -148,6 +148,72 @@ def rescaled_tower(n, lagrangian_factor, stage_factors):
     return b.build()
 
 
+def split_model(rng, max_den=12):
+    """A builder model over one base direction whose stage-1 and stage-2
+    members mix terms linear in the previous stage's antifields with
+    correction terms, with coefficient denominators up to max_den."""
+    from gaugelab import ModelBuilder
+
+    b = ModelBuilder("split", 1)
+    b.add_field("x", parity=0)
+    b.add_field("y", parity=0)
+    t = b.table
+    fields = jet_pool(t, ["x", "y"], 1)
+    sbar = jet_pool(t, ["sbar(x)", "sbar(y)"], 1)
+    b.set_lagrangian(random_poly(rng, fields, max_terms=3, max_den=max_den))
+
+    def member(linear_heads, correction_heads):
+        raw = []
+        for heads, count in ((linear_heads, rng.randint(0, 3)),
+                             (correction_heads, rng.randint(0, 2) if correction_heads else 0)):
+            for _ in range(count):
+                mono = tuple(rng.choice(fields) for _ in range(rng.randint(0, 2)))
+                coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, max_den))
+                raw.append((coeff, rng.choice(heads) + mono))
+        return GradedPoly.from_raw(raw)
+
+    b.add_stage([("D", 0, False, {(): member([(s,) for s in sbar], [])})])
+    cbar0 = jet_pool(t, ["cbar(0)"], 1)
+    b.add_stage([("E", 0, False, {(): member([(c,) for c in cbar0],
+                                             list(combinations(sbar, 2)))})])
+    b.add_stage([("F", 0, False, {(): member([(c,) for c in jet_pool(t, ["cbar(1)"], 1)],
+                                             [(c, s) for c in cbar0 for s in sbar])})])
+    return b.build()
+
+
+def oracle_split(stage, member):
+    """(linear, correction) of a stage-k member by a term filter: the linear
+    part is every term with a stage-(k-1) antifield factor, the correction
+    is the member minus it."""
+    linear = GradedPoly.from_raw(
+        (c, fs) for fs, c in member.terms
+        if any(f.var.kind == "antifield" and f.var.stage == stage - 1 for f in fs))
+    return linear, member - linear
+
+
+def oracle_identity_defect(m, fam, comps):
+    """The stage identity of one member, recomputed from oracle_split."""
+    from gaugelab import (apply_prolonged, build_stage_differential,
+                          multi_total_derivative, partial_derivative)
+
+    linear, correction = oracle_split(fam.stage, fam.member(comps))
+    parts = []
+    for s in sorted(linear.symbols(), key=lambda s: s.key):
+        if s.var.kind != "antifield" or s.var.stage != fam.stage - 1:
+            continue
+        if fam.stage == 0:
+            inner = m.euler_lagrange_map()[m.table.symbol(m.field_for_antifield(s.var),
+                                                          s.components)]
+        else:
+            prev = next(f for f in m.families if f.antifield is s.var)
+            inner = oracle_split(prev.stage, prev.member(s.components))[0]
+        parts.append(partial_derivative(linear, s, "right")
+                     * multi_total_derivative(inner, s.derivative))
+    if not correction.is_zero():
+        parts.append(apply_prolonged(build_stage_differential(m, -1), correction))
+    return poly_sum(parts)
+
+
 def flip_first_term(poly):
     fs, c = poly.terms[0]
     from gaugelab import GradedPoly

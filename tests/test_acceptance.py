@@ -223,8 +223,8 @@ def expected_descent_components(m):
     fams = {fam.stage: fam for fam in m.families}
     expect = {}
     for stage in range(m.max_stage + 1):
-        ghost = m.family_ghost(fams[stage])
-        target = t.decl("B") if stage == 0 else m.family_ghost(fams[stage - 1])
+        ghost = fams[stage].ghost
+        target = t.decl("B") if stage == 0 else fams[stage - 1].ghost
         for comps in t.component_tuples(target):
             acc = GradedPoly.zero()
             for pos, mu in enumerate(comps):

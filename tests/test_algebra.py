@@ -95,9 +95,9 @@ def test_grading_of_examples():
 def test_stage_antifield_grading():
     # the generator antifields of a stage-0 family carry antifield number 2
     fam = M.families[0]
-    anti = M.family_antifield(fam)
+    anti = fam.antifield
     assert anti.antifield_number == 2
-    ghost = M.family_ghost(fam)
+    ghost = fam.ghost
     assert ghost.ghost_number == 1
     assert ghost.parity == (anti.parity + 1) % 2
 

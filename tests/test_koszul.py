@@ -7,6 +7,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugelab import (
     EvenDerivation,
@@ -32,12 +34,15 @@ from gaugelab import (
     trivial_model,
     verify_variational_supersymmetry,
 )
-from gaugelab.koszul import ModelBuilder, generator_g_part, generator_h_part
+from gaugelab.koszul import ModelBuilder
 from support import (
     assert_canonical_coefficients,
     drop_first_term,
     flip_first_term,
+    oracle_identity_defect,
+    oracle_split,
     rebuild_with_mutation,
+    split_model,
 )
 
 RNG = random.Random(5)
@@ -199,11 +204,11 @@ def expected_bf_ascent(m):
     fams = {fam.stage: fam for fam in m.families}
     for stage in range(m.max_stage + 1):
         fam = fams[stage]
-        ghost = m.family_ghost(fam)
+        ghost = fam.ghost
         if stage == 0:
             target_decl = t.decl("B")
         else:
-            target_decl = m.family_ghost(fams[stage - 1])
+            target_decl = fams[stage - 1].ghost
         for comps in t.component_tuples(target_decl):
             acc = GradedPoly.zero()
             for pos, mu in enumerate(comps):
@@ -293,8 +298,29 @@ def test_supported_correction_shape_accepted():
     assert m.max_stage == 1
     # over the member's denominator 6 each part keeps its own lowest terms
     fam = m.families_at(1)[0]
-    assert generator_g_part(fam, ()) == g and generator_h_part(fam, ()) == h
-    assert_canonical_coefficients(generator_g_part(fam, ()))
+    assert fam.parts[()] == (g, h)
+    assert_canonical_coefficients(fam.parts[()][0])
+    assert_canonical_coefficients(fam.parts[()][1])
+    # a member with no correction term is its own linear part
+    stage0 = m.families_at(0)[0]
+    assert stage0.parts[()][0] is stage0.member(()) and stage0.parts[()][1].is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_member_split_matches_term_filter(seed):
+    m = split_model(random.Random(seed))
+    for fam in m.families:
+        for comps, member in fam.sorted_members():
+            linear, correction = fam.parts[comps]
+            assert linear + correction == member
+            assert_canonical_coefficients(linear)
+            assert_canonical_coefficients(correction)
+            want = oracle_split(fam.stage, member)
+            assert (linear, correction) == want
+            if want[1].is_zero():
+                assert linear is member
+            assert identity_defect(m, fam, comps) == oracle_identity_defect(m, fam, comps)
 
 
 def test_correction_term_enters_the_stage_identity():
@@ -348,6 +374,52 @@ def test_member_keys_are_range_checked(comps):
     assert b.build().family(0).member((1,)) == member
 
 
+def _antisym_builder():
+    b = ModelBuilder("keys", 3)
+    b.add_field("A", parity=0, arity=2, antisym=True)
+    b.set_lagrangian(GradedPoly.zero())
+    return b, GradedPoly.from_symbol(b.table.symbol("sbar(A)", (0, 1)))
+
+
+def test_antisymmetric_member_key_must_increase():
+    # (1, 0) names no antisymmetric component; it is rejected up front, not
+    # later by symbol interning inside the checks
+    b, member = _antisym_builder()
+    for comps in ((1, 0), (1, 1)):
+        with pytest.raises(IndexOutOfRange):
+            b.add_stage([("D", 2, True, {comps: member})])
+    b.add_stage([("D", 2, True, {(0, 1): member})])
+    assert all(r.ok for r in run_checks(b.build()))
+
+
+def test_duplicate_family_name_declares_nothing():
+    b, member = _antisym_builder()
+    good = ("D", 2, True, {(0, 1): member})
+    with pytest.raises(ValueError, match="duplicate variable 'cbar"):
+        b.add_stage([good, good])
+    # a retried call declares exactly one antifield and one ghost
+    b.add_stage([good])
+    assert [d.name for d in b.build().table.decls] == ["A", "sbar(A)", "cbar(0)", "c(0)"]
+
+
+def test_rejected_stage_leaves_table_unchanged():
+    # every family of a call is checked before anything is declared, so a
+    # failure in a later family leaves no orphan antifield or ghost behind
+    b, member = _antisym_builder()
+    t = b.table
+    b.add_stage([("D", 2, True, {(0, 1): member})])
+    lifted = GradedPoly.from_symbol(t.symbol("cbar(0)", (0, 1)))
+    good = ("D", 2, True, {(0, 1): lifted})
+    ghost = GradedPoly.from_symbol(t.symbol("c(0)", (0, 1)))
+    before = t.decls
+    for second, error in ((good, ValueError),
+                          (("E", 2, True, {(1, 0): lifted}), IndexOutOfRange),
+                          (("E", 2, True, {(0, 1): ghost}), UnsupportedCorrection)):
+        with pytest.raises(error):
+            b.add_stage([good, second])
+        assert t.decls == before
+
+
 def test_higher_stage_without_previous_stage_is_missing():
     m = bf_model(4)
     with pytest.raises(MissingStage):
@@ -364,8 +436,8 @@ def test_extended_lagrangian_second_form():
         d = build_stage_differential(m)
         pairing = GradedPoly.zero()
         for fam in m.families:
-            ghost = m.family_ghost(fam)
-            anti = m.family_antifield(fam)
+            ghost = fam.ghost
+            anti = fam.antifield
             for ct, _ in fam.sorted_members():
                 pairing = pairing + \
                     GradedPoly.from_symbol(t.symbol(ghost, ct)) * \

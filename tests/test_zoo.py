@@ -40,8 +40,8 @@ def test_bf_tower_gradings():
     assert m.max_stage == 2
     for k in range(3):
         fam = m.family(k)
-        anti = m.family_antifield(fam)
-        ghost = m.family_ghost(fam)
+        anti = fam.antifield
+        ghost = fam.ghost
         assert anti.antifield_number == k + 2
         assert anti.parity == k % 2
         assert ghost.ghost_number == k + 1
