@@ -31,7 +31,10 @@ needs no cyclic garbage collection; a declaration that outlives its table
 interns afresh, into symbols equal by value to the old ones.
 
 All values here are immutable and hashable and may be shared freely between
-threads or worker processes.
+threads or worker processes.  A polynomial's derivative memo (filled by
+``jets.total_derivative``) is a benign, idempotent cache: two threads racing
+on one entry store equal values, and it takes no part in equality, hashing,
+``repr`` or pickling.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def _accumulate(raw: Iterable[tuple]) -> dict:
     """
     acc: dict[Factors, Fraction] = {}
     for coeff, factors in raw:
-        q = coeff if coeff.__class__ is Fraction else Fraction(coeff)
+        q = _fraction(coeff)
         if q == 0:
             continue
         r = _canon_factors(factors)
@@ -272,9 +275,10 @@ class GradedPoly:
 
     ``_terms`` holds (factors, nonzero int numerator) pairs in canonical
     order over the positive common denominator ``_den``, in lowest terms.
+    ``_d`` is None or the derivative memo, direction -> total derivative.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_d")
 
     def __init__(self, terms: Iterable[tuple] = ()):
         """From (canonical factor tuple, rational) pairs with distinct factor
@@ -286,12 +290,14 @@ class GradedPoly:
         items.sort(key=_term_key)
         self._terms = tuple(items)
         self._den = den if items else 1
+        self._d = None
 
     @classmethod
     def _from_dict(cls, acc: Mapping[Factors, int], den: int) -> "GradedPoly":
         """The polynomial of acc's int numerators over den; zeros are dropped."""
         items = [(fs, c) for fs, c in acc.items() if c]
-        items.sort(key=_term_key)
+        if len(items) > 1:
+            items.sort(key=_term_key)
         return _reduced(tuple(items), den)
 
     @classmethod
@@ -330,6 +336,9 @@ class GradedPoly:
     def __hash__(self) -> int:
         return hash((self._terms, self._den))
 
+    def __reduce__(self):
+        return (_make, (self._terms, self._den))
+
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         return poly_sum((self, other)) if isinstance(other, GradedPoly) else NotImplemented
 
@@ -340,22 +349,19 @@ class GradedPoly:
         return _make(tuple((fs, -c) for fs, c in self._terms), self._den)
 
     def scale(self, q) -> "GradedPoly":
-        if q == 1:
-            return self
-        if q == -1:
-            return -self
-        q = _rational(q)
-        if not q:
-            return _ZERO
-        num = q.numerator
-        return _reduced(tuple((fs, c * num) for fs, c in self._terms),
-                        self._den * q.denominator)
+        return self * _monomial((), q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
+        for a, b in ((self, other), (other, self)):
+            if len(b._terms) == 1 and not b._terms[0][0]:   # b is a constant: scale a
+                num, den = b._terms[0][1], b._den
+                if den == 1 and (num == 1 or num == -1):
+                    return a if num == 1 else -a
+                return _reduced(tuple((fs, c * num) for fs, c in a._terms), a._den * den)
         acc: dict[Factors, int] = {}
         for fa, ca in self._terms:
             for fb, cb in other._terms:
@@ -396,12 +402,18 @@ def _make(terms: tuple, den: int) -> GradedPoly:
     p = object.__new__(GradedPoly)
     p._terms = terms
     p._den = den
+    p._d = None
     return p
 
 
 def _rational(c):
     """c itself when it is an int or a Fraction, else Fraction(c)."""
     return c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
+
+
+def _fraction(c) -> Fraction:
+    """c itself when it is a Fraction, else Fraction(c)."""
+    return c if c.__class__ is Fraction else Fraction(c)
 
 
 def _monomial(fs: Factors, coeff) -> GradedPoly:
@@ -432,6 +444,8 @@ def poly_sum(polys: Iterable[GradedPoly]) -> GradedPoly:
     and sum it once rather than adding them one at a time.
     """
     polys = list(polys)
+    if len(polys) == 1:
+        return polys[0]
     den = lcm(*[p._den for p in polys])
     acc: dict[Factors, int] = {}
     for p in polys:
@@ -480,17 +494,13 @@ def grading_of(p: GradedPoly):
     """
     grading = None
     for fs, _ in p._terms:
-        g = term_grading(fs)
+        g = Grading(_term_parity(fs), sum(f.var.antifield_number for f in fs),
+                    sum(f.var.ghost_number for f in fs))
         if grading is None:
             grading = g
         elif grading != g:
             return INHOMOGENEOUS
     return grading if grading is not None else Grading(0, 0, 0)
-
-
-def term_grading(fs: Factors) -> Grading:
-    return Grading(_term_parity(fs), sum(f.var.antifield_number for f in fs),
-                   sum(f.var.ghost_number for f in fs))
 
 
 def _coeff_str(q: Fraction) -> str:

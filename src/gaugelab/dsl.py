@@ -629,6 +629,7 @@ def elaborate(doc: ModelDocument, name: str = "model"):
         for fd in defs:
             grouped.setdefault(fd.name, []).append(fd)
         fams = []
+        origin = {}   # (family name, components) -> position of its first definition
         ok = True
         for famname in sorted(grouped):
             members: dict[tuple, list] = {}
@@ -642,6 +643,7 @@ def elaborate(doc: ModelDocument, name: str = "model"):
                                 f"family {famname!r} redefined with a different arity")
                     for comps, env in _member_assignments(ex, fd, doc.dim):
                         members.setdefault(comps, []).extend(ex.eval(fd.expr, env))
+                        origin.setdefault((famname, comps), fd.pos)
                 except _Bail:
                     ok = False
                 except RecursionError:
@@ -658,7 +660,7 @@ def elaborate(doc: ModelDocument, name: str = "model"):
         try:
             builder.add_stage(fams)
         except GaugelabError as e:
-            diags.append(Diagnostic(1, 1, "E-SHAPE", str(e)))
+            diags.append(Diagnostic(*origin[e.member], "E-SHAPE", str(e)))
             return None, diags
     return builder.build(), diags
 

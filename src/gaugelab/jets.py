@@ -12,13 +12,13 @@ Total-divergence detection works on a single contractible chart: a density is
 a total divergence exactly when all of its variational derivatives vanish.
 No boundary-term witness is produced.
 
-All operations are pure functions of immutable values.
+All operations are pure; total derivatives are memoised on the polynomial.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -29,6 +29,7 @@ from .algebra import (
     JetSymbol,
     MultiIndex,
     VariableTable,
+    _ZERO,
     _canon_factors,
     _merge,
     _term_parity,
@@ -76,11 +77,22 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
 
 
 def total_derivative(p: GradedPoly, lam: int, n: int | None = None) -> GradedPoly:
-    """Total derivative d_lam: raises each factor's derivative multiset."""
+    """Total derivative d_lam: raises each factor's derivative multiset.
+    Memoised on p: a later call for the same p and lam returns this object."""
     if lam < 0 or (n is not None and lam >= n):
         raise IndexOutOfRange(f"derivative index {lam} out of range")
+    terms = p._terms
+    if not terms or not terms[-1][0]:   # a constant: the empty monomial sorts first
+        return _ZERO
+    memo = p._d
+    if memo is None:
+        memo = p._d = {}
+    else:
+        out = memo.get(lam)
+        if out is not None:
+            return out
     acc: dict[Factors, int] = {}
-    for fs, c in p._terms:
+    for fs, c in terms:
         for i, f in enumerate(fs):
             raw = fs[:i] + (f.raised(lam),) + fs[i + 1:]
             r = _canon_factors(raw)
@@ -88,7 +100,8 @@ def total_derivative(p: GradedPoly, lam: int, n: int | None = None) -> GradedPol
                 continue
             sign, out = r
             _merge(acc, out, c if sign > 0 else -c)
-    return GradedPoly._from_dict(acc, p._den)
+    out = memo[lam] = GradedPoly._from_dict(acc, p._den)
+    return out
 
 
 def multi_total_derivative(p: GradedPoly, Lam: Iterable[int], n: int | None = None):
@@ -172,14 +185,6 @@ class CoefficientFamily:
                 return p
         return GradedPoly.zero()
 
-    @property
-    def support(self) -> tuple:
-        return tuple(mi for mi, _ in self._items)
-
-    @property
-    def max_order(self) -> int:
-        return max((len(mi) for mi, _ in self._items), default=0)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CoefficientFamily) and self._items == other._items
 
@@ -191,20 +196,17 @@ class CoefficientFamily:
         return f"CoefficientFamily({{{body}}})"
 
 
-def _sub_multisets(mi: MultiIndex):
-    """(sub, complement, multiplicity) triples; multiplicity is the product of
-    per-index binomial coefficients counting the ways to split the multiset."""
-    idxs = sorted(set(mi))
-    mults = [mi.count(i) for i in idxs]
+def eta_splits(M: MultiIndex):
+    """(sigma, lam, w) for each split of the multiset M into sigma and lam:
+    eta sends w * d_sigma of the order-M coefficient to order lam, where w is
+    (-1)^|M| times the product of per-index binomial coefficients."""
+    idxs = sorted(set(M))
+    mults = [M.count(i) for i in idxs]
+    sign = -1 if len(M) % 2 else 1
     for choice in product(*(range(m + 1) for m in mults)):
-        sub = []
-        rest = []
-        ways = 1
-        for i, m, c in zip(idxs, mults, choice):
-            sub.extend([i] * c)
-            rest.extend([i] * (m - c))
-            ways *= comb(m, c)
-        yield tuple(sub), tuple(rest), ways
+        sigma = tuple(i for i, c in zip(idxs, choice) for _ in range(c))
+        lam = tuple(i for i, m, c in zip(idxs, mults, choice) for _ in range(m - c))
+        yield sigma, lam, sign * prod(map(comb, mults, choice))
 
 
 def eta(fam: CoefficientFamily) -> CoefficientFamily:
@@ -214,26 +216,21 @@ def eta(fam: CoefficientFamily) -> CoefficientFamily:
     polynomial p; on multiset-indexed families the splitting multiplicity is
     the product of per-index binomial coefficients.  Satisfies eta(eta(f)) = f.
     """
-    parts: list[tuple] = []
-    for M, f in fam.items:
-        sign = 1 if len(M) % 2 == 0 else -1
-        for sigma, lam, ways in _sub_multisets(M):
-            parts.append((lam, multi_total_derivative(f, sigma).scale(sign * ways)))
-    return CoefficientFamily(parts)
+    return CoefficientFamily((lam, multi_total_derivative(f, sigma).scale(w))
+                             for M, f in fam.items for sigma, lam, w in eta_splits(M))
 
 
 class VerticalDerivation:
     """A vertical graded derivation given by its zero-order components.
 
     The action on a derived symbol v_(L) is the L-th total derivative of the
-    component on v; the prolongation is implied, never stored.  ``side``
+    component on v, read from the component's derivative memo.  ``side``
     selects the left or the right Leibniz rule.  Missing components act as
     zero.  Treat instances as immutable.  ``den`` is the lcm of the
     components' denominators; every image's denominator divides it.
     """
 
-    __slots__ = ("parity", "side", "components", "antifield_delta", "ghost_delta", "den",
-                 "_cache")
+    __slots__ = ("parity", "side", "components", "antifield_delta", "ghost_delta", "den")
 
     def __init__(self, components: Mapping[JetSymbol, GradedPoly], parity: int,
                  side: str = LEFT, antifield_delta: int = 0, ghost_delta: int = 0):
@@ -257,7 +254,6 @@ class VerticalDerivation:
         self.antifield_delta = antifield_delta
         self.ghost_delta = ghost_delta
         self.den = lcm(*[p._den for p in cleaned.values()])
-        self._cache: dict[JetSymbol, GradedPoly] = {}
 
     def is_zero(self) -> bool:
         return not self.components
@@ -265,15 +261,7 @@ class VerticalDerivation:
     def image(self, sym: JetSymbol) -> GradedPoly | None:
         """Prolonged action on one jet symbol, or None when the component is zero."""
         base = self.components.get(sym.zero_order())
-        if base is None:
-            return None
-        if not sym.derivative:
-            return base
-        cached = self._cache.get(sym)
-        if cached is None:
-            cached = multi_total_derivative(base, sym.derivative)
-            self._cache[sym] = cached
-        return cached
+        return None if base is None else multi_total_derivative(base, sym.derivative)
 
     def sorted_components(self):
         return tuple(self.components.items())
@@ -282,25 +270,20 @@ class VerticalDerivation:
 def apply_prolonged(v: VerticalDerivation, P: GradedPoly) -> GradedPoly:
     """Apply the prolonged derivation with the graded Leibniz rule of v.side."""
     vden = v.den
+    right = v.side == RIGHT
     acc: dict[Factors, int] = {}
     for fs, c in P._terms:
-        if v.side == LEFT:
-            pref = 0
-            for i, f in enumerate(fs):
-                img = v.image(f)
-                if img is not None:
-                    sign = -1 if (v.parity and pref & 1) else 1
-                    _insert_image(acc, fs, i, img, (c if sign > 0 else -c) * (vden // img._den))
-                pref ^= f.parity
-        else:
-            suffix = [0] * (len(fs) + 1)
-            for i in range(len(fs) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] ^ fs[i].parity
-            for i, f in enumerate(fs):
-                img = v.image(f)
-                if img is not None:
-                    sign = -1 if (v.parity and suffix[i + 1] & 1) else 1
-                    _insert_image(acc, fs, i, img, (c if sign > 0 else -c) * (vden // img._den))
+        # parity of the factors v crosses: before f (left rule) or after f (right)
+        crossed = _term_parity(fs) if right else 0
+        for i, f in enumerate(fs):
+            if right:
+                crossed ^= f.parity
+            img = v.image(f)
+            if img is not None:
+                sign = -1 if (v.parity and crossed) else 1
+                _insert_image(acc, fs, i, img, (c if sign > 0 else -c) * (vden // img._den))
+            if not right:
+                crossed ^= f.parity
     return GradedPoly._from_dict(acc, P._den * vden)
 
 

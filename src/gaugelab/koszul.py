@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .algebra import (
     ANTIFIELD,
@@ -35,7 +36,11 @@ from .algebra import (
     JetSymbol,
     ODD,
     VariableTable,
+    _canon_factors,
+    _merge,
+    _monomial,
     _reduced,
+    _term_parity,
     factor_str,
     grading_of,
     poly_sum,
@@ -43,6 +48,7 @@ from .algebra import (
 )
 from .errors import (
     EvenDerivation,
+    GaugelabError,
     GradingMismatch,
     IndexOutOfRange,
     MissingStage,
@@ -51,10 +57,9 @@ from .errors import (
 from .jets import (
     LEFT,
     RIGHT,
-    CoefficientFamily,
     VerticalDerivation,
     apply_prolonged,
-    eta,
+    eta_splits,
     euler_lagrange,
     is_variational_supersymmetry,
     multi_indices,
@@ -222,7 +227,8 @@ class ModelBuilder:
         ``families`` is a list of (name, arity, antisym, members) where
         members maps component tuples to generator densities written against
         the current table.  Every family is checked before any antifield or
-        ghost is declared, so a rejected call leaves the table unchanged.
+        ghost is declared, so a rejected call leaves the table unchanged.  A
+        rejected member's error carries ``member``: (family name, components).
         """
         stage = self._next_stage
         n = self.table.n
@@ -234,24 +240,26 @@ class ModelBuilder:
             parity = None
             for comps, poly in members.items():
                 comps = tuple(comps)
-                if (len(comps) != arity or not all(0 <= c < n for c in comps)
-                        or antisym and any(a >= b for a, b in zip(comps, comps[1:]))):
-                    raise IndexOutOfRange(
-                        f"generator {fname}{list(comps)} needs {arity} "
-                        f"{'strictly increasing ' if antisym else ''}"
-                        f"component indices in 0..{n - 1}")
-                self.table.validate_poly(poly)
-                parts[comps] = _split_member(stage, fname, poly)
+                try:
+                    if (len(comps) != arity or not all(0 <= c < n for c in comps)
+                            or antisym and any(a >= b for a, b in zip(comps, comps[1:]))):
+                        raise IndexOutOfRange(
+                            f"generator {fname}{list(comps)} needs {arity} "
+                            f"{'strictly increasing ' if antisym else ''}"
+                            f"component indices in 0..{n - 1}")
+                    self.table.validate_poly(poly)
+                    parts[comps] = _split_member(stage, fname, poly)
+                    g = grading_of(poly)
+                    if g == INHOMOGENEOUS:
+                        raise GradingMismatch(f"generator {fname}{comps} has mixed parity")
+                    if poly and parity not in (None, g.parity):
+                        raise GradingMismatch(f"family {fname} has members of mixed parity")
+                except GaugelabError as e:
+                    e.member = (fname, comps)
+                    raise
                 cleaned[comps] = poly
-                if poly.is_zero():
-                    continue
-                g = grading_of(poly)
-                if g == INHOMOGENEOUS:
-                    raise GradingMismatch(f"generator {fname}{comps} has mixed parity")
-                if parity is None:
+                if poly:
                     parity = g.parity
-                elif parity != g.parity:
-                    raise GradingMismatch(f"family {fname} has members of mixed parity")
             if parity is None:
                 parity = ODD if stage % 2 == 0 else EVEN
             tag = f"{stage}:{fname}" if len(families) > 1 else f"{stage}"
@@ -367,14 +375,6 @@ def _self_application(v: VerticalDerivation) -> NilpotencyResult:
     return NilpotencyResult(True, None)
 
 
-def _linear_antifield_coefficients(poly: GradedPoly, stage: int):
-    """(antifield jet symbol, right-partial coefficient) pairs, sorted."""
-    syms = sorted((s for s in poly.symbols()
-                   if s.var.kind == ANTIFIELD and s.var.stage == stage),
-                  key=lambda s: s.key)
-    return [(s, partial_derivative(poly, s, RIGHT)) for s in syms]
-
-
 def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedPoly:
     """The left-hand side of the stage identity for one family member.
 
@@ -388,13 +388,16 @@ def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedP
     m.resolve_stage(fam.stage - 1)
     linear, correction = fam.split(comps)
     parts = []
-    for sym, coeff in _linear_antifield_coefficients(linear, fam.stage - 1):
+    for sym in linear.symbols():
+        if sym.var.kind != ANTIFIELD:   # the one antifield of a linear term
+            continue
         if fam.stage == 0:
             inner = m.euler_lagrange_map()[JetSymbol(m.field_for_antifield(sym.var),
                                                      sym.components)]
         else:
             inner = m.family_for_antifield(sym.var).split(sym.components)[0]
-        parts.append(coeff * multi_total_derivative(inner, sym.derivative))
+        parts.append(partial_derivative(linear, sym, RIGHT)
+                     * multi_total_derivative(inner, sym.derivative))
     if not correction.is_zero():
         parts.append(apply_prolonged(build_stage_differential(m, -1), correction))
     return poly_sum(parts)
@@ -433,29 +436,29 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
     Field components come from the stage-0 generators, ghost components from
     the next stage's generators, in both cases through the
     integration-by-parts involution of the coefficient families; antifield
-    components are zero.
+    components are zero.  One pass over each linear term c*(prefix, a_(M),
+    suffix) adds, per split (sigma, lam, w) of M, (-1)^([a]*[suffix]) * w * c
+    * ghost_(lam) * d_sigma(prefix*suffix) to the component on a's target.
     """
     N = m.resolve_stage(N)
-    parts: dict[JetSymbol, list] = {}
-    for fam in m.families:
-        if fam.stage > N:
-            continue
-        for fcomps, member in fam.sorted_members():
-            if member.is_zero():
-                continue
-            groups: dict[tuple, dict] = {}
-            for sym, coeff in _linear_antifield_coefficients(fam.parts[fcomps][0],
-                                                             fam.stage - 1):
-                key = (sym.var, sym.components)
-                groups.setdefault(key, {})[sym.derivative] = coeff
-            for (anti_decl, acomps), family_map in groups.items():
-                e = eta(CoefficientFamily(family_map))
-                target_decl = (m.field_for_antifield(anti_decl) if fam.stage == 0
-                               else m.family_for_antifield(anti_decl).ghost)
-                parts.setdefault(JetSymbol(target_decl, acomps), []).extend(
-                    GradedPoly.from_symbol(JetSymbol(fam.ghost, fcomps, Lam)) * coeff
-                    for Lam, coeff in e.items)
-    return VerticalDerivation({sym: poly_sum(ps) for sym, ps in parts.items()},
+    fams = [fam for fam in m.families if fam.stage <= N]
+    den = lcm(*[linear._den for fam in fams for linear, _ in fam.parts.values()])
+    accs: dict[JetSymbol, dict] = {}   # target -> int numerators over den
+    for fam in fams:
+        for fcomps, (linear, _) in fam.parts.items():
+            for fs, c in linear._terms:
+                i = next(i for i, f in enumerate(fs) if f.var.kind == ANTIFIELD)
+                a, q = fs[i], _monomial(fs[:i] + fs[i + 1:], 1)
+                c *= (den // linear._den) * (-1 if a.parity and _term_parity(fs[i + 1:]) else 1)
+                target_decl = (m.field_for_antifield(a.var) if fam.stage == 0
+                               else m.family_for_antifield(a.var).ghost)
+                acc = accs.setdefault(JetSymbol(target_decl, a.components), {})
+                for sigma, lam, w in eta_splits(a.derivative):
+                    g = (JetSymbol(fam.ghost, fcomps, lam),)
+                    for gf, gc in multi_total_derivative(q, sigma)._terms:
+                        sign, out = _canon_factors(g + gf)   # g is the one ghost
+                        _merge(acc, out, sign * w * c * gc)
+    return VerticalDerivation({sym: GradedPoly._from_dict(acc, den) for sym, acc in accs.items()},
                               parity=ODD, side=LEFT, antifield_delta=0, ghost_delta=1)
 
 

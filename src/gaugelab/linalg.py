@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
+from .algebra import _fraction
+
 
 def _subtract(vec: dict, f: Fraction, piv: Mapping) -> None:
     """vec -= f * piv in place, dropping entries that cancel to zero.
@@ -45,7 +47,7 @@ class LinearSpan:
 
     def reduce(self, vec: Mapping) -> dict:
         """Remainder of vec against the current triangular basis."""
-        out = {k: Fraction(c) for k, c in vec.items() if c != 0}
+        out = {k: _fraction(c) for k, c in vec.items() if c != 0}
         while out:
             k = max(out)
             piv = self._pivots.get(k)
@@ -71,7 +73,7 @@ def kernel_of_columns(columns: Iterable[Mapping]) -> list[dict[int, Fraction]]:
     pivots: dict = {}          # pivot key -> (vector, combination)
     kernel: list[dict[int, Fraction]] = []
     for j, col in enumerate(columns):
-        vec = {k: Fraction(c) for k, c in col.items() if c != 0}
+        vec = {k: _fraction(c) for k, c in col.items() if c != 0}
         combo = {j: Fraction(1)}
         while vec:
             k = max(vec)

@@ -214,6 +214,77 @@ def oracle_identity_defect(m, fam, comps):
     return poly_sum(parts)
 
 
+def ascent_model(rng):
+    """A builder model for the ascent operator: an even, an odd and a
+    vector field; two stage-0 families and one stage-1 member, each linear
+    in antifield jets with derivative multisets of order up to 3 times
+    coefficient monomials in the fields, the stage-1 member with a
+    correction term bilinear in field antifields."""
+    from gaugelab import ModelBuilder
+
+    b = ModelBuilder("ascent", rng.randint(1, 2))
+    b.add_field("x", parity=0)
+    b.add_field("psi", parity=1)
+    b.add_field("v", parity=0, arity=1)
+    t = b.table
+    fields = jet_pool(t, ["x", "psi", "v"], 1)
+    b.set_lagrangian(random_poly(rng, fields, max_terms=2, parity=0))
+    sbar = jet_pool(t, ["sbar(x)", "sbar(psi)", "sbar(v)"], 3)
+
+    def member(parity, heads, correction_heads=()):
+        raw = []
+        for pool, count in ((heads, rng.randint(1, 3)),
+                            (correction_heads, rng.randint(1, 2) if correction_heads else 0)):
+            for _ in range(count):
+                head = rng.choice(pool)
+                mono = ()
+                for _attempt in range(50):
+                    mono = tuple(rng.choice(fields) for _ in range(rng.randint(0, 2)))
+                    if _term_parity(head + mono) == parity:
+                        break
+                if _term_parity(head + mono) == parity:
+                    coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+                    raw.append((coeff, head + mono))
+        return GradedPoly.from_raw(raw)
+
+    heads = [(s,) for s in sbar]
+    g_parity = rng.randint(0, 1)
+    b.add_stage([("D", 0, False, {(): member(rng.randint(0, 1), heads)}),
+                 ("G", 1, False, {(i,): member(g_parity, heads) for i in range(t.n)})])
+    cbar0 = [(c,) for c in jet_pool(t, ["cbar(0:D)", "cbar(0:G)"], 3)]
+    pairs = list(combinations(jet_pool(t, ["sbar(x)", "sbar(psi)"], 1), 2))
+    b.add_stage([("E", 0, False, {(): member(rng.randint(0, 1), cbar0, pairs)})])
+    return b.build()
+
+
+def oracle_ascent_operator(m, N=None):
+    """The ascent operator composed step by step: right partials against
+    each linear antifield jet, grouped into coefficient families, the
+    involution ``eta``, then products with the ghost jets."""
+    from gaugelab import CoefficientFamily, VerticalDerivation, eta, partial_derivative
+
+    N = m.resolve_stage(N)
+    parts = {}
+    for fam in m.families:
+        if fam.stage > N:
+            continue
+        for fcomps, member in fam.sorted_members():
+            linear = oracle_split(fam.stage, member)[0]
+            groups = {}
+            for s in sorted(linear.symbols(), key=lambda s: s.key):
+                if s.var.kind == "antifield":
+                    groups.setdefault((s.var, s.components), {})[s.derivative] = \
+                        partial_derivative(linear, s, "right")
+            for (anti, acomps), family_map in groups.items():
+                target = (m.field_for_antifield(anti) if fam.stage == 0
+                          else m.family_for_antifield(anti).ghost)
+                for lam, coeff in eta(CoefficientFamily(family_map)).items:
+                    ghost = GradedPoly.from_symbol(m.table.symbol(fam.ghost, fcomps, lam))
+                    parts.setdefault(m.table.symbol(target, acomps), []).append(ghost * coeff)
+    return VerticalDerivation({sym: poly_sum(ps) for sym, ps in parts.items()},
+                              parity=1, side="left", antifield_delta=0, ghost_delta=1)
+
+
 def flip_first_term(poly):
     fs, c = poly.terms[0]
     from gaugelab import GradedPoly

@@ -343,8 +343,13 @@ GOLDEN_DIAGNOSTICS = [
     (H + 'L = eps[0]\n', ['6:5: E-EPS-ARITY: eps takes 2 indices here']),
     (H + 'L = eps[a,a]*Q\n', ["6:14: E-UNKNOWN-VAR: unknown variable 'Q'"]),
     (H + 'L = s\nstage 1: D[] = sbar(s)\n', ['1:1: E-STAGE-ORDER: stages must be 0,1,... without gaps, got [1]']),
-    (H + 'L = s\nstage 0: D[] = s\n', ['1:1: E-SHAPE: generator D (stage 0) has a term of antifield number 0, expected 1']),
-    (H + 'L = s\nstage 0: D[] = sbar(s) + sbar(psi)\n', ['1:1: E-SHAPE: generator D() has mixed parity']),
+    (H + 'L = s\nstage 0: D[] = s\n', ['7:10: E-SHAPE: generator D (stage 0) has a term of antifield number 0, expected 1']),
+    (H + 'L = s\nstage 0: D[] = sbar(s) + sbar(psi)\n', ['7:10: E-SHAPE: generator D() has mixed parity']),
+    # a builder error points at the definition of the offending member
+    ('dim 1\nfield s\nL = s\nstage 0: D[] = sbar(s)\nstage 1: E[] = cbar(0)*cbar(0)\n',
+     ['5:10: E-SHAPE: generator E (stage 1) has a term of antifield number 4, expected 2']),
+    (H + 'L = s\nstage 0: D[0] = sbar(v)[0]; D[1] = sbar(psi)\n',
+     ['7:29: E-SHAPE: family D has members of mixed parity']),
     # names have no hyphen, and the input is ASCII
     (H + 'L = 2*s-3*psi\n', []),
     ('dim 1\nfield my-field\nL = my-field\n',

@@ -1,6 +1,7 @@
 """Derivative operators, the integration-by-parts involution, and the
 first variational formula."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from gaugelab import (
     multi_total_derivative,
     partial_derivative,
     poly_sum,
+    run_checks,
     total_derivative,
     trivial_model,
     variational_derivative,
@@ -115,6 +117,48 @@ def test_multi_total_derivative():
     p = GradedPoly.from_raw([(1, (s, s))])
     assert multi_total_derivative(p, (0, 1)) == total_derivative(
         total_derivative(p, 1), 0)
+
+
+def test_total_derivative_is_memoised_on_the_polynomial():
+    s, psi = T.symbol("s"), T.symbol("psi")
+    p = GradedPoly.from_raw([(Fraction(1, 2), (s, s)), (1, (s, psi))])
+    d0 = total_derivative(p, 0)
+    assert total_derivative(p, 0) is d0
+    assert multi_total_derivative(p, (1, 0)) is total_derivative(d0, 1)
+    assert total_derivative(GradedPoly.constant(3), 1).is_zero()
+    # a filled memo is invisible to equality, hashing, repr and pickling
+    fresh = GradedPoly(p.terms)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert pickle.dumps(p) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_stage_differential_images_are_the_members_memoised_derivatives():
+    m = bf_model(5)
+    assert all(r.ok for r in run_checks(m))
+    d = build_stage_differential(m)
+    for sym, comp in d.components.items():
+        for lam in ((0,), (1, 3), (0, 2, 2)):
+            jet = m.table.symbol(sym.var, sym.components, lam)
+            assert d.image(jet) is multi_total_derivative(comp, lam)
+
+
+def test_full_check_computes_each_derivative_once(monkeypatch):
+    from gaugelab import jets
+    real = jets.total_derivative
+    seen = {}   # (polynomial, direction) -> the derivative first returned
+
+    def counting(p, lam, n=None):
+        out = real(p, lam, n)
+        if p.max_degree() > 0:
+            first = seen.setdefault((id(p), lam), (p, out))
+            assert first[0] is p and first[1] is out
+        return out
+
+    monkeypatch.setattr(jets, "total_derivative", counting)
+    assert all(r.ok for r in run_checks(bf_model(6)))
+    # the whole check of bf:6 needs 414 distinct derivatives
+    assert len(seen) <= 414
 
 
 def test_euler_lagrange_second_order_scalar():

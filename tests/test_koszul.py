@@ -36,9 +36,11 @@ from gaugelab import (
 )
 from gaugelab.koszul import ModelBuilder
 from support import (
+    ascent_model,
     assert_canonical_coefficients,
     drop_first_term,
     flip_first_term,
+    oracle_ascent_operator,
     oracle_identity_defect,
     oracle_split,
     rebuild_with_mutation,
@@ -234,6 +236,38 @@ def test_ascent_operator_trivial_model():
     u = ascent_operator(m)
     assert u.components[t.symbol("x")] == GradedPoly.from_symbol(t.symbol("c(0:D_x)"))
     assert u.components[t.symbol("y")] == GradedPoly.from_symbol(t.symbol("c(0:D_y)"))
+
+
+# an on-shell reducible tower: its stage-1 members carry a correction term
+ONSHELL = """dim 2
+field x[1]
+field y[1]
+L = x[a]*y[a]
+stage 0: D[0] = x[0]*sbar(x)[0] - y[0]*sbar(y)[0]; D[1] = x[1]*sbar(x)[1] - y[1]*sbar(y)[1]
+stage 1: E[0] = sbar(x)[0]*sbar(y)[0] - cbar(0)[0]; E[1] = sbar(x)[1]*sbar(y)[1] - cbar(0)[1]
+"""
+
+
+def _assert_ascent_matches_oracle(m):
+    for N in range(m.max_stage + 1):
+        u, want = ascent_operator(m, N), oracle_ascent_operator(m, N)
+        assert u.components == want.components
+        assert (u.parity, u.side, u.ghost_delta, u.den) == (1, "left", 1, want.den)
+
+
+@pytest.mark.parametrize("name", ["bf:2", "bf:3", "bf:4", "bf:5", "bf:6", "trivial", "onshell"])
+def test_ascent_operator_matches_eta_oracle_on_named_models(name):
+    from gaugelab import parse_or_raise, zoo_model
+    m = parse_or_raise(ONSHELL) if name == "onshell" else zoo_model(name)
+    if name == "onshell":
+        assert any(fam.parts[c][1] for fam in m.families_at(1) for c in fam.parts)
+    _assert_ascent_matches_oracle(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ascent_operator_matches_eta_oracle_on_random_models(seed):
+    _assert_ascent_matches_oracle(ascent_model(random.Random(seed)))
 
 
 def test_variational_supersymmetry():
