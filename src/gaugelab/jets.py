@@ -308,19 +308,23 @@ def first_variation_residual(L: GradedPoly, v: VerticalDerivation) -> GradedPoly
     """
     if v.side != LEFT:
         raise ValueError("first variation is taken along left derivations")
-    return apply_prolonged(v, L) - contracted_el_density(L, v)
+    el = {sym: variational_derivative(L, sym.var, sym.components) for sym in v.components}
+    return apply_prolonged(v, L) - contracted_el_density(el, v)
 
 
-def contracted_el_density(L: GradedPoly, v: VerticalDerivation) -> GradedPoly:
-    """The density sum_x v^x * (variational derivative of L w.r.t. x)."""
+def contracted_el_density(el: Mapping[JetSymbol, GradedPoly],
+                          v: VerticalDerivation) -> GradedPoly:
+    """The density sum_x v^x * E_x, with the Euler-Lagrange expression E_x
+    read from ``el``; a component with no entry in ``el`` counts as zero."""
     parts = []
     for sym, comp in v.sorted_components():
-        e = variational_derivative(L, sym.var, sym.components)
+        e = el.get(sym, _ZERO)
         if not e.is_zero():
             parts.append(comp * e)
     return poly_sum(parts)
 
 
-def is_variational_supersymmetry(L: GradedPoly, v: VerticalDerivation) -> bool:
+def is_variational_supersymmetry(el: Mapping[JetSymbol, GradedPoly],
+                                 v: VerticalDerivation) -> bool:
     """True when the contracted Euler-Lagrange density of v is a total divergence."""
-    return is_dH_exact(contracted_el_density(L, v))
+    return is_dH_exact(contracted_el_density(el, v))

@@ -16,6 +16,12 @@ antifield; any other shape raises UnsupportedCorrection.  ``add_stage``
 splits every member into these two parts once, while it checks the shape,
 and stores the split on the family as ``parts``; the stage identities and
 the ascent operator read it from there.
+
+One Koszul-Tate-type derivation sends every field antifield to its
+Euler-Lagrange expression and chosen generator antifields to their images.
+With every member up to stage N as the images it is the stage differential;
+with the linear parts of the stage-(k-1) members it is the stage-k identity
+derivation, and a stage-k identity is the image of the member under it.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from .jets import (
     is_variational_supersymmetry,
     multi_indices,
     multi_total_derivative,
-    partial_derivative,
     window_jets,
 )
 from .linalg import LinearSpan
@@ -97,10 +102,6 @@ class NoetherGeneratorFamily:
     def member(self, comps) -> GradedPoly:
         return self.members.get(tuple(comps), GradedPoly.zero())
 
-    def split(self, comps) -> tuple:
-        """The member's (linear, correction) parts; zero for a missing member."""
-        return self.parts.get(tuple(comps), (GradedPoly.zero(),) * 2)
-
     def sorted_members(self):
         return tuple(self.members.items())
 
@@ -126,6 +127,7 @@ class ModelSpec:
         self._antifield_field = {a: f for f, a in field_antifield.items()}
         self._antifield_family = {f.antifield: f for f in self.families}
         self._el_cache = None
+        self._identity_cache = {}   # stage -> its identity derivation
 
     @property
     def n(self) -> int:
@@ -320,6 +322,16 @@ def _split_member(stage, fname, poly) -> tuple:
     return _reduced(tuple(linear), poly._den), _reduced(tuple(correction), poly._den)
 
 
+def _koszul_tate(m: ModelSpec, images) -> VerticalDerivation:
+    """The odd right derivation sending every field antifield to its
+    Euler-Lagrange expression and every antifield in ``images`` to its image."""
+    comps = {JetSymbol(m.field_antifield(sym.var), sym.components): e
+             for sym, e in m.euler_lagrange_map().items()}
+    comps.update(images)
+    return VerticalDerivation(comps, parity=ODD, side=RIGHT,
+                              antifield_delta=-1, ghost_delta=1)
+
+
 def build_stage_differential(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
     """The odd right derivation sending each antifield to what it resolves.
 
@@ -327,22 +339,8 @@ def build_stage_differential(m: ModelSpec, N: int | None = None) -> VerticalDeri
     antifields up to N are sent to their generator densities.
     """
     N = m.resolve_stage(N)
-    comps: dict[JetSymbol, GradedPoly] = {}
-    el = m.euler_lagrange_map()
-    for decl in m.table.kind_decls(FIELD):
-        anti = m.field_antifield(decl)
-        for ct in m.table.component_tuples(decl):
-            e = el[JetSymbol(decl, ct)]
-            if not e.is_zero():
-                comps[JetSymbol(anti, ct)] = e
-    for fam in m.families:
-        if fam.stage > N:
-            continue
-        for ct, member in fam.sorted_members():
-            if not member.is_zero():
-                comps[JetSymbol(fam.antifield, ct)] = member
-    return VerticalDerivation(comps, parity=ODD, side=RIGHT,
-                              antifield_delta=-1, ghost_delta=1)
+    return _koszul_tate(m, {JetSymbol(fam.antifield, ct): member for fam in m.families
+                            if fam.stage <= N for ct, member in fam.sorted_members()})
 
 
 @dataclass(frozen=True)
@@ -378,29 +376,20 @@ def _self_application(v: VerticalDerivation) -> NilpotencyResult:
 def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedPoly:
     """The left-hand side of the stage identity for one family member.
 
-    The coefficients of the member's linear part (``fam.parts``) against
-    the stage-(k-1) antifields, contracted with the total derivatives of what
-    each antifield resolves: the Euler-Lagrange expression for a field
-    antifield, the previous family member's linear part otherwise.  The bare
-    differential applied to the correction is added when there is one;
-    stage-0 members have none.
+    The member's image under the stage-k identity derivation, which sends
+    every field antifield to its Euler-Lagrange expression and every
+    stage-(k-1) antifield to the linear part (``parts``) of the member it
+    names.  A linear term holds one stage-(k-1) antifield and otherwise only
+    fields; in a correction term the derivation acts on the field antifield
+    alone, as the bare differential does.  Built once per stage and model.
     """
-    m.resolve_stage(fam.stage - 1)
-    linear, correction = fam.split(comps)
-    parts = []
-    for sym in linear.symbols():
-        if sym.var.kind != ANTIFIELD:   # the one antifield of a linear term
-            continue
-        if fam.stage == 0:
-            inner = m.euler_lagrange_map()[JetSymbol(m.field_for_antifield(sym.var),
-                                                     sym.components)]
-        else:
-            inner = m.family_for_antifield(sym.var).split(sym.components)[0]
-        parts.append(partial_derivative(linear, sym, RIGHT)
-                     * multi_total_derivative(inner, sym.derivative))
-    if not correction.is_zero():
-        parts.append(apply_prolonged(build_stage_differential(m, -1), correction))
-    return poly_sum(parts)
+    delta = m._identity_cache.get(fam.stage)
+    if delta is None:
+        m.resolve_stage(fam.stage - 1)
+        delta = m._identity_cache[fam.stage] = _koszul_tate(m, {
+            JetSymbol(prev.antifield, ct): linear
+            for prev in m.families_at(fam.stage - 1) for ct, (linear, _) in prev.parts.items()})
+    return apply_prolonged(delta, fam.member(comps))
 
 
 def identity_witness(m: ModelSpec, fam: NoetherGeneratorFamily) -> tuple | None:
@@ -464,7 +453,7 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
 
 def verify_variational_supersymmetry(m: ModelSpec, v: VerticalDerivation) -> bool:
     """Is the contraction of v with the Euler-Lagrange form a total divergence."""
-    return is_variational_supersymmetry(m.lagrangian, v)
+    return is_variational_supersymmetry(m.euler_lagrange_map(), v)
 
 
 @dataclass(frozen=True)

@@ -111,9 +111,8 @@ def zoo_model(spec: str) -> ModelSpec:
     build = {"bf": bf_model, "scalar": free_scalar_model}.get(kind)
     if build is None or not arg:
         raise ValueError(f"unknown zoo model {spec!r}")
-    try:
-        n = int(arg)
-    except ValueError:
+    # int() would also read '1_0', '+3', ' 2' and non-ASCII digits
+    if not (arg.isascii() and arg.isdigit()):
         raise ValueError(f"zoo model {spec!r}: the size after ':' must be an integer, "
-                         f"got {arg!r}") from None
-    return build(n)
+                         f"got {arg!r}")
+    return build(int(arg))

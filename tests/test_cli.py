@@ -153,6 +153,14 @@ BAD_INPUT = [
     (["check", "--zoo", "scalar:abc"],
      r"error: zoo model 'scalar:abc': the size .* must be an integer"),
     (["gauge", "--zoo", "bf:"], r"error: unknown zoo model 'bf:'"),
+    # ... or that int() reads but that is not plain ASCII digits
+    (["check", "--zoo", "bf:1_0"],
+     r"error: zoo model 'bf:1_0': the size .* must be an integer, got '1_0'$"),
+    (["check", "--zoo", "bf:+3"],
+     r"error: zoo model 'bf:\+3': the size .* must be an integer, got '\+3'$"),
+    (["zoo", "bf: 2"], r"error: zoo model 'bf: 2': the size .* must be an integer, got ' 2'$"),
+    (["gauge", "--zoo", "bf:\u0663"],
+     r"error: zoo model 'bf:\u0663': the size .* must be an integer, got '\u0663'$"),
     (["check", "--zoo", "bf:99999999999"],
      r"error: zoo model 'bf:99999999999' is too large to build"),
     (["zoo", "bf:99999999999"], r"error: zoo model 'bf:99999999999' is too large to build"),

@@ -157,8 +157,8 @@ def test_full_check_computes_each_derivative_once(monkeypatch):
 
     monkeypatch.setattr(jets, "total_derivative", counting)
     assert all(r.ok for r in run_checks(bf_model(6)))
-    # the whole check of bf:6 needs 414 distinct derivatives
-    assert len(seen) <= 414
+    # the whole check of bf:6 needs 408 distinct derivatives
+    assert len(seen) <= 408
 
 
 def test_euler_lagrange_second_order_scalar():

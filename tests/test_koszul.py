@@ -257,11 +257,15 @@ def _assert_ascent_matches_oracle(m):
 
 @pytest.mark.parametrize("name", ["bf:2", "bf:3", "bf:4", "bf:5", "bf:6", "trivial", "onshell"])
 def test_ascent_operator_matches_eta_oracle_on_named_models(name):
+    # the stage identities of every member are checked against their oracle too
     from gaugelab import parse_or_raise, zoo_model
     m = parse_or_raise(ONSHELL) if name == "onshell" else zoo_model(name)
     if name == "onshell":
         assert any(fam.parts[c][1] for fam in m.families_at(1) for c in fam.parts)
     _assert_ascent_matches_oracle(m)
+    for fam in m.families:
+        for comps, _ in fam.sorted_members():
+            assert identity_defect(m, fam, comps) == oracle_identity_defect(m, fam, comps)
 
 
 @settings(max_examples=60, deadline=None)
