@@ -43,6 +43,7 @@ from .jets import (
     apply_prolonged,
     eta,
     euler_lagrange,
+    euler_operator,
     first_variation_residual,
     is_dH_exact,
     multi_total_derivative,

@@ -51,7 +51,7 @@ def _zoo(spec: str):
         return zoo_model(spec)
     except ValueError as e:
         raise UsageError(e) from None
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise UsageError(f"zoo model {spec!r} is too large to build") from None
 
 
@@ -112,7 +112,11 @@ def _cmd_homology(args) -> tuple:
     except ValueError as e:
         raise UsageError(e) from None
     m, N = _load(args)
-    report = kt_homology(m, w, max_stage=N)
+    try:
+        report = kt_homology(m, w, max_stage=N)
+    except (RecursionError, MemoryError):
+        raise UsageError(f"homology window (jet order {w.max_jet_order}, degree "
+                         f"{w.max_poly_degree}) is too large to build") from None
     gens = [render_poly(rep) for rep in report.representatives]
     entry = {
         "sector": report.sector,

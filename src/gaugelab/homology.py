@@ -139,11 +139,8 @@ def _window_boundaries(bm_in: BoundaryMatrix, window_set: set) -> list[dict]:
     """Boundary vectors (over window chain coordinates) of the in-map image
     intersected with the window span."""
     outside = {i for i, fs in enumerate(bm_in.target) if fs not in window_set}
-    if outside:
-        combos = kernel_of_columns(
-            [{i: c for i, c in col.items() if i in outside} for col in bm_in.columns])
-    else:
-        combos = [{j: Fraction(1)} for j in range(len(bm_in.source))]
+    combos = kernel_of_columns(
+        [{i: c for i, c in col.items() if i in outside} for col in bm_in.columns])
     vectors = []
     for combo in combos:
         vec: dict = {}

@@ -8,16 +8,19 @@ partial derivative with respect to a jet symbol picks out that exact multiset
 with coefficient 1 and no multinomial factor, and the total derivative raises
 one multiset entry per factor.
 
-Total-divergence detection works on a single contractible chart: a density is
-a total divergence exactly when all of its variational derivatives vanish.
-No boundary-term witness is produced.
+One Euler operator gives E_x for every variable x of a density from one pass
+over its terms; partial and variational derivatives, the Euler-Lagrange map
+and total-divergence detection are views of it.  A density is a total
+divergence (on one contractible chart) exactly when every E_x vanishes; no
+boundary-term witness is produced.
 
 All operations are pure; total derivatives are memoised on the polynomial.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from collections import defaultdict
+from itertools import combinations_with_replacement, groupby, product
 from math import comb, lcm, prod
 from typing import Iterable, Mapping
 
@@ -42,37 +45,31 @@ LEFT = "left"
 RIGHT = "right"
 
 
-def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedPoly:
-    """Graded partial derivative with respect to one jet symbol.
+def _left_partials(p: GradedPoly) -> dict[JetSymbol, dict[Factors, int]]:
+    """{x: int numerators over p's denominator of the left partial of p with
+    respect to x} for every jet symbol x of p, from one pass over the terms.
+    Crossing the prefix gives (-1)^([x][prefix]).  Factors are sorted, so each
+    rest is canonical, and the k adjacent copies of an even x give k*c once."""
+    out = defaultdict(dict)
+    for fs, c in p._terms:
+        pref = i = 0
+        for x, copies in groupby(fs):
+            k = len(tuple(copies))
+            _merge(out[x], fs[:i] + fs[i + 1:], (-c if x.parity and pref else c) * k)
+            pref ^= x.parity
+            i += k
+    return out
 
-    The left rule removes the factor after crossing the preceding ones; the
-    right rule is the left one times (-1)^(([term]+1)[x]) per monomial.
-    """
+
+def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedPoly:
+    """Graded partial derivative with respect to one jet symbol: the left rule
+    removes x after crossing the factors before it; the right rule multiplies
+    each term by (-1)^(([term]+1)[x]), which is (-1)^[rest] for an odd x."""
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be left or right, got {side!r}")
-    acc: dict[Factors, int] = {}
-    xkey = x.key
-    for fs, c in p._terms:
-        outer = -1 if side == RIGHT and x.parity and not _term_parity(fs) else 1
-        pref = 0
-        for i, f in enumerate(fs):
-            # interned symbols match by identity; the key test keeps a symbol
-            # of an equal declaration from another model matching by value
-            if f is x or (f.key == xkey and f == x):
-                # factors are sorted, so further copies (only an even x has
-                # any) follow at once, and removing any one of them leaves
-                # the same term with the same sign
-                k = 1
-                for g in fs[i + 1:]:
-                    if not (g is x or (g.key == xkey and g == x)):
-                        break
-                    k += 1
-                if k > 1:
-                    c = c * k
-                sign = -outer if (x.parity and pref & 1) else outer
-                _merge(acc, fs[:i] + fs[i + 1:], c if sign > 0 else -c)
-                break
-            pref ^= f.parity
+    acc = _left_partials(p).get(x, {})
+    if side == RIGHT and x.parity:
+        acc = {fs: -c if _term_parity(fs) else c for fs, c in acc.items()}
     return GradedPoly._from_dict(acc, p._den)
 
 
@@ -127,37 +124,36 @@ def window_jets(table: VariableTable, decls, max_order: int) -> list[JetSymbol]:
                   key=lambda s: s.key)
 
 
+def euler_operator(P: GradedPoly) -> dict[JetSymbol, GradedPoly]:
+    """The Euler-Lagrange operator: {zero-order symbol x: E_x(P)} for every
+    variable x with a jet in P, where E_x(P) is the sum over the jets x_(L)
+    of P of (-1)^|L| d_L (left partial of P w.r.t. x_(L))."""
+    parts: dict[JetSymbol, list] = {}
+    for sym, acc in _left_partials(P).items():
+        g = multi_total_derivative(GradedPoly._from_dict(acc, P._den), sym.derivative)
+        parts.setdefault(sym.zero_order(), []).append(-g if sym.order % 2 else g)
+    return {x: poly_sum(ps) for x, ps in parts.items()}
+
+
 def variational_derivative(P: GradedPoly, decl: GradedVariableDecl,
                            components=()) -> GradedPoly:
-    """Sum over present jets of (-1)^|L| d_L (left partial w.r.t. v[comps]_(L))."""
+    """The Euler-Lagrange expression of P for the variable decl[components]."""
     comps = tuple(components)
-    lams = sorted({f.derivative for f in P.symbols()
-                   if f.components == comps and (f.var is decl or f.var == decl)})
-    parts = []
-    for Lam in lams:
-        g = partial_derivative(P, JetSymbol(decl, comps, Lam), LEFT)
-        g = multi_total_derivative(g, Lam)
-        parts.append(-g if len(Lam) % 2 else g)
-    return poly_sum(parts)
+    return next((e for x, e in euler_operator(P).items()
+                 if x.components == comps and (x.var is decl or x.var == decl)), _ZERO)
 
 
 def euler_lagrange(table: VariableTable, L: GradedPoly) -> dict[JetSymbol, GradedPoly]:
     """Euler-Lagrange expression for every dynamical field component."""
-    out: dict[JetSymbol, GradedPoly] = {}
-    for decl in table.kind_decls(FIELD):
-        for comps in table.component_tuples(decl):
-            out[JetSymbol(decl, comps)] = variational_derivative(L, decl, comps)
-    return out
+    el = euler_operator(L)
+    syms = [JetSymbol(decl, comps) for decl in table.kind_decls(FIELD)
+            for comps in table.component_tuples(decl)]
+    return {sym: el.get(sym, _ZERO) for sym in syms}
 
 
 def is_dH_exact(P: GradedPoly) -> bool:
     """True when every variational derivative of the density vanishes."""
-    targets = sorted({(f.var, f.components) for f in P.symbols()},
-                     key=lambda t: (t[0].sort_rank, t[1]))
-    for decl, comps in targets:
-        if not variational_derivative(P, decl, comps).is_zero():
-            return False
-    return True
+    return not any(euler_operator(P).values())
 
 
 class CoefficientFamily:
@@ -308,8 +304,7 @@ def first_variation_residual(L: GradedPoly, v: VerticalDerivation) -> GradedPoly
     """
     if v.side != LEFT:
         raise ValueError("first variation is taken along left derivations")
-    el = {sym: variational_derivative(L, sym.var, sym.components) for sym in v.components}
-    return apply_prolonged(v, L) - contracted_el_density(el, v)
+    return apply_prolonged(v, L) - contracted_el_density(euler_operator(L), v)
 
 
 def contracted_el_density(el: Mapping[JetSymbol, GradedPoly],

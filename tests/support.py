@@ -340,6 +340,21 @@ def oracle_total_derivative(p, lam):
     return GradedPoly(acc.items())
 
 
+def oracle_euler_operator(p):
+    """{zero-order symbol x: E_x(p)} by the per-symbol formula: the sum over
+    the jets x_(L) of p of (-1)^|L| times the oracle total derivatives d_L of
+    the oracle left partial with respect to x_(L)."""
+    acc = {}
+    for x in p.symbols():
+        g = oracle_partial_derivative(p, x)
+        for lam in x.derivative:
+            g = oracle_total_derivative(g, lam)
+        terms = acc.setdefault(x.zero_order(), {})
+        for fs, c in g.terms:
+            terms[fs] = terms.get(fs, Fraction(0)) + (-c if len(x.derivative) % 2 else c)
+    return {x: GradedPoly(terms.items()) for x, terms in acc.items()}
+
+
 def oracle_apply_prolonged(v, p):
     """The prolonged derivation, with images rebuilt by the oracle total
     derivative rather than taken from ``v.image``."""

@@ -164,6 +164,14 @@ BAD_INPUT = [
     (["check", "--zoo", "bf:99999999999"],
      r"error: zoo model 'bf:99999999999' is too large to build"),
     (["zoo", "bf:99999999999"], r"error: zoo model 'bf:99999999999' is too large to build"),
+    # ... also past 2**63, where building overflows a C size instead
+    (["check", "--zoo", "bf:99999999999999999999"],
+     r"error: zoo model 'bf:99999999999999999999' is too large to build$"),
+    (["zoo", "bf:99999999999999999999"],
+     r"error: zoo model 'bf:99999999999999999999' is too large to build$"),
+    # a homology window too large to enumerate
+    (["homology", "--zoo", "bf:2", "--jet-order", "0", "--poly-degree", "5000"],
+     r"error: homology window \(jet order 0, degree 5000\) is too large to build$"),
     # nesting too deep to parse
     (["check", "--model", "{deep_model}"],
      r".*:3:205: E-SYNTAX: expression nested too deeply$"),
@@ -182,8 +190,9 @@ def test_bad_input_exits_2_with_one_line(argv, stderr, tmp_path, capsys, monkeyp
     real_bf_model = gaugelab.zoo.bf_model
 
     def bf_model(n):
-        # what building a huge tower raises, without allocating anything
-        if n > 1000:
+        # what building a huge tower raises, without allocating anything;
+        # from 2**63 on the real builder overflows before it allocates
+        if 1000 < n < 2**63:
             raise MemoryError
         return real_bf_model(n)
 

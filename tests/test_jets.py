@@ -18,6 +18,7 @@ from gaugelab import (
     build_stage_differential,
     eta,
     euler_lagrange,
+    euler_operator,
     first_variation_residual,
     free_scalar_model,
     is_dH_exact,
@@ -34,6 +35,7 @@ from support import (
     assert_canonical_coefficients,
     jet_pool,
     oracle_apply_prolonged,
+    oracle_euler_operator,
     oracle_partial_derivative,
     oracle_total_derivative,
     raised_pair,
@@ -347,10 +349,20 @@ def test_derivative_kernels_match_plain_arithmetic_oracles(seed, lam, k):
         got = total_derivative(p, lam)
         assert got == oracle_total_derivative(p, lam)
         assert_canonical_coefficients(got)
+        assert is_dH_exact(got)
         for x in {*p.symbols(), *copies}:
             for side in ("left", "right"):
                 got = partial_derivative(p, x, side)
                 assert got == oracle_partial_derivative(p, x, side)
+                assert_canonical_coefficients(got)
+        el = oracle_euler_operator(p)
+        assert euler_operator(p) == el
+        assert is_dH_exact(p) == (not any(el.values()))
+        for table in (T, OTHER):
+            for decl in table.decls:
+                x = table.symbol(decl)
+                got = variational_derivative(p, decl)
+                assert got == el.get(x, GradedPoly.zero())
                 assert_canonical_coefficients(got)
 
 
