@@ -257,6 +257,12 @@ GOLDEN_REPORTS = {
     # 4 generators
     ("homology", "bf:3 --sector 2 --jet-order 2 --poly-degree 1 --stage 0"):
         "01ca99152c8d1edbd86c8fc84528590e0a6ab275c1d40ae9cfedcc7c8f7ce25a",
+    # 13 generators and in-window boundaries
+    ("homology", "bf:3 --sector 2 --jet-order 1 --poly-degree 2 --stage 0"):
+        "75bffb61705f80d6f444c74519e3e20ebe146ca75deab450fc7aa3591e43f94c",
+    # 21 generators and in-window boundaries
+    ("homology", "bf:4 --sector 3 --jet-order 1 --poly-degree 2 --stage 1"):
+        "ba4464a26e4d593d07fef1a51846bf75fd57b327d3c14fe3db5be686f98ab50b",
 }
 
 

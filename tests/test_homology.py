@@ -11,6 +11,7 @@ from gaugelab import (
     GradedPoly,
     NotAComplex,
     TruncationWindow,
+    apply_prolonged,
     bf_model,
     boundary_matrix,
     build_stage_differential,
@@ -22,7 +23,7 @@ from gaugelab import (
     render_poly,
     trivial_model,
 )
-from gaugelab.homology import BoundaryMatrix
+from gaugelab.homology import BoundaryMatrix, kt_differentials_for_sector
 from gaugelab.linalg import kernel_of_columns
 from support import boundary_rows, dense_rank_oracle, rebuild_with_mutation, flip_first_term
 
@@ -138,6 +139,40 @@ def test_kt_homology_larger_windows(n, sector, jets, degree, dims):
     # dims confirmed by an elimination outside gaugelab.linalg
     r = kt_homology(bf_model(n), TruncationWindow(jets, degree, sector))
     assert (r.dim_chains, r.dim_cycles, r.rank_in_window, r.dim_homology) == dims
+
+
+@pytest.mark.parametrize("n, sector, jets, degree, stage, dims", [
+    (2, 1, 1, 2, -1, (6, 7)),
+    (3, 2, 1, 2, 0, (19, 13)),
+])
+def test_window_boundaries_and_representatives_match_dense_oracle(
+        n, sector, jets, degree, stage, dims):
+    m = bf_model(n)
+    w = TruncationWindow(jets, degree, sector)
+    r = kt_homology(m, w, max_stage=stage)
+    assert (r.rank_in_window, r.dim_homology) == dims
+    delta_in, delta_out, out_cap, in_cap = kt_differentials_for_sector(m, sector, stage)
+    bm_in = boundary_matrix(delta_in, m, TruncationWindow(jets, degree, sector + 1),
+                            max_stage=in_cap)
+    window = set(chain_basis(m, w, max_stage=out_cap))
+    rows = boundary_rows(bm_in)
+    rank_b = dense_rank_oracle(rows)
+    # image ∩ window span: the kernel of the image's projection onto the
+    # coordinates outside the window
+    outside = [row for fs, row in zip(bm_in.target, rows) if fs not in window]
+    assert r.rank_in_window == rank_b - dense_rank_oracle(outside)
+    for rep in r.representatives:
+        assert all(fs in window for fs, _ in rep.terms)
+        assert not apply_prolonged(delta_out, rep)
+    # the representatives are independent modulo the whole in-map image
+    coords = {fs: i for i, fs in enumerate(bm_in.target)}
+    for rep in r.representatives:
+        for fs, _ in rep.terms:
+            coords.setdefault(fs, len(coords))
+    vectors = [{i: c for i, c in col.items()} for col in bm_in.columns]
+    vectors += [{coords[fs]: c for fs, c in rep.terms} for rep in r.representatives]
+    dense = [[vec.get(i, 0) for i in range(len(coords))] for vec in vectors]
+    assert dense_rank_oracle(dense) - rank_b == r.dim_homology
 
 
 def test_free_scalar_sector1_homology_vanishes():
