@@ -6,7 +6,9 @@ Boundary maps are expanded exactly in the monomial basis: the cycle condition
 is exact vanishing of the image density, never a statement modulo total
 divergences.  Every number reported here is window-relative: no finite window
 can refute non-trivial homology, it can only exhibit generators, so reports
-distinguish "found" from "none within window".
+distinguish "found" from "none within window".  A window's span keys each
+chain by its basis index and each in-map target outside the window above them
+all, so the span's low pivots are the window boundaries.
 """
 
 from __future__ import annotations
@@ -135,36 +137,6 @@ class HomologyReport:
     window_relative: bool = True
 
 
-def _window_boundaries(bm_in: BoundaryMatrix, window_set: set) -> list[dict]:
-    """Boundary vectors (over window chain coordinates) of the in-map image
-    intersected with the window span."""
-    outside = {i for i, fs in enumerate(bm_in.target) if fs not in window_set}
-    combos = kernel_of_columns(
-        [{i: c for i, c in col.items() if i in outside} for col in bm_in.columns])
-    vectors = []
-    for combo in combos:
-        vec: dict = {}
-        for j, f in combo.items():
-            for i, c in bm_in.columns[j].items():
-                fs = bm_in.target[i]
-                if fs in window_set:
-                    prev = vec.get(fs)
-                    nv = f * c if prev is None else prev + f * c
-                    if nv == 0:
-                        del vec[fs]
-                    else:
-                        vec[fs] = nv
-        if vec:
-            vectors.append(vec)
-    return vectors
-
-
-def _density_from_vec(vec: dict) -> GradedPoly:
-    lead = min(vec)
-    scale = Fraction(1) / vec[lead]
-    return GradedPoly((fs, c * scale) for fs, c in vec.items())
-
-
 def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
                        delta_out: VerticalDerivation, w: TruncationWindow,
                        max_stage_out: int | None = None,
@@ -178,39 +150,43 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
     w_in = TruncationWindow(w.max_jet_order, w.max_poly_degree, w.sector + 1)
     bm_in = boundary_matrix(delta_in, m, w_in, max_stage_in)
 
-    cycle_combos = kernel_of_columns(bm_out.columns)
-    window_set = set(bm_out.source)
-    boundaries = _window_boundaries(bm_in, window_set)
+    # In-window chain j is key j, in-map target i outside the window is key
+    # len(source) + i: inside pivots have no outside entries, so they are a
+    # basis of image ∩ window.  Outside keys keep the target order and source
+    # is in factor-tuple order, so the eliminations, pivots and report bytes
+    # equal those of a kernel of the outside rows then a span of window images.
+    n = len(bm_out.source)
+    inside = {fs: j for j, fs in enumerate(bm_out.source)}
+    keys = [inside.get(fs, n + i) for i, fs in enumerate(bm_in.target)]
+    span = LinearSpan()
+    for col in bm_in.columns:
+        span.add({keys[i]: c for i, c in col.items()})
+    boundaries = [vec for k, vec in span.pivots.items() if k < n]
 
     # complex property where it matters: every boundary that lands inside the
     # window must be annihilated by the out-map, applied through its matrix
-    source_index = {fs: j for j, fs in enumerate(bm_out.source)}
     for vec in boundaries:
         image: dict = {}
-        for fs, c in vec.items():
-            for i, cc in bm_out.columns[source_index[fs]].items():
+        for j, c in vec.items():
+            for i, cc in bm_out.columns[j].items():
                 image[i] = image.get(i, 0) + c * cc
         if any(image.values()):
             raise NotAComplex(
                 "window boundaries are not cycles; the generator tower is inconsistent")
 
-    span = LinearSpan()
-    for vec in boundaries:
-        span.add(vec)
-    rank_in_window = span.rank
-
+    cycle_combos = kernel_of_columns(bm_out.columns)
     reps = []
     for combo in cycle_combos:
-        vec = {bm_out.source[j]: c for j, c in combo.items()}
-        rem = span.reduce(vec)
-        if rem and span.add(rem):
-            reps.append(_density_from_vec(rem))
+        rem = span.add(combo)
+        if rem:     # a new class: its density, leading coefficient 1
+            scale = Fraction(1) / rem[min(rem)]
+            reps.append(GradedPoly((bm_out.source[j], c * scale) for j, c in rem.items()))
 
     dim_cycles = len(cycle_combos)
     rank_out = bm_out.rank
     if rank_out + dim_cycles != len(bm_out.source):
         raise AssertionError("rank and kernel computations disagree")
-    dim_h = dim_cycles - rank_in_window
+    dim_h = dim_cycles - len(boundaries)
     if dim_h != len(reps):
         raise AssertionError("homology bookkeeping is inconsistent")
     return HomologyReport(
@@ -219,7 +195,7 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
         dim_chains=len(bm_out.source),
         dim_in_chains=len(bm_in.source),
         rank_out=rank_out,
-        rank_in_window=rank_in_window,
+        rank_in_window=len(boundaries),
         dim_cycles=dim_cycles,
         dim_homology=dim_h,
         representatives=tuple(reps),

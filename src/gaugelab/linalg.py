@@ -1,6 +1,6 @@
 """Exact rational linear algebra for the homology windows.
 
-A triangular span of sparse Fraction vectors (membership, ranks, canonical
+A triangular span of sparse Fraction vectors (membership, ranks,
 remainders) and a column kernel.  The homology rank is a sparse row-side
 elimination through the span, used only to cross-check the column kernel by
 rank-nullity.  The dense fraction-free rank is no longer called by the
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .algebra import _fraction
@@ -42,11 +43,18 @@ class LinearSpan:
         self._pivots: dict = {}   # pivot key -> reduced vector (dict key->Fraction)
 
     @property
+    def pivots(self) -> Mapping:
+        """Read-only view: pivot key -> stored reduced vector."""
+        return MappingProxyType(self._pivots)
+
+    @property
     def rank(self) -> int:
         return len(self._pivots)
 
     def reduce(self, vec: Mapping) -> dict:
-        """Remainder of vec against the current triangular basis."""
+        """Remainder of vec against the current basis, reduced only until its
+        leading key has no pivot: the entries below depend on the stored basis,
+        so remainders depend on the order of ``add`` calls."""
         out = {k: _fraction(c) for k, c in vec.items() if c != 0}
         while out:
             k = max(out)
@@ -56,13 +64,13 @@ class LinearSpan:
             _subtract(out, out[k] / piv[k], piv)
         return out
 
-    def add(self, vec: Mapping) -> bool:
-        """Insert a vector; True when it enlarged the span."""
+    def add(self, vec: Mapping) -> dict:
+        """Insert a vector; return the remainder stored at its leading key, or
+        an empty dict when vec was already in the span."""
         rem = self.reduce(vec)
-        if not rem:
-            return False
-        self._pivots[max(rem)] = rem
-        return True
+        if rem:
+            self._pivots[max(rem)] = rem
+        return rem
 
 
 def kernel_of_columns(columns: Iterable[Mapping]) -> list[dict[int, Fraction]]:
