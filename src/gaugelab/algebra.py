@@ -6,13 +6,16 @@ variable, a tuple of component indices, and a symmetric derivative multi-index
 commute).  A monomial is a tuple of jet symbols kept in one global total
 order; putting factors into that order contributes a sign of -1 for every
 transposition of two odd factors, and a repeated odd factor annihilates the
-monomial.  Coefficients are exact rationals: a polynomial stores ``int``
-numerators over one positive common denominator in lowest terms (the gcd of
-the denominator and every numerator is 1, and the zero polynomial has
-denominator 1).  That form is unique, so two polynomials are equal exactly
-when their stored forms coincide, and the term kernels do only ``int``
-arithmetic.  ``GradedPoly.terms`` is the ``(factors, Fraction)`` view of the
-same terms, and the public constructors accept any rational coefficients.
+monomial.  Every kernel that builds terms from raw factors (products, total
+derivatives, derivation images, loading) enters them through ``_add_term``,
+the one place that sorts factors and applies that sign.  Coefficients are
+exact rationals: a polynomial stores ``int`` numerators over one positive
+common denominator in lowest terms (the gcd of the denominator and every
+numerator is 1, and the zero polynomial has denominator 1).  That form is
+unique, so two polynomials are equal exactly when their stored forms
+coincide, and the term kernels do only ``int`` arithmetic.
+``GradedPoly.terms`` is the ``(factors, Fraction)`` view of the same terms,
+and the public constructors accept any rational coefficients.
 
 Antisymmetric index blocks store only strictly increasing component tuples;
 permuted input components are folded into the coefficient with the
@@ -109,10 +112,6 @@ class GradedVariableDecl:
             # antisymmetry is vacuous below two indices
             object.__setattr__(self, "antisym", False)
 
-    @property
-    def sort_rank(self) -> tuple:
-        return (self.stage, _KIND_RANK[self.kind], self.name)
-
     def __reduce__(self):
         return (GradedVariableDecl, tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
@@ -192,39 +191,37 @@ def factor_str(sym: JetSymbol) -> str:
 Factors = tuple  # tuple[JetSymbol, ...] in canonical order
 
 
-def _canon_factors(factors: Sequence[JetSymbol]):
-    """Sort factors into the global order, tracking the Koszul sign.
+def _add_term(acc: dict, factors: Sequence[JetSymbol], c) -> None:
+    """Merge c times the monomial of factors, given in any order, into acc.
 
-    Returns (sign, tuple) or None when an odd factor repeats.
+    This is the one entry for raw terms: it sorts the factors into the global
+    order, negates c once per transposition of two odd factors, and stores
+    nothing when an odd factor repeats.  A first insert stores c itself,
+    never 0 + c, and the sign is applied by negation, which skips the
+    normalising gcd that a product with an int sign would pay.  The canonical
+    form of a polynomial is unique, so the result depends only on the terms
+    merged, never on the order their factors arrive in.
     """
     out: list[JetSymbol] = []
-    sign = 1
+    odd_swaps = 0
     for f in factors:
         i = len(out)
         crossed_odd = 0
         while i > 0 and out[i - 1].key > f.key:
-            if out[i - 1].parity:
-                crossed_odd += 1
+            crossed_odd ^= out[i - 1].parity
             i -= 1
         if f.parity:
-            if crossed_odd & 1:
-                sign = -sign
+            odd_swaps ^= crossed_odd
             if i > 0:
                 prev = out[i - 1]
                 if prev is f or (prev.key == f.key and prev == f):
-                    return None
+                    return
         out.insert(i, f)
-    return sign, tuple(out)
-
-
-def _merge(acc: dict, key, c) -> None:
-    """Add c into acc[key]; a first insert stores c itself, never 0 + c.
-
-    Callers apply a +-1 sign as ``c if sign > 0 else -c``: negation skips
-    the normalising gcd that a product with an int sign would pay.
-    """
-    prev = acc.get(key)
-    acc[key] = c if prev is None else prev + c
+    fs = tuple(out)
+    if odd_swaps:
+        c = -c
+    prev = acc.get(fs)
+    acc[fs] = c if prev is None else prev + c
 
 
 def _accumulate(raw: Iterable[tuple]) -> dict:
@@ -236,11 +233,8 @@ def _accumulate(raw: Iterable[tuple]) -> dict:
     acc: dict[Factors, Fraction] = {}
     for coeff, factors in raw:
         q = _fraction(coeff)
-        if q == 0:
-            continue
-        r = _canon_factors(factors)
-        if r is not None:
-            _merge(acc, r[1], q if r[0] > 0 else -q)
+        if q != 0:
+            _add_term(acc, factors, q)
     return acc
 
 
@@ -365,12 +359,7 @@ class GradedPoly:
         acc: dict[Factors, int] = {}
         for fa, ca in self._terms:
             for fb, cb in other._terms:
-                r = _canon_factors(fa + fb)
-                if r is None:
-                    continue
-                sign, fs = r
-                c = ca * cb
-                _merge(acc, fs, c if sign > 0 else -c)
+                _add_term(acc, fa + fb, ca * cb)
         return GradedPoly._from_dict(acc, self._den * other._den)
 
     def __rmul__(self, other):

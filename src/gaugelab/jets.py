@@ -33,8 +33,7 @@ from .algebra import (
     MultiIndex,
     VariableTable,
     _ZERO,
-    _canon_factors,
-    _merge,
+    _add_term,
     _term_parity,
     multi_index,
     poly_sum,
@@ -55,7 +54,8 @@ def _left_partials(p: GradedPoly) -> dict[JetSymbol, dict[Factors, int]]:
         pref = i = 0
         for x, copies in groupby(fs):
             k = len(tuple(copies))
-            _merge(out[x], fs[:i] + fs[i + 1:], (-c if x.parity and pref else c) * k)
+            acc, rest = out[x], fs[:i] + fs[i + 1:]
+            acc[rest] = acc.get(rest, 0) + (-c if x.parity and pref else c) * k
             pref ^= x.parity
             i += k
     return out
@@ -91,12 +91,7 @@ def total_derivative(p: GradedPoly, lam: int, n: int | None = None) -> GradedPol
     acc: dict[Factors, int] = {}
     for fs, c in terms:
         for i, f in enumerate(fs):
-            raw = fs[:i] + (f.raised(lam),) + fs[i + 1:]
-            r = _canon_factors(raw)
-            if r is None:
-                continue
-            sign, out = r
-            _merge(acc, out, c if sign > 0 else -c)
+            _add_term(acc, fs[:i] + (f.raised(lam),) + fs[i + 1:], c)
     out = memo[lam] = GradedPoly._from_dict(acc, p._den)
     return out
 
@@ -276,23 +271,13 @@ def apply_prolonged(v: VerticalDerivation, P: GradedPoly) -> GradedPoly:
                 crossed ^= f.parity
             img = v.image(f)
             if img is not None:
-                sign = -1 if (v.parity and crossed) else 1
-                _insert_image(acc, fs, i, img, (c if sign > 0 else -c) * (vden // img._den))
+                # k carries the sign and img's share of the common denominator
+                k = (-c if v.parity and crossed else c) * (vden // img._den)
+                for gf, gc in img._terms:
+                    _add_term(acc, fs[:i] + gf + fs[i + 1:], k * gc)
             if not right:
                 crossed ^= f.parity
     return GradedPoly._from_dict(acc, P._den * vden)
-
-
-def _insert_image(acc, fs, i, img, coeff):
-    """Add coeff times img, with img's factor substituted at position i of fs,
-    into acc; coeff already carries img's share of the common denominator."""
-    for gf, gc in img._terms:
-        r = _canon_factors(fs[:i] + gf + fs[i + 1:])
-        if r is None:
-            continue
-        sign, out = r
-        c = coeff * gc
-        _merge(acc, out, c if sign > 0 else -c)
 
 
 def first_variation_residual(L: GradedPoly, v: VerticalDerivation) -> GradedPoly:

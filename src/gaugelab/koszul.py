@@ -42,8 +42,7 @@ from .algebra import (
     JetSymbol,
     ODD,
     VariableTable,
-    _canon_factors,
-    _merge,
+    _add_term,
     _monomial,
     _reduced,
     _term_parity,
@@ -445,8 +444,7 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
                 for sigma, lam, w in eta_splits(a.derivative):
                     g = (JetSymbol(fam.ghost, fcomps, lam),)
                     for gf, gc in multi_total_derivative(q, sigma)._terms:
-                        sign, out = _canon_factors(g + gf)   # g is the one ghost
-                        _merge(acc, out, sign * w * c * gc)
+                        _add_term(acc, g + gf, w * c * gc)
     return VerticalDerivation({sym: GradedPoly._from_dict(acc, den) for sym, acc in accs.items()},
                               parity=ODD, side=LEFT, antifield_delta=0, ghost_delta=1)
 

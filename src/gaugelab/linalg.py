@@ -1,11 +1,12 @@
 """Exact rational linear algebra for the homology windows.
 
 A triangular span of sparse Fraction vectors (membership, ranks,
-remainders) and a column kernel.  The homology rank is a sparse row-side
-elimination through the span, used only to cross-check the column kernel by
-rank-nullity.  The dense fraction-free rank is no longer called by the
-package; it stays because the benchmark's tracer wraps it by name.  No
-tolerances exist anywhere: every pivot decision is an exact zero test.
+remainders) and a column kernel that reduces through such a span.  The
+homology rank is a sparse row-side elimination through the span, used only
+to cross-check the column kernel by rank-nullity.  The dense fraction-free
+rank is no longer called by the package; it stays because the benchmark's
+tracer wraps it by name.  No tolerances exist anywhere: every pivot decision
+is an exact zero test.
 """
 
 from __future__ import annotations
@@ -74,27 +75,23 @@ class LinearSpan:
 
 
 def kernel_of_columns(columns: Iterable[Mapping]) -> list[dict[int, Fraction]]:
-    """Nullspace combinations of a list of sparse column vectors.
+    """Nullspace combinations of a list of sparse column vectors whose row
+    keys are non-negative ints.
 
     Returns vectors over column indices: x with sum_j x[j] * col_j = 0.
+    Column j is reduced through a span with its combination tagged at key
+    ~j, below every row key: a remainder led by a row key is a new pivot, and
+    one led by a tag is the kernel vector {~i: c}.
     """
-    pivots: dict = {}          # pivot key -> (vector, combination)
+    span = LinearSpan()
     kernel: list[dict[int, Fraction]] = []
     for j, col in enumerate(columns):
-        vec = {k: _fraction(c) for k, c in col.items() if c != 0}
-        combo = {j: Fraction(1)}
-        while vec:
-            k = max(vec)
-            piv = pivots.get(k)
-            if piv is None:
-                pivots[k] = (vec, combo)
-                break
-            pvec, pcombo = piv
-            f = vec[k] / pvec[k]
-            _subtract(vec, f, pvec)
-            _subtract(combo, f, pcombo)
+        rem = span.reduce({**col, ~j: 1})
+        k = max(rem)
+        if k >= 0:
+            span._pivots[k] = rem
         else:
-            kernel.append(combo)
+            kernel.append({~i: c for i, c in rem.items()})
     return kernel
 
 

@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from gaugelab import GradedPoly, poly_sum, total_derivative, trivial_model
-from gaugelab.algebra import _canon_factors, _term_parity, perm_sign
+from gaugelab.algebra import _term_parity, perm_sign
 from gaugelab.errors import IndexOutOfRange, UnknownVariable
 
 
@@ -299,8 +299,23 @@ def drop_first_term(poly):
 
 # Plain copies of the term kernels over the Fraction view: every coefficient
 # fold is acc.get(k, Fraction(0)) + c * sign, with no shortcut for a first
-# insert, a +-1 sign or a common denominator.  The public constructor
+# insert, a +-1 sign or a common denominator, and every Koszul sign comes from
+# _canon_factors below, not from the package.  The public constructor
 # GradedPoly(terms) drops the zeros and sorts.
+
+def _canon_factors(factors):
+    """(sign, factors sorted by key), or None when an odd factor repeats.
+
+    The sign is (-1) to the number of inversions among the odd factors' keys.
+    Repeats are found by value equality, not by key: symbols of two
+    declarations can share a key and still be distinct.
+    """
+    odd = [f for f in factors if f.parity]
+    if len(set(odd)) < len(odd):
+        return None
+    inversions = sum(a.key > b.key for a, b in combinations(odd, 2))
+    return (-1) ** inversions, tuple(sorted(factors, key=lambda f: f.key))
+
 
 def oracle_mul(a, b):
     acc = {}
