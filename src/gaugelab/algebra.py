@@ -196,11 +196,12 @@ def _add_term(acc: dict, factors: Sequence[JetSymbol], c) -> None:
 
     This is the one entry for raw terms: it sorts the factors into the global
     order, negates c once per transposition of two odd factors, and stores
-    nothing when an odd factor repeats.  A first insert stores c itself,
-    never 0 + c, and the sign is applied by negation, which skips the
-    normalising gcd that a product with an int sign would pay.  The canonical
-    form of a polynomial is unique, so the result depends only on the terms
-    merged, never on the order their factors arrive in.
+    nothing when an odd factor repeats, also apart within the run of its key
+    (two declarations can share a key).  A first insert stores c itself, never
+    0 + c, and the sign is applied by negation, which skips the normalising
+    gcd that a product with an int sign would pay.  The canonical form of a
+    polynomial is unique, so the result depends only on the terms merged,
+    never on the order their factors arrive in.
     """
     out: list[JetSymbol] = []
     odd_swaps = 0
@@ -214,7 +215,7 @@ def _add_term(acc: dict, factors: Sequence[JetSymbol], c) -> None:
             odd_swaps ^= crossed_odd
             if i > 0:
                 prev = out[i - 1]
-                if prev is f or (prev.key == f.key and prev == f):
+                if prev is f or (prev.key == f.key and f in out[:i]):
                     return
         out.insert(i, f)
     fs = tuple(out)

@@ -23,7 +23,7 @@ from pathlib import Path
 from .algebra import factor_str, render_poly
 from .dsl import ModelFormatError, parse_or_raise, render_model
 from .errors import GaugelabError, NotAComplex
-from .homology import TruncationWindow, kt_homology
+from .homology import MAX_WINDOW_CHAINS, TruncationWindow, kt_homology, window_chains
 from .koszul import ascent_operator, run_checks
 from .zoo import zoo_model
 
@@ -112,11 +112,14 @@ def _cmd_homology(args) -> tuple:
     except ValueError as e:
         raise UsageError(e) from None
     m, N = _load(args)
+    too_large = UsageError(f"homology window (jet order {w.max_jet_order}, degree "
+                           f"{w.max_poly_degree}) is too large to build")
+    if window_chains(m, w, N) > MAX_WINDOW_CHAINS:
+        raise too_large
     try:
         report = kt_homology(m, w, max_stage=N)
     except (RecursionError, MemoryError):
-        raise UsageError(f"homology window (jet order {w.max_jet_order}, degree "
-                         f"{w.max_poly_degree}) is too large to build") from None
+        raise too_large from None
     gens = [render_poly(rep) for rep in report.representatives]
     entry = {
         "sector": report.sector,

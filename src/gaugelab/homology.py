@@ -8,13 +8,15 @@ divergences.  Every number reported here is window-relative: no finite window
 can refute non-trivial homology, it can only exhibit generators, so reports
 distinguish "found" from "none within window".  A window's span keys each
 chain by its basis index and each in-map target outside the window above them
-all, so the span's low pivots are the window boundaries.
+all, so the span's low pivots are the window boundaries.  The elimination is
+in ``int`` arithmetic (``linalg``); only the representatives are rational.
+``window_chains`` counts a window's chains without building them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
 from .algebra import GHOST, GradedPoly, _monomial
 from .errors import GradingMismatch, NotAComplex
@@ -75,13 +77,54 @@ def chain_basis(m: ModelSpec, w: TruncationWindow,
     return out
 
 
+MAX_WINDOW_CHAINS = 200_000
+
+
+def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = None) -> int:
+    """Chains of the out- and in-map sources of ``kt_homology`` at w, from the
+    generating function, without building them: antifield monomials by
+    (degree, antifield number), field monomials of degree <= D in closed form.
+    Exact up to MAX_WINDOW_CHAINS; the count stops as soon as it passes it."""
+    N = m.resolve_stage(max_stage)
+    jets = comb(m.table.n + w.max_jet_order, m.table.n)
+    total = 0
+    for k, cap in ((w.sector, min(w.sector - 2, N)), (w.sector + 1, min(w.sector - 1, N))):
+        fields, ways = [0, 0], {(0, 0): 1}      # even, odd field jets; (deg, ant) -> count
+        for d in m.table.decls:
+            if d.kind == GHOST or d.stage > cap:
+                continue
+            n, a = len(m.table.component_tuples(d)) * jets, d.antifield_number
+            if not a:
+                fields[d.parity] += n
+                continue
+            for (deg, ant), c in list(ways.items()):
+                for i in range(1, (k - ant) // a + 1):     # i of the n jets, odd ones once
+                    key = (deg + i, ant + a * i)
+                    ways[key] = ways.get(key, 0) + c * comb(n if d.parity else n + i - 1, i)
+        even, odd = fields
+        for (deg, ant), c in ways.items():
+            if ant != k:
+                continue
+            # past MAX_WINDOW_CHAINS a higher degree no longer changes the verdict
+            top = min(w.max_poly_degree - deg, MAX_WINDOW_CHAINS + 1)
+            total -= deg == 0                   # the empty monomial is no chain
+            for j in range(min(odd, top) + 1):
+                total += c * comb(odd, j) * comb(even + top - j, even)
+                if total > MAX_WINDOW_CHAINS:
+                    return total
+    return total
+
+
 @dataclass
 class BoundaryMatrix:
-    """Exact matrix of a stage differential from a windowed chain basis."""
+    """Exact matrix of a stage differential from a windowed chain basis:
+    ``columns`` hold ``int`` numerators over ``den`` (or rationals over den 1);
+    one scale on every column changes no kernel, rank or span."""
 
     source: list          # list of factor tuples
     target: list          # list of factor tuples, discovery order
-    columns: list         # list of dict[target index -> Fraction]
+    columns: list         # list of dict[target index -> numerator]
+    den: int = 1
 
     @property
     def rank(self) -> int:
@@ -94,31 +137,24 @@ class BoundaryMatrix:
                 rows.setdefault(i, {})[j] = c
         span = LinearSpan()
         for row in rows.values():
-            span.add(row)
+            span._add(row)
         return span.rank
 
 
 def boundary_matrix(delta: VerticalDerivation, m: ModelSpec,
                     w: TruncationWindow, max_stage: int | None = None) -> BoundaryMatrix:
-    """Columns are the exact monomial expansions of delta on the chain basis."""
+    """Columns are the exact monomial expansions of delta on the chain basis,
+    over ``delta.den``, which every image's denominator divides."""
     if delta.antifield_delta != -1:
         raise GradingMismatch("boundary maps must lower the antifield number by 1")
     source = chain_basis(m, w, max_stage)
-    index: dict = {}
-    target: list = []
+    index: dict = {}        # target -> its index, in discovery order
     columns = []
     for fs in source:
         image = apply_prolonged(delta, _monomial(fs, 1))
-        col = {}
-        for tfs, c in image.terms:
-            i = index.get(tfs)
-            if i is None:
-                i = len(target)
-                index[tfs] = i
-                target.append(tfs)
-            col[i] = c
-        columns.append(col)
-    return BoundaryMatrix(source, target, columns)
+        k = delta.den // image._den
+        columns.append({index.setdefault(tfs, len(index)): c * k for tfs, c in image._terms})
+    return BoundaryMatrix(source, list(index), columns, delta.den)
 
 
 @dataclass
@@ -160,7 +196,7 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
     keys = [inside.get(fs, n + i) for i, fs in enumerate(bm_in.target)]
     span = LinearSpan()
     for col in bm_in.columns:
-        span.add({keys[i]: c for i, c in col.items()})
+        span._add({keys[i]: c for i, c in col.items()})
     boundaries = [vec for k, vec in span.pivots.items() if k < n]
 
     # complex property where it matters: every boundary that lands inside the
@@ -177,10 +213,11 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
     cycle_combos = kernel_of_columns(bm_out.columns)
     reps = []
     for combo in cycle_combos:
-        rem = span.add(combo)
+        rem, _ = span._add(combo)
         if rem:     # a new class: its density, leading coefficient 1
-            scale = Fraction(1) / rem[min(rem)]
-            reps.append(GradedPoly((bm_out.source[j], c * scale) for j, c in rem.items()))
+            lead = rem[min(rem)]    # c / lead is c * lead over the positive lead**2
+            reps.append(GradedPoly._from_dict(
+                {bm_out.source[j]: c * lead for j, c in rem.items()}, lead * lead))
 
     dim_cycles = len(cycle_combos)
     rank_out = bm_out.rank

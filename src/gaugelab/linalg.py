@@ -1,51 +1,34 @@
-"""Exact rational linear algebra for the homology windows.
+"""Exact linear algebra for the homology windows, in ``int`` arithmetic.
 
-A triangular span of sparse Fraction vectors (membership, ranks,
-remainders) and a column kernel that reduces through such a span.  The
-homology rank is a sparse row-side elimination through the span, used only
-to cross-check the column kernel by rank-nullity.  The dense fraction-free
-rank is no longer called by the package; it stays because the benchmark's
-tracer wraps it by name.  No tolerances exist anywhere: every pivot decision
-is an exact zero test.
+A triangular span of sparse vectors and a column kernel that reduces through
+such a span.  The span stores primitive ``int`` pivots (entries with gcd 1)
+and eliminates fraction-free, so no ``Fraction`` is built per entry or step.
+Scaling a pivot does not change a remainder, so ``reduce``/``add`` return the
+exact rational remainder of Gaussian elimination in the same key order; the
+package's callers take the private ``(int vector, scale)`` form.  The homology
+rank is a sparse row-side elimination through a span, used to cross-check the
+column kernel by rank-nullity.  No tolerances exist anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .algebra import _fraction
-
-
-def _subtract(vec: dict, f: Fraction, piv: Mapping) -> None:
-    """vec -= f * piv in place, dropping entries that cancel to zero.
-
-    f and the entries of piv are nonzero, so a first insert is never zero.
-    """
-    g = -f
-    for k, c in piv.items():
-        prev = vec.get(k)
-        if prev is None:
-            vec[k] = g * c
-            continue
-        nv = prev + g * c
-        if nv == 0:
-            del vec[k]
-        else:
-            vec[k] = nv
+from .algebra import _rational
 
 
 class LinearSpan:
     """Triangular basis of sparse vectors keyed by orderable coordinates."""
 
     def __init__(self):
-        self._pivots: dict = {}   # pivot key -> reduced vector (dict key->Fraction)
+        self._pivots: dict = {}   # pivot key -> primitive int vector (dict key->int)
 
     @property
     def pivots(self) -> Mapping:
-        """Read-only view: pivot key -> stored reduced vector."""
+        """Read-only view: pivot key -> stored primitive int vector."""
         return MappingProxyType(self._pivots)
 
     @property
@@ -55,79 +38,88 @@ class LinearSpan:
     def reduce(self, vec: Mapping) -> dict:
         """Remainder of vec against the current basis, reduced only until its
         leading key has no pivot: the entries below depend on the stored basis,
-        so remainders depend on the order of ``add`` calls."""
-        out = {k: _fraction(c) for k, c in vec.items() if c != 0}
-        while out:
-            k = max(out)
-            piv = self._pivots.get(k)
-            if piv is None:
-                return out
-            _subtract(out, out[k] / piv[k], piv)
-        return out
+        so remainders depend on the order of ``add`` calls.  The remainder is
+        exact, and equal to that of Gaussian elimination over the rationals
+        with the same pivots, since scaling a pivot does not change it."""
+        out, scale = self._reduce(vec)
+        return {k: Fraction(c, scale) for k, c in out.items()}
 
     def add(self, vec: Mapping) -> dict:
-        """Insert a vector; return the remainder stored at its leading key, or
-        an empty dict when vec was already in the span."""
-        rem = self.reduce(vec)
-        if rem:
-            self._pivots[max(rem)] = rem
-        return rem
+        """Insert a vector; return its exact remainder, whose primitive multiple
+        is stored at its leading key, or an empty dict when vec was already in
+        the span."""
+        out, scale = self._add(vec)
+        return {k: Fraction(c, scale) for k, c in out.items()}
 
-
-def kernel_of_columns(columns: Iterable[Mapping]) -> list[dict[int, Fraction]]:
-    """Nullspace combinations of a list of sparse column vectors whose row
-    keys are non-negative ints.
-
-    Returns vectors over column indices: x with sum_j x[j] * col_j = 0.
-    Column j is reduced through a span with its combination tagged at key
-    ~j, below every row key: a remainder led by a row key is a new pivot, and
-    one led by a tag is the kernel vector {~i: c}.
-    """
-    span = LinearSpan()
-    kernel: list[dict[int, Fraction]] = []
-    for j, col in enumerate(columns):
-        rem = span.reduce({**col, ~j: 1})
-        k = max(rem)
-        if k >= 0:
-            span._pivots[k] = rem
+    def _reduce(self, vec: Mapping) -> tuple[dict, int]:
+        """(out, scale) with remainder out / scale, out an int vector.  Removing
+        key k with pivot p takes out to (p[k]/g)*out - (out[k]/g)*p, g the gcd
+        of p[k] and out[k]; denominators are cleared once on entry."""
+        if all(c.__class__ is int for c in vec.values()):
+            out, scale = {k: c for k, c in vec.items() if c}, 1
         else:
-            kernel.append({~i: c for i, c in rem.items()})
+            qs = [(k, _rational(c)) for k, c in vec.items() if c]
+            scale = lcm(*[q.denominator for _, q in qs])
+            out = {k: q.numerator * (scale // q.denominator) for k, q in qs}
+        pivots = self._pivots
+        while out:
+            k = max(out)
+            piv = pivots.get(k)
+            if piv is None:
+                break
+            a, f = piv[k], out[k]
+            if f % a:
+                g = gcd(a, f)
+                a //= g
+                f //= g
+                scale *= a
+                for key in out:
+                    out[key] *= a
+            else:
+                f //= a
+            for key, c in piv.items():
+                nv = out.get(key, 0) - f * c
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+        return out, scale
+
+    def _add(self, vec: Mapping) -> tuple[dict, int]:
+        out, scale = self._reduce(vec)
+        if out:
+            self._store(out)
+        return out, scale
+
+    def _store(self, out: dict) -> None:
+        """Store the primitive part of a nonzero int vector at its leading key."""
+        g = gcd(*out.values())
+        self._pivots[max(out)] = {k: c // g for k, c in out.items()} if g != 1 else out
+
+
+def kernel_of_columns(columns: Iterable[Mapping]) -> list[dict[int, int | Fraction]]:
+    """Nullspace of sparse columns whose row keys are non-negative ints: x
+    over column indices with sum_j x[j] * col_j = 0, and x[j] = 1 at its
+    last column j.  Column j is reduced through a span with its combination
+    tagged at key ~j, below every row key: a remainder led by a row key is a
+    new pivot, one led by a tag is a kernel vector.  No pivot holds ~j, so
+    the remainder's entry there is its scale; dividing by it gives exact
+    entries, ints when the scale is 1 or -1."""
+    span = LinearSpan()
+    kernel: list[dict[int, int | Fraction]] = []
+    for j, col in enumerate(columns):
+        rem, s = span._reduce({**col, ~j: 1})
+        if max(rem) >= 0:
+            span._store(rem)
+        else:       # c / s, an int when s is 1 or -1
+            kernel.append({~i: c * s if s * s == 1 else Fraction(c, s) for i, c in rem.items()})
     return kernel
 
 
 def rank_fraction_free(rows: list[list]) -> int:
-    """Rank by Bareiss fraction-free elimination on an integer copy."""
-    if not rows:
-        return 0
-    m = []
+    """Rank of a dense matrix by fraction-free elimination of its rows.  The
+    package does not call it; the benchmark's tracer wraps it by name."""
+    span = LinearSpan()
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append([int(x * den) for x in fr])
-    nrows = len(m)
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, nrows):
-            if all(x == 0 for x in m[r][c:]):
-                continue
-            for cc in range(c + 1, ncols):
-                m[r][cc] = (m[r][cc] * m[rank][c] - m[r][c] * m[rank][cc]) // prev
-            m[r][c] = 0
-        prev = m[rank][c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        span._add(dict(enumerate(row)))
+    return span.rank

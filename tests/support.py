@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random inputs, an independent
-dense-elimination rank oracle, plain-arithmetic copies of the term kernels,
-and a polynomial-valued copy of the model-file expander."""
+dense-elimination rank oracle, a Fraction reference span and column kernel,
+plain-arithmetic copies of the term kernels, and a polynomial-valued copy of
+the model-file expander."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -95,6 +96,49 @@ def dense_rank_oracle(rows):
         if rank == len(m):
             break
     return rank
+
+
+class FractionSpan:
+    """Reference triangular span over Fraction: plain Gaussian elimination,
+    one Fraction operation per entry and step, pivoting on the largest key."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, vec):
+        out = {k: Fraction(c) for k, c in vec.items() if c}
+        while out:
+            k = max(out)
+            piv = self.pivots.get(k)
+            if piv is None:
+                break
+            f = out[k] / piv[k]
+            for key, c in piv.items():
+                x = out.get(key, 0) - f * c
+                if x:
+                    out[key] = x
+                else:
+                    out.pop(key, None)
+        return out
+
+    def add(self, vec):
+        rem = self.reduce(vec)
+        if rem:
+            self.pivots[max(rem)] = rem
+        return rem
+
+
+def fraction_kernel(columns):
+    """Reference column kernel through a FractionSpan: column j is tagged at ~j."""
+    span = FractionSpan()
+    kernel = []
+    for j, col in enumerate(columns):
+        rem = span.reduce({**col, ~j: 1})
+        if max(rem) >= 0:
+            span.pivots[max(rem)] = rem
+        else:
+            kernel.append({~i: c for i, c in rem.items()})
+    return kernel
 
 
 def boundary_rows(bm):

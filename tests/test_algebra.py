@@ -354,6 +354,20 @@ def test_same_named_but_different_declaration_stays_distinct():
     assert not GradedPoly.from_raw([(1, (own, foreign))]).is_zero()
 
 
+def test_repeated_odd_factor_across_declarations_sharing_a_key_vanishes():
+    # two odd declarations that differ only in ghost number share a key, so a
+    # repeated symbol need not sort next to its first copy
+    from gaugelab.algebra import FIELD, ODD, GradedVariableDecl
+    x, y = (JetSymbol(GradedVariableDecl("s", FIELD, ODD, ghost_number=g)) for g in (0, 1))
+    assert x.key == y.key and x != y
+    for fs in ((x, y, x), (y, x, y), (x, x, y), (y, x, x)):
+        assert GradedPoly.from_raw([(1, fs)]).is_zero()
+    xy, yx, lone = (GradedPoly.from_raw([(1, fs)]) for fs in ((x, y), (y, x), (x,)))
+    assert not xy.is_zero() and not yx.is_zero()
+    for a, b in ((xy, lone), (lone, xy), (yx, lone), (lone, yx), (xy, yx)):
+        assert (a * b).is_zero() and a * b == oracle_mul(a, b)
+
+
 def test_constructor_still_rejects_bad_components():
     t = BF3.table
     b = t.decl("B")  # arity 2, antisymmetric

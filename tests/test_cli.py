@@ -169,9 +169,10 @@ BAD_INPUT = [
      r"error: zoo model 'bf:99999999999999999999' is too large to build$"),
     (["zoo", "bf:99999999999999999999"],
      r"error: zoo model 'bf:99999999999999999999' is too large to build$"),
-    # a homology window too large to enumerate
-    (["homology", "--zoo", "bf:2", "--jet-order", "0", "--poly-degree", "5000"],
-     r"error: homology window \(jet order 0, degree 5000\) is too large to build$"),
+    # a homology window too large to enumerate, rejected by its chain count
+    *((["homology", "--zoo", "bf:2", "--jet-order", "0", "--poly-degree", str(p)],
+       rf"error: homology window \(jet order 0, degree {p}\) is too large to build$")
+      for p in (60, 900, 5000)),
     # nesting too deep to parse
     (["check", "--model", "{deep_model}"],
      r".*:3:205: E-SYNTAX: expression nested too deeply$"),
@@ -263,6 +264,9 @@ GOLDEN_REPORTS = {
     # 21 generators and in-window boundaries
     ("homology", "bf:4 --sector 3 --jet-order 1 --poly-degree 2 --stage 1"):
         "ba4464a26e4d593d07fef1a51846bf75fd57b327d3c14fe3db5be686f98ab50b",
+    # 3876 chains, 91 generators and 321 in-window boundaries
+    ("homology", "bf:3 --sector 2 --jet-order 1 --poly-degree 3 --stage 0"):
+        "ca52935c4b6614d5f5826406a36221fbbc6c9f75fc5338a2c303072e7f1bb332",
 }
 
 

@@ -2,6 +2,7 @@
 regularity probe, cross-checked against a dense elimination oracle."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,11 @@ from gaugelab import (
     render_poly,
     trivial_model,
 )
-from gaugelab.homology import BoundaryMatrix, kt_differentials_for_sector
-from gaugelab.linalg import kernel_of_columns
-from support import boundary_rows, dense_rank_oracle, rebuild_with_mutation, flip_first_term
+from gaugelab.homology import (
+    MAX_WINDOW_CHAINS, BoundaryMatrix, kt_differentials_for_sector, window_chains)
+from gaugelab.linalg import kernel_of_columns, rank_fraction_free
+from support import (
+    boundary_rows, dense_rank_oracle, flip_first_term, rebuild_with_mutation, two_field_model)
 
 
 def test_chain_basis_single_odd_antifield():
@@ -46,6 +49,25 @@ def test_chain_basis_empty_when_sector_unreachable():
     m = free_scalar_model(2)
     # only Ant-1 variables exist and degree 1 allows a single factor
     assert chain_basis(m, TruncationWindow(1, 1, 3), max_stage=-1) == []
+
+
+@pytest.mark.parametrize("model", [bf_model(2), bf_model(3), two_field_model(),
+                                   trivial_model([("x", 0), ("y", 1)], n=1)], ids=str)
+def test_window_chain_count_matches_the_enumerated_bases(model):
+    for sector, jets, degree, stage in product(range(4), range(3), range(1, 4), (None, -1)):
+        w = TruncationWindow(jets, degree, sector)
+        N = model.resolve_stage(stage)
+        enumerated = (len(chain_basis(model, w, min(sector - 2, N)))
+                      + len(chain_basis(model, TruncationWindow(jets, degree, sector + 1),
+                                        min(sector - 1, N))))
+        assert window_chains(model, w, stage) == enumerated
+
+
+def test_window_chain_count_stops_past_the_cap():
+    # bf:2 at jet order 0, degree 60 has 113,460 + 145,790 chains
+    for degree in (60, 900, 5000, 10**30):
+        assert window_chains(bf_model(2), TruncationWindow(0, degree, 1)) > MAX_WINDOW_CHAINS
+    assert window_chains(bf_model(3), TruncationWindow(2, 3, 1)) == 92_250
 
 
 def test_boundary_matrix_zero_for_zero_lagrangian():
@@ -127,7 +149,8 @@ def sparse_columns(draw):
 def test_sparse_rank_matches_dense_oracle(shape):
     nrows, columns = shape
     bm = BoundaryMatrix(list(range(len(columns))), list(range(nrows)), columns)
-    assert bm.rank == dense_rank_oracle(boundary_rows(bm))
+    rows = boundary_rows(bm)
+    assert bm.rank == dense_rank_oracle(rows) == rank_fraction_free(rows)
     assert bm.rank + len(kernel_of_columns(bm.columns)) == len(bm.source)
 
 
