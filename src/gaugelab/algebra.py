@@ -14,8 +14,9 @@ common denominator in lowest terms (the gcd of the denominator and every
 numerator is 1, and the zero polynomial has denominator 1).  That form is
 unique, so two polynomials are equal exactly when their stored forms
 coincide, and the term kernels do only ``int`` arithmetic.
-``GradedPoly.terms`` is the ``(factors, Fraction)`` view of the same terms,
-and the public constructors accept any rational coefficients.
+``GradedPoly.terms`` is the ``(factors, Fraction)`` view of the same terms.
+The constructors accept any rational coefficients; ``_cleared``, shared with
+``linalg``'s span, is the one place where they become ``int`` numerators.
 
 Antisymmetric index blocks store only strictly increasing component tuples;
 permuted input components are folded into the coefficient with the
@@ -225,20 +226,6 @@ def _add_term(acc: dict, factors: Sequence[JetSymbol], c) -> None:
     acc[fs] = c if prev is None else prev + c
 
 
-def _accumulate(raw: Iterable[tuple]) -> dict:
-    """Canonical factors -> summed coefficient of (coefficient, factors) pairs.
-
-    Zero coefficients and terms with a repeated odd factor are dropped;
-    entries that cancel stay in the dict with coefficient 0.
-    """
-    acc: dict[Factors, Fraction] = {}
-    for coeff, factors in raw:
-        q = _fraction(coeff)
-        if q != 0:
-            _add_term(acc, factors, q)
-    return acc
-
-
 _symbol_key = attrgetter("key")
 _numerator = itemgetter(1)
 
@@ -278,13 +265,8 @@ class GradedPoly:
     def __init__(self, terms: Iterable[tuple] = ()):
         """From (canonical factor tuple, rational) pairs with distinct factor
         tuples, in any order; zero coefficients are dropped."""
-        qs = [(fs, _rational(c)) for fs, c in terms]
-        den = lcm(*[q.denominator for _, q in qs])
-        # over the lcm of reduced denominators the numerators share no factor
-        items = [(fs, q.numerator * (den // q.denominator)) for fs, q in qs if q]
-        items.sort(key=_term_key)
-        self._terms = tuple(items)
-        self._den = den if items else 1
+        items, self._den = _cleared(terms)     # den 1 when no item is left
+        self._terms = tuple(sorted(items, key=_term_key))
         self._d = None
 
     @classmethod
@@ -310,7 +292,11 @@ class GradedPoly:
     @classmethod
     def from_raw(cls, raw: Iterable[tuple]) -> "GradedPoly":
         """Build from (coefficient, factor sequence) pairs in any factor order."""
-        return cls(_accumulate(raw).items())
+        nums, den = _cleared((fs, c) for c, fs in raw)
+        acc: dict[Factors, int] = {}
+        for fs, c in nums:
+            _add_term(acc, fs, c)
+        return cls._from_dict(acc, den)
 
     @property
     def terms(self) -> tuple:
@@ -396,20 +382,27 @@ def _make(terms: tuple, den: int) -> GradedPoly:
     return p
 
 
-def _rational(c):
-    """c itself when it is an int or a Fraction, else Fraction(c)."""
-    return c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
-
-
-def _fraction(c) -> Fraction:
-    """c itself when it is a Fraction, else Fraction(c)."""
-    return c if c.__class__ is Fraction else Fraction(c)
+def _cleared(pairs: Iterable[tuple]) -> tuple[list, int]:
+    """(nonzero (key, int numerator) pairs, den) for (key, rational) pairs, den
+    the lcm of their reduced denominators, so den and the numerators have gcd
+    1.  This is the one place where rational coefficients become integers."""
+    pairs = list(pairs)
+    for _, c in pairs:
+        if c.__class__ is not int or not c:
+            break
+    else:       # nonzero ints are cleared over 1 as they are, with no Fraction
+        return pairs, 1
+    qs = [(k, c if c.__class__ in (int, Fraction) else Fraction(c)) for k, c in pairs]
+    den = lcm(*[q.denominator for _, q in qs])
+    return [(k, q.numerator * (den // q.denominator)) for k, q in qs if q], den
 
 
 def _monomial(fs: Factors, coeff) -> GradedPoly:
     """coeff times the monomial of canonical factors fs."""
-    q = _rational(coeff)
-    return _make(((fs, q.numerator),), q.denominator) if q else _ZERO
+    if coeff.__class__ is int:      # unit monomials of chain bases and the ascent operator
+        return _make(((fs, coeff),), 1) if coeff else _ZERO
+    items, den = _cleared(((fs, coeff),))
+    return _make(tuple(items), den) if items else _ZERO
 
 
 def _reduced(terms: tuple, den: int) -> GradedPoly:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby, product
 
-from .algebra import EVEN, GradedPoly, ODD, _accumulate, _render_terms, perm_sign
+from .algebra import EVEN, GradedPoly, ODD, _add_term, _render_terms, perm_sign
 from .errors import GaugelabError, IndexOutOfRange, UnknownVariable
 from .koszul import ModelBuilder, ModelSpec
 
@@ -410,7 +410,10 @@ def _parse_stage(doc: ModelDocument, toks: list, line: int, diags: list) -> None
 
 def _fold(raw) -> list:
     """Merged nonzero terms, with canonical factors, of raw terms."""
-    return [(c, fs) for fs, c in _accumulate(raw).items() if c]
+    acc: dict = {}
+    for c, fs in raw:
+        _add_term(acc, fs, c)
+    return [(c, fs) for fs, c in acc.items() if c]
 
 
 def _fold_product(a: list, b: list) -> list:

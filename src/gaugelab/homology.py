@@ -90,17 +90,27 @@ def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = Non
     total = 0
     for k, cap in ((w.sector, min(w.sector - 2, N)), (w.sector + 1, min(w.sector - 1, N))):
         fields, ways = [0, 0], {(0, 0): 1}      # even, odd field jets; (deg, ant) -> count
-        for d in m.table.decls:
-            if d.kind == GHOST or d.stage > cap:
-                continue
+        decls = [d for d in m.table.decls if d.kind != GHOST and d.stage <= cap]
+        amax = max((d.antifield_number for d in decls), default=0)
+        reached = total
+        for d in decls:
             n, a = len(m.table.component_tuples(d)) * jets, d.antifield_number
             if not a:
                 fields[d.parity] += n
                 continue
             for (deg, ant), c in list(ways.items()):
-                for i in range(1, (k - ant) // a + 1):     # i of the n jets, odd ones once
+                if ant + (w.max_poly_degree - deg) * amax < k:
+                    continue                    # sector k is out of reach
+                # i of the n jets, odd ones once, within sector k and degree D
+                top = min((k - ant) // a, w.max_poly_degree - deg, n if d.parity else k)
+                for i in range(1, top + 1):
                     key = (deg + i, ant + a * i)
-                    ways[key] = ways.get(key, 0) + c * comb(n if d.parity else n + i - 1, i)
+                    x = c * comb(n if d.parity else n + i - 1, i)
+                    ways[key] = ways.get(key, 0) + x
+                    if key[1] == k:     # each of these x monomials is at least one chain
+                        reached += x
+                        if reached > MAX_WINDOW_CHAINS:
+                            return reached
         even, odd = fields
         for (deg, ant), c in ways.items():
             if ant != k:
@@ -118,13 +128,12 @@ def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = Non
 @dataclass
 class BoundaryMatrix:
     """Exact matrix of a stage differential from a windowed chain basis:
-    ``columns`` hold ``int`` numerators over ``den`` (or rationals over den 1);
-    one scale on every column changes no kernel, rank or span."""
+    ``int`` ``columns`` over a common denominator that is not kept, since one
+    scale on every column changes no kernel, rank or span."""
 
     source: list          # list of factor tuples
     target: list          # list of factor tuples, discovery order
     columns: list         # list of dict[target index -> numerator]
-    den: int = 1
 
     @property
     def rank(self) -> int:
@@ -154,7 +163,7 @@ def boundary_matrix(delta: VerticalDerivation, m: ModelSpec,
         image = apply_prolonged(delta, _monomial(fs, 1))
         k = delta.den // image._den
         columns.append({index.setdefault(tfs, len(index)): c * k for tfs, c in image._terms})
-    return BoundaryMatrix(source, list(index), columns, delta.den)
+    return BoundaryMatrix(source, list(index), columns)
 
 
 @dataclass

@@ -38,6 +38,7 @@ from .algebra import (
     GHOST,
     GradedPoly,
     GradedVariableDecl,
+    Grading,
     INHOMOGENEOUS,
     JetSymbol,
     ODD,
@@ -525,8 +526,7 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
     g = grading_of(p)
     if g == INHOMOGENEOUS:
         raise GradingMismatch("on-shell reduction expects a graded-homogeneous input")
-    el = m.euler_lagrange_map()
-    nonzero_el = {sym: e for sym, e in el.items() if not e.is_zero()}
+    nonzero_el = {sym: e for sym, e in m.euler_lagrange_map().items() if e}
     if not nonzero_el:
         return OnShellResult(p, False)
     if max_jet_order is None:
@@ -535,32 +535,29 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
     mis = multi_indices(m.n, max_jet_order)
     pool = window_jets(m.table, m.table.decls, max_jet_order)
 
-    span = LinearSpan()
-    generators = []
-    for sym in sorted(nonzero_el, key=lambda s: s.key):
-        for mi in mis:
-            d = multi_total_derivative(nonzero_el[sym], mi)
-            if not d.is_zero():
-                generators.append(d)
     multipliers = [GradedPoly.constant(1)]
     for deg in range(1, max_multiplier_degree + 1):
         for combo in combinations_with_replacement(pool, deg):
             mono = GradedPoly.from_raw([(1, combo)])
             if not mono.is_zero():
                 multipliers.append(mono)
-    for gen in generators:
-        gg = grading_of(gen)
-        graded = gg != INHOMOGENEOUS
-        for q in multipliers:
-            if graded:
-                qg = grading_of(q)
-                if ((qg.parity ^ gg.parity) != g.parity
-                        or qg.antifield_number + gg.antifield_number != g.antifield_number
-                        or qg.ghost_number + gg.ghost_number != g.ghost_number):
-                    continue
-            vec = q * gen
-            if not vec.is_zero():
-                span.add({fs: c for fs, c in vec.terms})
-    residual_vec = span.reduce({fs: c for fs, c in p.terms})
-    residual = GradedPoly(residual_vec.items())
+    by_grading: dict = {}       # each group keeps the multipliers' order
+    for q in multipliers:
+        by_grading.setdefault(grading_of(q), []).append(q)
+    span = LinearSpan()
+    for sym in sorted(nonzero_el, key=lambda s: s.key):
+        for mi in mis:
+            gen = multi_total_derivative(nonzero_el[sym], mi)
+            gg = grading_of(gen)
+            qs = multipliers if gg == INHOMOGENEOUS else by_grading.get(Grading(
+                g.parity ^ gg.parity, g.antifield_number - gg.antifield_number,
+                g.ghost_number - gg.ghost_number), ())
+            for q in qs:
+                vec = q * gen
+                if vec:     # over its denominator: a scale changes no span
+                    span._add(dict(vec._terms))
+    out, scale = span._reduce(dict(p._terms))
+    if scale < 0:
+        out, scale = {fs: -c for fs, c in out.items()}, -scale
+    residual = GradedPoly._from_dict(out, scale * p._den)
     return OnShellResult(residual, residual.is_zero())

@@ -1,10 +1,11 @@
-"""Exact linear algebra for the homology windows, in ``int`` arithmetic.
+"""Exact ``int`` linear algebra for homology windows and on-shell reduction.
 
 A triangular span of sparse vectors and a column kernel that reduces through
-such a span.  The span stores primitive ``int`` pivots (entries with gcd 1)
-and eliminates fraction-free, so no ``Fraction`` is built per entry or step.
-Scaling a pivot does not change a remainder, so ``reduce``/``add`` return the
-exact rational remainder of Gaussian elimination in the same key order; the
+such a span.  The span clears denominators once on entry (``_cleared``),
+stores primitive ``int`` pivots (entries with gcd 1) and eliminates
+fraction-free, so no ``Fraction`` is built per entry or step.  Scaling a
+pivot does not change a remainder, so ``reduce``/``add`` return the exact
+rational remainder of Gaussian elimination in the same key order; the
 package's callers take the private ``(int vector, scale)`` form.  The homology
 rank is a sparse row-side elimination through a span, used to cross-check the
 column kernel by rank-nullity.  No tolerances exist anywhere.
@@ -13,11 +14,11 @@ column kernel by rank-nullity.  No tolerances exist anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .algebra import _rational
+from .algebra import _cleared
 
 
 class LinearSpan:
@@ -54,13 +55,9 @@ class LinearSpan:
     def _reduce(self, vec: Mapping) -> tuple[dict, int]:
         """(out, scale) with remainder out / scale, out an int vector.  Removing
         key k with pivot p takes out to (p[k]/g)*out - (out[k]/g)*p, g the gcd
-        of p[k] and out[k]; denominators are cleared once on entry."""
-        if all(c.__class__ is int for c in vec.values()):
-            out, scale = {k: c for k, c in vec.items() if c}, 1
-        else:
-            qs = [(k, _rational(c)) for k, c in vec.items() if c]
-            scale = lcm(*[q.denominator for _, q in qs])
-            out = {k: q.numerator * (scale // q.denominator) for k, q in qs}
+        of p[k] and out[k]."""
+        nums, scale = _cleared(vec.items())
+        out = dict(nums)
         pivots = self._pivots
         while out:
             k = max(out)

@@ -192,6 +192,31 @@ def rescaled_tower(n, lagrangian_factor, stage_factors):
     return b.build()
 
 
+# Two models whose ascent operator squares to nonzero, as model files.  In
+# ONSHELL_GLM the square vanishes on-shell; ROTOR_GLM is an SO(3)-gauged
+# rotor, L = |q' + a x q|^2 / 2, whose square is not in the shell ideal.
+ONSHELL_GLM = """dim 2
+field x[1]
+field y[1]
+L = x[a]*y[a]
+stage 0: D[0] = x[0]*sbar(x)[0] - y[0]*sbar(y)[0]; D[1] = x[1]*sbar(x)[1] - y[1]*sbar(y)[1]
+stage 1: E[0] = sbar(x)[0]*sbar(y)[0] - cbar(0)[0]; E[1] = sbar(x)[1]*sbar(y)[1] - cbar(0)[1]
+"""
+
+ROTOR_GLM = """dim 1
+field q0
+field q1
+field q2
+field a0
+field a1
+field a2
+L = 1/2*(d[0](q0) + a1*q2 - a2*q1)^2 + 1/2*(d[0](q1) + a2*q0 - a0*q2)^2 + 1/2*(d[0](q2) + a0*q1 - a1*q0)^2
+stage 0: D0[] = d[0](sbar(a0)) + a1*sbar(a2) - a2*sbar(a1) + q1*sbar(q2) - q2*sbar(q1)
+stage 0: D1[] = d[0](sbar(a1)) + a2*sbar(a0) - a0*sbar(a2) + q2*sbar(q0) - q0*sbar(q2)
+stage 0: D2[] = d[0](sbar(a2)) + a0*sbar(a1) - a1*sbar(a0) + q0*sbar(q1) - q1*sbar(q0)
+"""
+
+
 def split_model(rng, max_den=12):
     """A builder model over one base direction whose stage-1 and stage-2
     members mix terms linear in the previous stage's antifields with

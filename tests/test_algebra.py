@@ -27,6 +27,7 @@ from gaugelab import (
     render_poly,
 )
 from support import (
+    _canon_factors,
     assert_canonical_coefficients,
     jet_pool,
     oracle_mul,
@@ -198,6 +199,48 @@ def test_mixed_denominators_reduce_to_lowest_terms(seed, d):
         assert_canonical_coefficients(got)
     for got in (total, a.scale(q), a * b.scale(q)):
         assert_canonical_coefficients(got)
+
+
+def _oracle_from_raw(raw):
+    """Canonical (factors, Fraction) terms of raw (coefficient, factors) pairs:
+    each term sorted and signed by _canon_factors, summed over Fraction."""
+    acc = {}
+    for c, fs in raw:
+        r = _canon_factors(fs)
+        if r is not None:
+            sign, key = r
+            acc[key] = acc.get(key, Fraction(0)) + Fraction(c) * sign
+    return tuple(sorted(((fs, q) for fs, q in acc.items() if q),
+                        key=lambda t: [f.key for f in t[0]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_from_raw_matches_an_independent_oracle(seed):
+    # int, Fraction and zero coefficients; factors in any order, odd factors
+    # repeated; and pairs that cancel, also through a reordering
+    rng = random.Random(seed)
+    raw = []
+    for _ in range(rng.randint(0, 6)):
+        fs = [rng.choice(POOL) for _ in range(rng.randint(0, 4))]
+        if fs and rng.random() < 0.3:
+            fs.insert(rng.randrange(len(fs) + 1), rng.choice(fs))
+        c = rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+        raw.append((c, tuple(fs)))
+        if rng.random() < 0.3:
+            raw.append((-c, tuple(fs)))
+            rng.shuffle(fs)
+            raw.append((c, tuple(fs)))
+    rng.shuffle(raw)
+    want = _oracle_from_raw(raw)
+    got = GradedPoly.from_raw(raw)
+    assert got.terms == want
+    assert_canonical_coefficients(got)
+    # on canonical input the constructor and from_raw agree, ints or not
+    assert GradedPoly(want) == got == GradedPoly.from_raw((c, fs) for fs, c in want)
+    ints = tuple((fs, c.numerator) for fs, c in want)
+    assert GradedPoly(ints) == GradedPoly.from_raw((c, fs) for fs, c in ints)
+    assert_canonical_coefficients(GradedPoly(ints))
 
 
 def test_mul_cancels_to_zero_coefficients_and_drops_them():

@@ -341,12 +341,12 @@ def test_report_write_failure_prints_nothing_to_stdout(command, tmp_path, capsys
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=60):
     src = str(Path(gaugelab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=timeout)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -356,6 +356,21 @@ def test_python_dash_m_runs_the_cli():
     r = _run_python("-c", "import sys, gaugelab.cli; "
                           "sys.exit('gaugelab.__main__' in sys.modules)")
     assert r.returncode == 0
+
+
+@pytest.mark.parametrize("window, line", [
+    (["--sector", "100000"], "sector 100000: window homology dimension 0 "
+                             "(window-relative; jet order <= 1, degree <= 1)"),
+    (["--sector", "1000000", "--jet-order", "0", "--poly-degree", "1"],
+     "sector 1000000: window homology dimension 0 "
+     "(window-relative; jet order <= 0, degree <= 1)"),
+], ids=["sector 100000", "sector 1000000 j0 p1"])
+def test_homology_past_the_reachable_sectors_exits_0_at_once(window, line):
+    # the chain count stops at the degree bound instead of running up to
+    # the sector; the timeout turns a slow count into a failure
+    r = _run_python("-m", "gaugelab", "homology", "--zoo", "bf:2", *window, timeout=20)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == line
 
 
 def test_zoo_command_output_parses(capsys):

@@ -68,6 +68,21 @@ def test_window_chain_count_stops_past_the_cap():
     for degree in (60, 900, 5000, 10**30):
         assert window_chains(bf_model(2), TruncationWindow(0, degree, 1)) > MAX_WINDOW_CHAINS
     assert window_chains(bf_model(3), TruncationWindow(2, 3, 1)) == 92_250
+    # sectors and degrees of 1000 pass the cap on the first monomials that
+    # reach the sector, before the rest of the generating function is built
+    assert window_chains(bf_model(5), TruncationWindow(1, 1000, 1000)) > MAX_WINDOW_CHAINS
+    assert window_chains(bf_model(9), TruncationWindow(2, 1000, 1000)) > MAX_WINDOW_CHAINS
+
+
+def test_window_chain_count_of_a_sector_out_of_reach_is_zero():
+    # the degree bounds the antifield number, and an odd jet enters a
+    # monomial at most once, so nothing past either bound is counted
+    for n, jets, degree, sector in ((2, 1, 1, 100_000), (2, 0, 1, 10**6), (2, 0, 1, 4000),
+                                    (5, 0, 1000, 100_000), (5, 1, 100, 1000)):
+        assert window_chains(bf_model(n), TruncationWindow(jets, degree, sector)) == 0
+    # degree 4 reaches sector 8 only as a product of four cbar(0) jets
+    assert window_chains(bf_model(2), TruncationWindow(1, 4, 8)) == len(
+        chain_basis(bf_model(2), TruncationWindow(1, 4, 8), 0)) == 15
 
 
 def test_boundary_matrix_zero_for_zero_lagrangian():

@@ -5,6 +5,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -24,26 +25,37 @@ from gaugelab import (
     check_ascent_nilpotency,
     check_nilpotency,
     extended_lagrangian,
+    factor_str,
     free_scalar_model,
+    grading_of,
     identity_defect,
     identity_witness,
     multi_total_derivative,
     on_shell_reduce,
+    parse_or_raise,
+    poly_sum,
+    render_poly,
     run_checks,
     total_derivative,
     trivial_model,
     verify_variational_supersymmetry,
 )
+from gaugelab.jets import multi_indices, window_jets
 from gaugelab.koszul import ModelBuilder
 from support import (
+    ONSHELL_GLM,
+    ROTOR_GLM,
+    FractionSpan,
     ascent_model,
     assert_canonical_coefficients,
     drop_first_term,
     flip_first_term,
+    oracle_mul,
     oracle_ascent_operator,
     oracle_identity_defect,
     oracle_split,
     rebuild_with_mutation,
+    rescaled_tower,
     split_model,
 )
 
@@ -319,6 +331,116 @@ def test_on_shell_reduce_constant_not_in_ideal():
     r = on_shell_reduce(m, GradedPoly.constant(1))
     assert not r.in_ideal
     assert r.residual == GradedPoly.constant(1)
+
+
+def _ascent_square(m):
+    u = ascent_operator(m)
+    return {sym: apply_prolonged(u, comp) for sym, comp in u.sorted_components()}
+
+
+def test_on_shell_square_is_in_the_shell_ideal():
+    # the square is -c(1)[a] times the Euler-Lagrange expression of y[a]
+    m = parse_or_raise(ONSHELL_GLM)
+    square = {factor_str(sym): sq for sym, sq in _ascent_square(m).items() if sq}
+    assert {k: render_poly(sq) for k, sq in square.items()} == {
+        "x[0]": "-x[0]*c(1)[0]", "x[1]": "-x[1]*c(1)[1]",
+        "y[0]": "y[0]*c(1)[0]", "y[1]": "y[1]*c(1)[1]"}
+    for sq in square.values():
+        r = on_shell_reduce(m, sq, max_jet_order=0)
+        assert r.in_ideal and r.residual.is_zero()
+
+
+# the rotor's square is the BRST ghost term of its closed so(3) algebra; no
+# multiplier of degree <= 2 at jet order 1 brings a component into the shell
+# ideal, and each residual is the component itself
+ROTOR_SQUARE = {
+    "a0": "a1*c(0:D0)*c(0:D1) + a2*c(0:D0)*c(0:D2) + c(0:D1)*c(0:D2)_(0)"
+          " + c(0:D1)_(0)*c(0:D2)",
+    "a1": "-a0*c(0:D0)*c(0:D1) + a2*c(0:D1)*c(0:D2) - c(0:D0)*c(0:D2)_(0)"
+          " - c(0:D0)_(0)*c(0:D2)",
+    "a2": "-a0*c(0:D0)*c(0:D2) - a1*c(0:D1)*c(0:D2) + c(0:D0)*c(0:D1)_(0)"
+          " + c(0:D0)_(0)*c(0:D1)",
+    "q0": "q1*c(0:D0)*c(0:D1) + q2*c(0:D0)*c(0:D2)",
+    "q1": "-q0*c(0:D0)*c(0:D1) + q2*c(0:D1)*c(0:D2)",
+    "q2": "-q0*c(0:D0)*c(0:D2) - q1*c(0:D1)*c(0:D2)",
+}
+
+
+def test_rotor_square_is_not_in_the_shell_ideal():
+    m = parse_or_raise(ROTOR_GLM)
+    square = {factor_str(sym): sq for sym, sq in _ascent_square(m).items() if sq}
+    assert {k: render_poly(sq) for k, sq in square.items()} == ROTOR_SQUARE
+    for name, sq in square.items():
+        r = on_shell_reduce(m, sq, max_jet_order=1, max_multiplier_degree=2)
+        assert not r.in_ideal
+        assert render_poly(r.residual) == ROTOR_SQUARE[name]
+        assert_canonical_coefficients(r.residual)
+
+
+# E_x = 2y - 3y^2 leads with -3 at y^2, so reducing y^2 scales by -3
+UNEVEN_GLM = "dim 1\nfield x\nfield y\nL = 2*x*y - 3*x*y^2\n"
+# odd Euler-Lagrange expressions take multipliers of the opposite parity
+FERMION_GLM = ("dim 1\nfield x\nodd-field psi\nodd-field chi\n"
+               "L = psi*d[0](chi) + 3*x*psi*chi - 2*x^2*psi*chi\n")
+
+
+def test_on_shell_residual_over_a_negative_pivot_is_exact():
+    m = parse_or_raise(UNEVEN_GLM)
+    y = m.table.symbol("y")
+    for degree in (0, 1, 2):
+        r = on_shell_reduce(m, GradedPoly.from_raw([(1, (y, y))]), max_jet_order=0,
+                            max_multiplier_degree=degree)
+        assert not r.in_ideal
+        assert r.residual == GradedPoly.from_symbol(y, Fraction(2, 3))
+        assert_canonical_coefficients(r.residual)
+
+
+def _window_products(m, jet_order, degree):
+    """Every product q * d_L(E_x) of a monomial multiplier q of degree <=
+    degree over the window's jets and a derivative of order <= jet_order of
+    a nonzero Euler-Lagrange expression, multiplied by the plain-arithmetic
+    oracle; no grading filter."""
+    pool = window_jets(m.table, m.table.decls, jet_order)
+    multipliers = [GradedPoly.constant(1)] + [
+        GradedPoly.from_raw([(1, combo)]) for k in range(1, degree + 1)
+        for combo in combinations_with_replacement(pool, k)]
+    generators = [multi_total_derivative(e, mi) for e in m.euler_lagrange_map().values()
+                  for mi in multi_indices(m.n, jet_order)]
+    return [v for q in multipliers for gen in generators if (v := oracle_mul(q, gen))]
+
+
+@pytest.mark.parametrize("model, jet_order, degree", [
+    (free_scalar_model(1), 1, 1),
+    (parse_or_raise(ONSHELL_GLM), 0, 1),
+    (rescaled_tower(2, Fraction(3, 5), [Fraction(-2, 7)]), 0, 2),
+    (parse_or_raise(UNEVEN_GLM), 0, 1),
+    (parse_or_raise(FERMION_GLM), 0, 1),
+], ids=["scalar:1", "onshell", "bf:2 rescaled", "uneven", "fermion"])
+def test_on_shell_reduce_matches_a_fraction_span_over_every_multiplier(
+        model, jet_order, degree):
+    # the oracle span holds every product, whatever its grading; the inputs
+    # are rational combinations of products of one grading, with multipliers
+    # of the reduction's degree or of one degree more
+    inside = _window_products(model, jet_order, degree)
+    oracle = FractionSpan()
+    for v in inside:
+        oracle.add(dict(v.terms))
+    beyond = _window_products(model, jet_order, degree + 1)
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(40):
+        products = rng.choice((inside, beyond))
+        first = rng.choice(products)
+        same = [v for v in products if grading_of(v) == grading_of(first)]
+        p = poly_sum([first] + rng.sample(same, min(2, len(same)))).scale(
+            Fraction(rng.choice((-5, -1, 2, 3)), rng.randint(1, 6)))
+        r = on_shell_reduce(model, p, max_jet_order=jet_order, max_multiplier_degree=degree)
+        assert r.in_ideal == (not oracle.reduce(dict(p.terms)))
+        assert r.in_ideal == r.residual.is_zero()
+        assert not oracle.reduce(dict((p - r.residual).terms))  # p - residual is in the span
+        assert_canonical_coefficients(r.residual)
+        verdicts.add(r.in_ideal)
+    assert verdicts == {True, False}
 
 
 def test_supported_correction_shape_accepted():
