@@ -399,8 +399,6 @@ def _cleared(pairs: Iterable[tuple]) -> tuple[list, int]:
 
 def _monomial(fs: Factors, coeff) -> GradedPoly:
     """coeff times the monomial of canonical factors fs."""
-    if coeff.__class__ is int:      # unit monomials of chain bases and the ascent operator
-        return _make(((fs, coeff),), 1) if coeff else _ZERO
     items, den = _cleared(((fs, coeff),))
     return _make(tuple(items), den) if items else _ZERO
 

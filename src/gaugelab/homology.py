@@ -101,8 +101,10 @@ def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = Non
             for (deg, ant), c in list(ways.items()):
                 if ant + (w.max_poly_degree - deg) * amax < k:
                     continue                    # sector k is out of reach
-                # i of the n jets, odd ones once, within sector k and degree D
-                top = min((k - ant) // a, w.max_poly_degree - deg, n if d.parity else k)
+                # i of the n jets within sector k and degree D; odd jets at most once
+                top = min((k - ant) // a, w.max_poly_degree - deg)
+                if d.parity:
+                    top = min(top, n)
                 for i in range(1, top + 1):
                     key = (deg + i, ant + a * i)
                     x = c * comb(n if d.parity else n + i - 1, i)
