@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .algebra import factor_str, render_poly
@@ -150,7 +151,10 @@ def _cmd_zoo(args) -> tuple:
     return 0, {"model": m.name, "command": "zoo", "dsl": text}, text
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` returns a fresh
+    namespace on every call, so no state carries from one call to the next."""
     ap = argparse.ArgumentParser(
         prog="gaugelab",
         description="Exact checks of Noether identity towers and the gauge "

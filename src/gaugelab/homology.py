@@ -8,8 +8,11 @@ divergences.  Every number reported here is window-relative: no finite window
 can refute non-trivial homology, it can only exhibit generators, so reports
 distinguish "found" from "none within window".  A window's span keys each
 chain by its basis index and each in-map target outside the window above them
-all, so the span's low pivots are the window boundaries.  The elimination is
-in ``int`` arithmetic (``linalg``); only the representatives are rational.
+all, so the span's low pivots are the window boundaries.  A boundary column
+is the raw numerators of the Leibniz rule on one chain over the derivation's
+denominator, with no polynomial built per chain.  The elimination, cycles
+included, is in ``int`` arithmetic (``linalg``); only the representatives are
+rational.
 ``window_chains`` counts a window's chains without building them.
 """
 
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import GHOST, GradedPoly, _monomial
+from .algebra import GHOST, GradedPoly, _term_key
 from .errors import GradingMismatch, NotAComplex
-from .jets import VerticalDerivation, apply_prolonged, window_jets
+from .jets import VerticalDerivation, _prolonged, window_jets
 from .koszul import ModelSpec, build_stage_differential
-from .linalg import LinearSpan, kernel_of_columns
+from .linalg import LinearSpan, _kernel
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,9 @@ class BoundaryMatrix:
     @property
     def rank(self) -> int:
         """Rank by sparse elimination of the rows, pivoting on the largest
-        column index: independent of ``kernel_of_columns``, which eliminates
-        columns and pivots on rows, so rank-nullity cross-checks the two."""
+        column index: independent of the column kernel (``linalg._kernel``),
+        which eliminates columns and pivots on rows, so rank-nullity
+        cross-checks the two."""
         rows: dict = {}
         for j, col in enumerate(self.columns):
             for i, c in col.items():
@@ -154,17 +158,18 @@ class BoundaryMatrix:
 
 def boundary_matrix(delta: VerticalDerivation, m: ModelSpec,
                     w: TruncationWindow, max_stage: int | None = None) -> BoundaryMatrix:
-    """Columns are the exact monomial expansions of delta on the chain basis,
-    over ``delta.den``, which every image's denominator divides."""
+    """Column j is delta of chain j as the raw Leibniz numerators over
+    ``delta.den`` (``jets._prolonged``), its nonzero entries in canonical
+    term order: that order, chain by chain, is the target discovery order."""
     if delta.antifield_delta != -1:
         raise GradingMismatch("boundary maps must lower the antifield number by 1")
     source = chain_basis(m, w, max_stage)
     index: dict = {}        # target -> its index, in discovery order
     columns = []
     for fs in source:
-        image = apply_prolonged(delta, _monomial(fs, 1))
-        k = delta.den // image._den
-        columns.append({index.setdefault(tfs, len(index)): c * k for tfs, c in image._terms})
+        image = [t for t in _prolonged(delta, ((fs, 1),)).items() if t[1]]
+        image.sort(key=_term_key)
+        columns.append({index.setdefault(tfs, len(index)): c for tfs, c in image})
     return BoundaryMatrix(source, list(index), columns)
 
 
@@ -221,9 +226,9 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
             raise NotAComplex(
                 "window boundaries are not cycles; the generator tower is inconsistent")
 
-    cycle_combos = kernel_of_columns(bm_out.columns)
+    cycle_combos = _kernel(bm_out.columns)
     reps = []
-    for combo in cycle_combos:
+    for combo, _ in cycle_combos:     # a scale changes no span or normalised class
         rem, _ = span._add(combo)
         if rem:     # a new class: its density, leading coefficient 1
             lead = rem[min(rem)]    # c / lead is c * lead over the positive lead**2

@@ -260,10 +260,17 @@ class VerticalDerivation:
 
 def apply_prolonged(v: VerticalDerivation, P: GradedPoly) -> GradedPoly:
     """Apply the prolonged derivation with the graded Leibniz rule of v.side."""
+    return GradedPoly._from_dict(_prolonged(v, P._terms), P._den * v.den)
+
+
+def _prolonged(v: VerticalDerivation, terms: Iterable[tuple]) -> dict[Factors, int]:
+    """The Leibniz loop of ``apply_prolonged``: the image of the sum of the
+    canonical (factors, int) terms, as {factors: int numerator over v.den} in
+    discovery order; a merge that cancels leaves a 0."""
     vden = v.den
     right = v.side == RIGHT
     acc: dict[Factors, int] = {}
-    for fs, c in P._terms:
+    for fs, c in terms:
         # parity of the factors v crosses: before f (left rule) or after f (right)
         crossed = _term_parity(fs) if right else 0
         for i, f in enumerate(fs):
@@ -277,7 +284,7 @@ def apply_prolonged(v: VerticalDerivation, P: GradedPoly) -> GradedPoly:
                     _add_term(acc, fs[:i] + gf + fs[i + 1:], k * gc)
             if not right:
                 crossed ^= f.parity
-    return GradedPoly._from_dict(acc, P._den * vden)
+    return acc
 
 
 def first_variation_residual(L: GradedPoly, v: VerticalDerivation) -> GradedPoly:

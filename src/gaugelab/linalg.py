@@ -97,19 +97,26 @@ class LinearSpan:
 def kernel_of_columns(columns: Iterable[Mapping]) -> list[dict[int, int | Fraction]]:
     """Nullspace of sparse columns whose row keys are non-negative ints: x
     over column indices with sum_j x[j] * col_j = 0, and x[j] = 1 at its
-    last column j.  Column j is reduced through a span with its combination
-    tagged at key ~j, below every row key: a remainder led by a row key is a
-    new pivot, one led by a tag is a kernel vector.  No pivot holds ~j, so
-    the remainder's entry there is its scale; dividing by it gives exact
-    entries, ints when the scale is 1 or -1."""
+    last column j.  A view of ``_kernel``: exact entries, ints when the scale
+    is 1 or -1."""
+    return [{j: c * s if s * s == 1 else Fraction(c, s) for j, c in vec.items()}
+            for vec, s in _kernel(columns)]
+
+
+def _kernel(columns: Iterable[Mapping]) -> list[tuple[dict[int, int], int]]:
+    """(vec, scale) per kernel vector vec / scale of ``kernel_of_columns``,
+    vec an int vector.  Column j is reduced through a span with its
+    combination tagged at key ~j, below every row key: a remainder led by a
+    row key is a new pivot, one led by a tag is a kernel vector.  No pivot
+    holds ~j, so the remainder's entry there is its scale."""
     span = LinearSpan()
-    kernel: list[dict[int, int | Fraction]] = []
+    kernel = []
     for j, col in enumerate(columns):
         rem, s = span._reduce({**col, ~j: 1})
         if max(rem) >= 0:
             span._store(rem)
-        else:       # c / s, an int when s is 1 or -1
-            kernel.append({~i: c * s if s * s == 1 else Fraction(c, s) for i, c in rem.items()})
+        else:
+            kernel.append(({~i: c for i, c in rem.items()}, s))
     return kernel
 
 

@@ -13,7 +13,7 @@ import pytest
 import gaugelab
 import gaugelab.cli
 from gaugelab import load_model, render_model, run_checks, zoo_model
-from gaugelab.cli import run_command
+from gaugelab.cli import build_parser, run_command
 from support import drop_first_term, flip_first_term, rebuild_with_mutation
 
 
@@ -356,6 +356,34 @@ def test_python_dash_m_runs_the_cli():
     r = _run_python("-c", "import sys, gaugelab.cli; "
                           "sys.exit('gaugelab.__main__' in sys.modules)")
     assert r.returncode == 0
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    first = ["homology", "--zoo", "bf:2", "--stage", "-1", "--sector", "2"]
+    plain = ["homology", "--zoo", "bf:2"]
+    calls = [(first + ["--report", str(tmp_path / "a.json")], 0),
+             (["homology", "--zoo", "bf:2", "--sector", "two"], 2),
+             (plain, 0)]
+    outs = []
+    for argv, code in calls:
+        assert run_command(argv) == code
+        outs.append(capsys.readouterr().out)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+    # the options the first call set are back at their defaults
+    args = build_parser().parse_args(plain)
+    assert (args.stage, args.sector, args.report, args.jet_order, args.poly_degree) == (
+        None, 1, None, 1, 1)
+    assert outs[1] == ""
+    assert outs[2].startswith("sector 1: ")
+    # each call prints and writes what a fresh process does
+    fresh = _run_python("-m", "gaugelab", *first, "--report", str(tmp_path / "b.json"))
+    assert fresh.returncode == 0, fresh.stderr
+    assert outs[0] == fresh.stdout
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    fresh = _run_python("-m", "gaugelab", *plain)
+    assert fresh.returncode == 0, fresh.stderr
+    assert outs[2] == fresh.stdout
 
 
 @pytest.mark.parametrize("window, line", [

@@ -24,11 +24,13 @@ from gaugelab import (
     render_poly,
     trivial_model,
 )
+import gaugelab.homology
 from gaugelab.homology import (
     MAX_WINDOW_CHAINS, BoundaryMatrix, kt_differentials_for_sector, window_chains)
-from gaugelab.linalg import kernel_of_columns, rank_fraction_free
+from gaugelab.linalg import _kernel, kernel_of_columns, rank_fraction_free
 from support import (
-    boundary_rows, dense_rank_oracle, flip_first_term, rebuild_with_mutation, two_field_model)
+    boundary_rows, dense_rank_oracle, flip_first_term, oracle_apply_prolonged,
+    rebuild_with_mutation, rescaled_tower, two_field_model)
 
 
 def test_chain_basis_single_odd_antifield():
@@ -111,6 +113,28 @@ def test_boundary_matrix_requires_lowering():
         boundary_matrix(v, m, TruncationWindow(0, 1, 1))
 
 
+def test_boundary_columns_are_raw_numerators_over_the_derivation_denominator():
+    # a Lagrangian and stages rescaled by non-unit fractions give delta.den > 1
+    m = rescaled_tower(3, Fraction(3, 2), [Fraction(-4, 3), Fraction(5, 7)])
+    for sector in (1, 2, 3):
+        delta_in, delta_out, out_cap, in_cap = kt_differentials_for_sector(m, sector)
+        for delta, w, cap in ((delta_out, TruncationWindow(1, 2, sector), out_cap),
+                              (delta_in, TruncationWindow(1, 2, sector + 1), in_cap)):
+            assert delta.den > 1
+            bm = boundary_matrix(delta, m, w, max_stage=cap)
+            assert bm.source == chain_basis(m, w, max_stage=cap)
+            discovered = {}
+            for fs, col in zip(bm.source, bm.columns):
+                image = oracle_apply_prolonged(delta, GradedPoly(((fs, 1),)))
+                for tfs, _ in image.terms:
+                    discovered.setdefault(tfs, len(discovered))
+                # entry by entry, in the image's canonical term order
+                assert list(col.items()) == [(discovered[tfs], delta.den * c)
+                                             for tfs, c in image.terms]
+                assert all(type(c) is int for c in col.values())
+            assert bm.target == list(discovered)
+
+
 def test_bf2_sector1_kernel_is_the_divergence():
     m = bf_model(2)
     t = m.table
@@ -184,11 +208,20 @@ def test_kt_homology_larger_windows(n, sector, jets, degree, dims):
     (3, 2, 1, 2, 0, (19, 13)),
 ])
 def test_window_boundaries_and_representatives_match_dense_oracle(
-        n, sector, jets, degree, stage, dims):
+        n, sector, jets, degree, stage, dims, monkeypatch):
     m = bf_model(n)
     w = TruncationWindow(jets, degree, sector)
     r = kt_homology(m, w, max_stage=stage)
     assert (r.rank_in_window, r.dim_homology) == dims
+    assert all(rep.terms[0][1] == 1 for rep in r.representatives)
+    # the cycles enter the window span as int vectors with their scales
+    # dropped; other scales, negative ones too, give the same report
+    def rescaled_kernel(columns):
+        return [({j: c * (-2 - i) for j, c in vec.items()}, s * (-2 - i))
+                for i, (vec, s) in enumerate(_kernel(columns))]
+
+    monkeypatch.setattr(gaugelab.homology, "_kernel", rescaled_kernel)
+    assert kt_homology(m, w, max_stage=stage) == r
     delta_in, delta_out, out_cap, in_cap = kt_differentials_for_sector(m, sector, stage)
     bm_in = boundary_matrix(delta_in, m, TruncationWindow(jets, degree, sector + 1),
                             max_stage=in_cap)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugelab.linalg import LinearSpan, kernel_of_columns
+from gaugelab.linalg import LinearSpan, _kernel, kernel_of_columns
 from support import FractionSpan, fraction_kernel
 
 # tall numerators and denominators, small ones, and plain ints
@@ -56,5 +56,10 @@ def test_integer_span_matches_fraction_span(vectors, adds):
 def test_integer_kernel_matches_fraction_kernel(columns):
     kernel = kernel_of_columns(columns)
     assert kernel == fraction_kernel(columns)
+    # the int form: vec / scale, scale the entry at the vector's last column
+    pairs = _kernel(columns)
+    assert [{j: Fraction(c, s) for j, c in vec.items()} for vec, s in pairs] == kernel
+    for vec, s in pairs:
+        assert all(type(c) is int and c for c in vec.values()) and vec[max(vec)] == s
     for x in kernel:
         assert not any(sum(c * columns[j].get(r, 0) for j, c in x.items()) for r in range(6))
