@@ -30,12 +30,18 @@ descent parser that folds each product's literals into one coefficient, and
 an expander that turns each Lagrangian or generator member into raw
 (coefficient, factors) terms for one ``GradedPoly.from_raw``.  It yields
 exactly one model or a list of positioned diagnostics with stable codes.
+A check raises its diagnostic (``_reject``), and only the statement loops
+record it: every line is checked for syntax, and each statement, or each
+``;``-separated generator definition, gives at most one diagnostic.  The
+semantic pass stops at the first failing statement, except that every
+family of a stage is checked first.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby, product
@@ -78,14 +84,13 @@ _MAX_NESTING = 200
 _TOO_DEEP = "expression nested too deeply"
 
 
-def _tokenize_line(line: str, lineno: int, diags: list) -> list:
-    """The line's (kind, text, column) tokens; [] after a bad character."""
+def _tokenize_line(line: str, lineno: int) -> list:
+    """The line's (kind, text, column) tokens, rejecting its first bad character."""
     toks = [(kind, mo[kind], mo.start(kind) + 1)
             for mo in _TOKEN_RE.finditer(line) if (kind := mo.lastgroup)]
     for kind, text, col in toks:
         if kind == "bad":
-            diags.append(Diagnostic(lineno, col, "E-SYNTAX", f"unexpected character {text!r}"))
-            return []
+            _reject((lineno, col), "E-SYNTAX", f"unexpected character {text!r}")
     return toks
 
 
@@ -117,24 +122,31 @@ class ModelDocument:
 
 
 class _Bail(Exception):
-    pass
+    """Carries one check's diagnostic to the statement loop that records it."""
 
 
-def _reject(diags: list, pos: tuple, code: str, msg: str):
-    diags.append(Diagnostic(*pos, code, msg))
-    raise _Bail()
+def _reject(pos: tuple, code: str, msg: str):
+    raise _Bail(Diagnostic(*pos, code, msg))
+
+
+@contextmanager
+def _nesting_at(pos: tuple):
+    """Rejects at pos an expression too deeply nested to elaborate."""
+    try:
+        yield
+    except RecursionError:
+        _reject(pos, "E-SYNTAX", _TOO_DEEP)
 
 
 class _ExprParser:
     """Recursive descent over one line's tokens, closed by end-of-line tokens."""
 
-    def __init__(self, toks: list, line: int, diags: list, start: int = 0):
+    def __init__(self, toks: list, line: int, start: int = 0):
         end = ("end", "", toks[-1][2] + len(toks[-1][1]))
         # two, since a rule that takes the first one still looks at the next
         self.toks = toks + [end, end]
         self.i = start
         self.line = line
-        self.diags = diags
         self.depth = 0
         self.letters = False
 
@@ -144,7 +156,7 @@ class _ExprParser:
         return t
 
     def error(self, col: int, msg: str):
-        _reject(self.diags, (self.line, col), "E-SYNTAX", msg)
+        _reject((self.line, col), "E-SYNTAX", msg)
 
     def fail(self, msg: str):
         self.error(self.toks[self.i][2], msg)
@@ -309,88 +321,68 @@ def parse_model(text: str):
     doc = ModelDocument()
     saw_statement = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize_line(raw, lineno, diags)
-        if not toks:
-            continue
-        saw_statement = True
-        _, head, col = toks[0]
         try:
+            toks = _tokenize_line(raw, lineno)
+            if not toks:
+                continue
+            saw_statement = True
+            _, head, col = toks[0]
+            pos = (lineno, col)
             if head == "dim":
                 if len(toks) != 2 or toks[1][0] != "int":
-                    diags.append(Diagnostic(lineno, col, "E-SYNTAX", "usage: dim N"))
-                    continue
+                    _reject(pos, "E-SYNTAX", "usage: dim N")
                 if int(toks[1][1]) < 1:
-                    diags.append(Diagnostic(lineno, col, "E-SYNTAX", "dim N needs N >= 1"))
-                    continue
+                    _reject(pos, "E-SYNTAX", "dim N needs N >= 1")
                 if doc.dim is not None:
-                    diags.append(Diagnostic(lineno, col, "E-DUP-DECL",
-                                            "dimension already declared"))
-                    continue
+                    _reject(pos, "E-DUP-DECL", "dimension already declared")
                 doc.dim = int(toks[1][1])
             elif head in ("field", "odd-field"):
-                _parse_field(doc, toks, lineno, diags)
+                _parse_field(doc, toks, lineno)
             elif head == "L":
-                p = _ExprParser(toks, lineno, diags, 1)
+                p = _ExprParser(toks, lineno, 1)
                 p.expect("=")
                 expr = p.expr()
                 if not p.at_end():
                     p.fail("trailing tokens after the Lagrangian")
                 if doc.lagrangian is not None:
-                    diags.append(Diagnostic(lineno, col, "E-DUP-DECL",
-                                            "Lagrangian already declared"))
-                    continue
-                doc.lagrangian = (expr, (lineno, col), p.letters)
+                    _reject(pos, "E-DUP-DECL", "Lagrangian already declared")
+                doc.lagrangian = (expr, pos, p.letters)
             elif head == "stage":
                 _parse_stage(doc, toks, lineno, diags)
             else:
-                diags.append(Diagnostic(lineno, col, "E-SYNTAX",
-                                        f"unknown statement {head!r}"))
-        except _Bail:
-            continue
+                _reject(pos, "E-SYNTAX", f"unknown statement {head!r}")
+        except _Bail as e:
+            diags.append(e.args[0])
     if not saw_statement:
         diags.append(Diagnostic(1, 1, "E-EMPTY", "the model file has no statements"))
-    if diags:
-        return None, diags
-    return doc, diags
+    return (None if diags else doc), diags
 
 
-def _parse_field(doc: ModelDocument, toks: list, line: int, diags: list) -> None:
+def _parse_field(doc: ModelDocument, toks: list, line: int) -> None:
     col = toks[0][2]
-    parity = ODD if toks[0][1] == "odd-field" else EVEN
-    usage = Diagnostic(line, col, "E-SYNTAX", "usage: field NAME [ARITY [antisym]]")
-    if len(toks) < 2 or toks[1][0] != "name":
-        diags.append(usage)
-        return
-    name = toks[1][1]
-    arity = 0
-    antisym = False
     rest = [t[1] for t in toks[2:]]
-    if rest:
-        if (len(rest) not in (3, 4) or rest[0] != "[" or toks[3][0] != "int"
-                or rest[-1] != "]" or (len(rest) == 4 and rest[2] != "antisym")):
-            diags.append(usage)
-            return
-        arity = int(rest[1])
-        antisym = len(rest) == 4
+    if len(toks) < 2 or toks[1][0] != "name" or rest and (
+            len(rest) not in (3, 4) or rest[0] != "[" or toks[3][0] != "int"
+            or rest[-1] != "]" or (len(rest) == 4 and rest[2] != "antisym")):
+        _reject((line, col), "E-SYNTAX", "usage: field NAME [ARITY [antisym]]")
+    name = toks[1][1]
     if any(d[0] == name for d in doc.decls):
-        diags.append(Diagnostic(line, toks[1][2], "E-DUP-DECL",
-                                f"field {name!r} already declared"))
-        return
-    doc.decls.append((name, parity, arity, antisym, (line, col)))
+        _reject((line, toks[1][2]), "E-DUP-DECL", f"field {name!r} already declared")
+    parity = ODD if toks[0][1] == "odd-field" else EVEN
+    doc.decls.append((name, parity, int(rest[1]) if rest else 0, len(rest) == 4, (line, col)))
 
 
 def _parse_stage(doc: ModelDocument, toks: list, line: int, diags: list) -> None:
+    """Parses each ``;``-separated definition, recording its diagnostic."""
     if len(toks) < 3 or toks[1][0] != "int" or toks[2][1] != ":":
-        diags.append(Diagnostic(line, toks[0][2], "E-SYNTAX",
-                                "usage: stage K: NAME[idx,...] = expr ; ..."))
-        return
+        _reject((line, toks[0][2]), "E-SYNTAX", "usage: stage K: NAME[idx,...] = expr ; ...")
     stage = int(toks[1][1])
     cuts = [i for i, t in enumerate(toks) if t[1] == ";"]
     for start, stop in zip([2] + cuts, cuts + [len(toks)]):
         chunk = toks[start + 1:stop]
         if not chunk:
             continue
-        p = _ExprParser(chunk, line, diags)
+        p = _ExprParser(chunk, line)
         try:
             kind, name, col = p.take()
             if kind != "name":
@@ -401,8 +393,8 @@ def _parse_stage(doc: ModelDocument, toks: list, line: int, diags: list) -> None
             if not p.at_end():
                 p.fail("trailing tokens after a generator definition")
             doc.families.append(FamilyDef(stage, name, idxs, expr, (line, col), p.letters))
-        except _Bail:
-            continue
+        except _Bail as e:
+            diags.append(e.args[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +422,9 @@ class _Expander:
     which keeps ``(A+B)^12`` at 13 terms.
     """
 
-    def __init__(self, table, n: int, diags: list):
+    def __init__(self, table, n: int):
         self.table = table
         self.n = n
-        self.diags = diags
         self.bound: dict[int, tuple] = {}
 
     def frees(self, node) -> frozenset:
@@ -459,7 +450,7 @@ class _Expander:
             return self._bind(node, list(self.frees(node.base)) * node.k)
         sets = [self.frees(sub) for _, sub in node.items]
         if any(s != sets[0] for s in sets[1:]):
-            _reject(self.diags, node.pos, "E-FREE-SUM", "summands carry different free indices")
+            _reject(node.pos, "E-FREE-SUM", "summands carry different free indices")
         return sets[0]
 
     def _bind(self, node, letters) -> frozenset:
@@ -468,7 +459,7 @@ class _Expander:
             counts[l] = counts.get(l, 0) + 1
         over = sorted(l for l, c in counts.items() if c > 2)
         if over:
-            _reject(self.diags, node.pos, "E-IDX-ARITY",
+            _reject(node.pos, "E-IDX-ARITY",
                     f"index letter {over[0]!r} appears more than twice")
         here = tuple(sorted(l for l, c in counts.items() if c == 2))
         if here:
@@ -487,9 +478,9 @@ class _Expander:
             try:
                 idx = env[idx]
             except KeyError:
-                _reject(self.diags, pos, "E-FREE-IDX", f"unbound index letter {idx!r}")
+                _reject(pos, "E-FREE-IDX", f"unbound index letter {idx!r}")
         if not 0 <= idx < self.n:
-            _reject(self.diags, pos, "E-IDX-RANGE", f"index {idx} out of range for dim {self.n}")
+            _reject(pos, "E-IDX-RANGE", f"index {idx} out of range for dim {self.n}")
         return idx
 
     def _terms(self, node, env) -> list:
@@ -499,9 +490,9 @@ class _Expander:
             try:
                 sign, sym = self.table.jet(node.name, vals)
             except UnknownVariable:
-                _reject(self.diags, node.pos, "E-UNKNOWN-VAR", f"unknown variable {node.name!r}")
+                _reject(node.pos, "E-UNKNOWN-VAR", f"unknown variable {node.name!r}")
             except IndexOutOfRange as e:
-                _reject(self.diags, node.pos, "E-IDX-RANGE", str(e))
+                _reject(node.pos, "E-IDX-RANGE", str(e))
             return [] if sym is None else [(sign, (sym,))]
         if cls is Mul:
             terms = [(node.coeff, ())] if node.coeff else []
@@ -509,7 +500,7 @@ class _Expander:
                 if f.__class__ is tuple:
                     q = _fold(self.eval(f[1], env))
                     if len(q) != 1 or q[0][1]:
-                        _reject(self.diags, node.pos, "E-SYNTAX",
+                        _reject(node.pos, "E-SYNTAX",
                                 "division only by nonzero rational constants")
                     q = Fraction(q[0][0])
                     terms = [(c / q, fs) for c, fs in terms]
@@ -552,7 +543,7 @@ class _Expander:
                 base = _fold_product(base, base)
         if cls is Eps:
             if len(node.indices) != self.n:
-                _reject(self.diags, node.pos, "E-EPS-ARITY", f"eps takes {self.n} indices here")
+                _reject(node.pos, "E-EPS-ARITY", f"eps takes {self.n} indices here")
             s = perm_sign([self._idx(i, env, node.pos) for i in node.indices])
             return [(s, ())] if s else []
         if cls is Delta:
@@ -561,111 +552,92 @@ class _Expander:
         raise TypeError(node)
 
 
-def _member_assignments(ex: _Expander, fd: FamilyDef, dim: int) -> list:
+def _member_assignments(ex: _Expander, fd: FamilyDef) -> list:
     """(components, letter values) of each member a family definition gives."""
     kinds = {i.__class__ for i in fd.indices}
     if len(kinds) > 1:
-        _reject(ex.diags, fd.pos, "E-SYNTAX", "family indices must be all letters or all integers")
+        _reject(fd.pos, "E-SYNTAX", "family indices must be all letters or all integers")
     if kinds == {int}:
         if list(fd.indices) != sorted(set(fd.indices)):
-            _reject(ex.diags, fd.pos, "E-SYNTAX",
-                    "concrete family indices must be strictly increasing")
-        if fd.indices and fd.indices[-1] >= dim:   # increasing: the last is the largest
-            _reject(ex.diags, fd.pos, "E-IDX-RANGE",
-                    f"index {fd.indices[-1]} out of range for dim {dim}")
+            _reject(fd.pos, "E-SYNTAX", "concrete family indices must be strictly increasing")
+        if fd.indices and fd.indices[-1] >= ex.n:   # increasing: the last is the largest
+            _reject(fd.pos, "E-IDX-RANGE", f"index {fd.indices[-1]} out of range for dim {ex.n}")
         free = ex.frees(fd.expr) if fd.letters else None
         if free:
-            _reject(ex.diags, fd.pos, "E-FREE-IDX",
-                    f"member definition has free indices {sorted(free)}")
+            _reject(fd.pos, "E-FREE-IDX", f"member definition has free indices {sorted(free)}")
         return [(fd.indices, {})]
     letters = fd.indices
     if len(set(letters)) != len(letters):
-        _reject(ex.diags, fd.pos, "E-IDX-ARITY", "family indices must be distinct letters")
+        _reject(fd.pos, "E-IDX-ARITY", "family indices must be distinct letters")
     free = ex.frees(fd.expr) if fd.letters else frozenset()
     if free != frozenset(letters):
-        _reject(ex.diags, fd.pos, "E-FREE-IDX", f"free indices {sorted(free)} do not match "
-                                                f"the family indices {sorted(letters)}")
+        _reject(fd.pos, "E-FREE-IDX", f"free indices {sorted(free)} do not match "
+                                      f"the family indices {sorted(letters)}")
     return [(comps, dict(zip(letters, comps)))
-            for comps in combinations(range(dim), len(letters))]
+            for comps in combinations(range(ex.n), len(letters))]
 
 
 def elaborate(doc: ModelDocument, name: str = "model"):
-    """Semantic pass: (ModelSpec | None, diagnostics)."""
+    """Semantic pass: (ModelSpec | None, diagnostics).
+
+    It stops at the first failing statement, except that every generator
+    definition of a stage is checked before the stage is rejected.
+    """
     diags: list[Diagnostic] = []
-    if doc.dim is None:
-        diags.append(Diagnostic(1, 1, "E-DIM-MISSING", "missing 'dim N' statement"))
-        return None, diags
-    builder = ModelBuilder(name, doc.dim)
-    for fname, parity, arity, antisym, pos in doc.decls:
-        try:
-            builder.add_field(fname, parity=parity, arity=arity, antisym=antisym)
-        except ValueError as e:
-            diags.append(Diagnostic(*pos, "E-DUP-DECL", str(e)))
-            return None, diags
-    ex = _Expander(builder.table, doc.dim, diags)
-
-    if doc.lagrangian is None:
-        diags.append(Diagnostic(1, 1, "E-L-MISSING", "missing 'L = ...' statement"))
-        return None, diags
-    lexpr, lpos, letters = doc.lagrangian
     try:
-        free = ex.frees(lexpr) if letters else None
-        if free:
-            diags.append(Diagnostic(*lpos, "E-FREE-IDX",
-                                    f"the Lagrangian has free indices {sorted(free)}"))
-            return None, diags
-        builder.set_lagrangian(GradedPoly.from_raw(ex.eval(lexpr, {})))
-    except _Bail:
-        return None, diags
-    except RecursionError:
-        diags.append(Diagnostic(*lpos, "E-SYNTAX", _TOO_DEEP))
-        return None, diags
-
-    stages = sorted({f.stage for f in doc.families})
-    if stages and stages != list(range(len(stages))):
-        diags.append(Diagnostic(1, 1, "E-STAGE-ORDER",
-                                f"stages must be 0,1,... without gaps, got {stages}"))
-        return None, diags
-    for stage in stages:
-        defs = [f for f in doc.families if f.stage == stage]
-        grouped: dict[str, list[FamilyDef]] = {}
-        for fd in defs:
-            grouped.setdefault(fd.name, []).append(fd)
-        fams = []
-        origin = {}   # (family name, components) -> position of its first definition
-        ok = True
-        for famname in sorted(grouped):
-            members: dict[tuple, list] = {}
-            arity = None
-            for fd in grouped[famname]:
-                try:
-                    if arity is None:
-                        arity = len(fd.indices)
-                    elif arity != len(fd.indices):
-                        _reject(diags, fd.pos, "E-IDX-ARITY",
-                                f"family {famname!r} redefined with a different arity")
-                    for comps, env in _member_assignments(ex, fd, doc.dim):
-                        members.setdefault(comps, []).extend(ex.eval(fd.expr, env))
-                        origin.setdefault((famname, comps), fd.pos)
-                except _Bail:
-                    ok = False
-                except RecursionError:
-                    diags.append(Diagnostic(*fd.pos, "E-SYNTAX", _TOO_DEEP))
-                    ok = False
-            if arity is None:
-                continue
-            for comps in combinations(range(doc.dim), arity):
-                members.setdefault(comps, [])
-            fams.append((famname, arity, arity > 1,
-                         {comps: GradedPoly.from_raw(raw) for comps, raw in members.items()}))
-        if not ok:
-            return None, diags
-        try:
-            builder.add_stage(fams)
-        except GaugelabError as e:
-            diags.append(Diagnostic(*origin[e.member], "E-SHAPE", str(e)))
-            return None, diags
-    return builder.build(), diags
+        if doc.dim is None:
+            _reject((1, 1), "E-DIM-MISSING", "missing 'dim N' statement")
+        builder = ModelBuilder(name, doc.dim)
+        for fname, parity, arity, antisym, pos in doc.decls:
+            try:
+                builder.add_field(fname, parity=parity, arity=arity, antisym=antisym)
+            except ValueError as e:
+                _reject(pos, "E-DUP-DECL", str(e))
+        ex = _Expander(builder.table, doc.dim)
+        if doc.lagrangian is None:
+            _reject((1, 1), "E-L-MISSING", "missing 'L = ...' statement")
+        lexpr, lpos, letters = doc.lagrangian
+        with _nesting_at(lpos):
+            free = ex.frees(lexpr) if letters else None
+            if free:
+                _reject(lpos, "E-FREE-IDX", f"the Lagrangian has free indices {sorted(free)}")
+            builder.set_lagrangian(GradedPoly.from_raw(ex.eval(lexpr, {})))
+        stages = sorted({f.stage for f in doc.families})
+        if stages != list(range(len(stages))):
+            _reject((1, 1), "E-STAGE-ORDER",
+                    f"stages must be 0,1,... without gaps, got {stages}")
+        for stage in stages:
+            fams = []
+            origin = {}   # (family name, components) -> position of its first definition
+            defs = [f for f in doc.families if f.stage == stage]
+            for famname in sorted({f.name for f in defs}):
+                group = [f for f in defs if f.name == famname]
+                arity = len(group[0].indices)
+                members: dict[tuple, list] = {}
+                for fd in group:
+                    try:
+                        with _nesting_at(fd.pos):
+                            if arity != len(fd.indices):
+                                _reject(fd.pos, "E-IDX-ARITY", f"family {famname!r} "
+                                                              "redefined with a different arity")
+                            for comps, env in _member_assignments(ex, fd):
+                                members.setdefault(comps, []).extend(ex.eval(fd.expr, env))
+                                origin.setdefault((famname, comps), fd.pos)
+                    except _Bail as e:
+                        diags.append(e.args[0])
+                for comps in combinations(range(doc.dim), arity):
+                    members.setdefault(comps, [])
+                fams.append((famname, arity, arity > 1,
+                             {comps: GradedPoly.from_raw(raw) for comps, raw in members.items()}))
+            if diags:
+                break
+            try:
+                builder.add_stage(fams)
+            except GaugelabError as e:
+                _reject(origin[e.member], "E-SHAPE", str(e))
+    except _Bail as e:
+        diags.append(e.args[0])
+    return (None, diags) if diags else (builder.build(), diags)
 
 
 def load_model(text: str, name: str = "model"):

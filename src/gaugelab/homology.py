@@ -88,10 +88,9 @@ def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = Non
     generating function, without building them: antifield monomials by
     (degree, antifield number), field monomials of degree <= D in closed form.
     Exact up to MAX_WINDOW_CHAINS; the count stops as soon as it passes it."""
-    N = m.resolve_stage(max_stage)
     jets = comb(m.table.n + w.max_jet_order, m.table.n)
     total = 0
-    for k, cap in ((w.sector, min(w.sector - 2, N)), (w.sector + 1, min(w.sector - 1, N))):
+    for k, cap in zip((w.sector, w.sector + 1), _caps(m, w.sector, max_stage)):
         fields, ways = [0, 0], {(0, 0): 1}      # even, odd field jets; (deg, ant) -> count
         decls = [d for d in m.table.decls if d.kind != GHOST and d.stage <= cap]
         amax = max((d.antifield_number for d in decls), default=0)
@@ -255,20 +254,24 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
     )
 
 
+def _caps(m: ModelSpec, sector: int, max_stage: int | None) -> tuple[int, int]:
+    """Stage caps of the chains at sector k and at k+1: min(k-2, N) and
+    min(k-1, N), never below the fields' stage -1."""
+    N = m.resolve_stage(max_stage)
+    return max(min(sector - 2, N), -1), max(min(sector - 1, N), -1)
+
+
 def kt_differentials_for_sector(m: ModelSpec, sector: int,
                                 max_stage: int | None = None):
     """Stage caps and differentials of the truncated tower at one sector.
 
-    The chain space at sector k uses antifields of stage <= min(k-2, N); the
-    map out of sector k is the stage-min(k-2, N) differential and the map in
-    from sector k+1 is the stage-min(k-1, N) differential.
+    The chain space at sector k uses fields and antifields of stage <= its
+    cap (``_caps``); the map out of sector k is the differential of that
+    stage and the map in from sector k+1 the differential of the next cap.
     """
-    N = m.resolve_stage(max_stage)
-    out_cap = min(sector - 2, N)
-    in_cap = min(sector - 1, N)
-    delta_out = build_stage_differential(m, max(out_cap, -1))
-    delta_in = build_stage_differential(m, max(in_cap, -1))
-    return delta_in, delta_out, out_cap, in_cap
+    out_cap, in_cap = _caps(m, sector, max_stage)
+    delta_out = build_stage_differential(m, out_cap)
+    return build_stage_differential(m, in_cap), delta_out, out_cap, in_cap
 
 
 def kt_homology(m: ModelSpec, w: TruncationWindow,

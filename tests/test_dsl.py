@@ -1,5 +1,6 @@
 """Model-file parsing, index expansion, diagnostics, and round-trips."""
 
+import random
 import re
 from fractions import Fraction
 from math import comb
@@ -20,7 +21,7 @@ from gaugelab import (
     zoo_model,
 )
 from gaugelab import dsl
-from support import OracleError, oracle_expand, rescaled_tower
+from support import ONSHELL_GLM, ROTOR_GLM, OracleError, oracle_expand, rescaled_tower
 
 BF2_TEXT = """\
 # two-dimensional topological model
@@ -185,8 +186,8 @@ def raw_terms(header, expr):
     b = ModelBuilder("raw", doc.dim)
     for name, parity, arity, antisym, _ in doc.decls:
         b.add_field(name, parity=parity, arity=arity, antisym=antisym)
-    parser = dsl._ExprParser(dsl._tokenize_line(expr, 1, []), 1, [])
-    return dsl._Expander(b.table, doc.dim, []).eval(parser.expr(), {})
+    parser = dsl._ExprParser(dsl._tokenize_line(expr, 1), 1)
+    return dsl._Expander(b.table, doc.dim).eval(parser.expr(), {})
 
 
 def test_large_power_is_one_term():
@@ -378,6 +379,20 @@ GOLDEN_DIAGNOSTICS = [
     (H + '  \t\nL = s \n  \n', []),
     # a base dimension below 1
     ('dim 0\nfield s\nL = s\n', ['1:1: E-SYNTAX: dim N needs N >= 1']),
+    # one diagnostic per ';'-separated definition of a stage line
+    (H + 'L = s\nstage 0: P[] = ) ; Q[] = sbar(s) s ; R[] = sbar(s)\n',
+     ["7:16: E-SYNTAX: unexpected token ')'",
+      '7:34: E-SYNTAX: trailing tokens after a generator definition']),
+    # every family of a failing stage is checked, and no later stage is
+    (H + 'L = s\nstage 0: P[a] = sbar(v)[b]; Q[] = sbar(Z)\nstage 1: E[] = cbar(0:P)\n',
+     ["7:10: E-FREE-IDX: free indices ['b'] do not match the family indices ['a']",
+      "7:35: E-UNKNOWN-VAR: unknown variable 'sbar(Z)'"]),
+    (H + 'L = s\nstage 0: P[a] = sbar(v)[b]\nstage 0: Q[0] = sbar(v)[a]\n',
+     ["7:10: E-FREE-IDX: free indices ['b'] do not match the family indices ['a']",
+      "8:10: E-FREE-IDX: member definition has free indices ['a']"]),
+    # a line rejected by the tokenizer is no statement
+    ('$\n', ["1:1: E-SYNTAX: unexpected character '$'",
+             '1:1: E-EMPTY: the model file has no statements']),
 ]
 
 
@@ -390,13 +405,59 @@ def test_golden_diagnostics(text, expected):
     assert (m is None) == bool(expected)
 
 
-def test_golden_diagnostics_cover_every_documented_code():
+def documented_codes():
+    """The diagnostic codes the README lists."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme[readme.index("Parse errors carry"):]
     block = block[:block.index("\n\n")]
-    documented = set(re.findall(r"`(E-[A-Z-]+)`", block))
+    return set(re.findall(r"`(E-[A-Z-]+)`", block))
+
+
+def test_golden_diagnostics_cover_every_documented_code():
+    documented = documented_codes()
     seen = {d.split(": ")[1] for _, expected in GOLDEN_DIAGNOSTICS for d in expected}
     assert documented and documented <= seen
+
+
+# Valid model files, and snippets that mutations insert into them
+MUTATED_MODELS = [render_model(zoo_model(spec)) for spec in ("bf:2", "bf:3", "trivial",
+                                                             "scalar:2")]
+MUTATED_MODELS += [BF2_TEXT, ONSHELL_GLM, ROTOR_GLM]
+SNIPPETS = ("(", ")", "[", "]", ",", ";", ":", "=", "+", "-", "*", "/", "^", "0", "1", "2",
+            "a", "b", "x", " ", "\n", "#", "$", "d[0](", "d[a](", "[a]", "[a,b]", "*A",
+            "*sbar(A)", "sbar(", "cbar(0)", "cbar(0:D)", "eps[", "delta[", "stage 1: ",
+            "field ", "odd-field ", "L = ", "dim ")
+
+
+def mutated_model(rng):
+    """A model file with one to three short snippets inserted, deleted or
+    copied; no dim, exponent or first index above 3, so no input is slow."""
+    while True:
+        text = rng.choice(MUTATED_MODELS)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:i] + rng.choice(SNIPPETS) + text[i:]
+            elif op == 1:
+                text = text[:i] + text[i + rng.randint(1, 4):]
+            else:
+                j = rng.randrange(len(text))
+                text = text[:i] + text[j:j + rng.randint(1, 8)] + text[i:]
+        if all(int(k) <= 3 for k in re.findall(r"(?:dim|\^|\[)\s*(\d+)", text)):
+            return text
+
+
+def test_mutated_models_load_or_give_documented_diagnostics():
+    rng = random.Random(19)
+    documented = documented_codes()
+    for _ in range(2000):
+        text = mutated_model(rng)
+        m, diags = load_model(text)
+        assert (m is None) == bool(diags), text
+        assert {d.code for d in diags} <= documented, (text, diags)
+        if m is not None:
+            assert load_model(render_model(m)) == (m, []), text
 
 
 # Random expressions over the fields of H, as tuple trees that render to

@@ -58,11 +58,21 @@ def test_chain_basis_empty_when_sector_unreachable():
 def test_window_chain_count_matches_the_enumerated_bases(model):
     for sector, jets, degree, stage in product(range(4), range(3), range(1, 4), (None, -1)):
         w = TruncationWindow(jets, degree, sector)
-        N = model.resolve_stage(stage)
-        enumerated = (len(chain_basis(model, w, min(sector - 2, N)))
+        *_, out_cap, in_cap = kt_differentials_for_sector(model, sector, stage)
+        enumerated = (len(chain_basis(model, w, out_cap))
                       + len(chain_basis(model, TruncationWindow(jets, degree, sector + 1),
-                                        min(sector - 1, N))))
+                                        in_cap)))
         assert window_chains(model, w, stage) == enumerated
+
+
+def test_sector_zero_is_the_field_monomials_modulo_the_bare_boundaries():
+    # no cap falls below the fields' stage -1
+    r = kt_homology(free_scalar_model(1), TruncationWindow(1, 1, 0))
+    assert (r.dim_chains, r.dim_cycles, r.rank_in_window, r.dim_homology) == (2, 2, 0, 2)
+    assert [render_poly(rep) for rep in r.representatives] == ["s", "s_(0)"]
+    r = kt_homology(bf_model(2), TruncationWindow(1, 2, 0))
+    assert (r.dim_chains, r.dim_cycles, r.rank_in_window, r.dim_homology) == (54, 54, 27, 27)
+    assert kt_differentials_for_sector(bf_model(2), 0)[2:] == (-1, -1)
 
 
 def test_window_chain_count_stops_past_the_cap():

@@ -1,7 +1,7 @@
 """Tidiness of the package source: no unused import, no orphaned private
-definition.
+definition, no unread parameter.
 
-Both checks read the modules with ``ast`` and never import them.
+The checks read the modules with ``ast`` and never import them.
 """
 
 import ast
@@ -56,3 +56,22 @@ def test_every_private_definition_is_referenced():
             assert any(ref == node.name and not (module == name and line in inside)
                        for module, module_refs in refs.items()
                        for ref, line in module_refs), f"{name}: {node.name} is never used"
+
+
+def test_every_parameter_is_read():
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            label = getattr(node, "name", "lambda")
+            if label.startswith("__") and label.endswith("__"):
+                continue    # a dunder's signature is the protocol's
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            # a method's receiver is the binding's, not the body's
+            unread = [p for p in params if p not in read and p not in ("self", "cls")]
+            assert not unread, f"{name}:{node.lineno} {label}: unread parameters {unread}"
