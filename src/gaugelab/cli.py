@@ -15,6 +15,7 @@ with nothing on stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -113,14 +114,16 @@ def _cmd_homology(args) -> tuple:
     except ValueError as e:
         raise UsageError(e) from None
     m, N = _load(args)
-    too_large = UsageError(f"homology window (jet order {w.max_jet_order}, degree "
-                           f"{w.max_poly_degree}) is too large to build")
+    # a message, not a prebuilt exception: one raised from a local would hold
+    # this frame, and the model, in a reference cycle through its traceback
+    too_large = (f"homology window (jet order {w.max_jet_order}, degree "
+                 f"{w.max_poly_degree}) is too large to build")
     if window_chains(m, w, N) > MAX_WINDOW_CHAINS:
-        raise too_large
+        raise UsageError(too_large)
     try:
         report = kt_homology(m, w, max_stage=N)
     except (RecursionError, MemoryError):
-        raise too_large from None
+        raise UsageError(too_large) from None
     gens = [render_poly(rep) for rep in report.representatives]
     entry = {
         "sector": report.sector,
@@ -197,8 +200,22 @@ def run_command(argv) -> int:
     """Run one command line and return its exit code.
 
     The one place where errors become exit codes: each is printed to stderr
-    before anything reaches stdout, and no report is written.
+    before anything reaches stdout, and no report is written.  The command
+    runs with the cyclic garbage collector paused: the package makes no
+    reference cycle, so reference counting frees all it builds, and a
+    collection would only rescan the growing heap.  The caller's collector
+    state comes back on every exit, an exception included.
     """
+    enabled = gc.isenabled()
+    try:
+        gc.disable()
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:

@@ -57,26 +57,24 @@ def chain_basis(m: ModelSpec, w: TruncationWindow,
                        w.max_jet_order)
     max_ant = max((s.var.antifield_number for s in pool), default=0)
     out: list[tuple] = []
-
-    def rec(start: int, chosen: list, ant: int):
+    # depth first: a node's extensions are pushed last pool index first, so
+    # they are popped, and their chains listed, in pool order
+    stack = [(0, (), 0)]            # (first pool index to extend with, chain, antifields)
+    while stack:
+        start, chosen, ant = stack.pop()
         if ant == w.sector and chosen:
-            out.append(tuple(chosen))
-        if len(chosen) == w.max_poly_degree:
-            return
+            out.append(chosen)
         slots = w.max_poly_degree - len(chosen)
-        for i in range(start, len(pool)):
+        if not slots:
+            continue
+        for i in range(len(pool) - 1, start - 1, -1):
             s = pool[i]
-            if ant + s.var.antifield_number > w.sector:
-                continue
-            if ant + s.var.antifield_number + (slots - 1) * max_ant < w.sector:
+            a = ant + s.var.antifield_number
+            if a > w.sector or a + (slots - 1) * max_ant < w.sector:
                 continue
             if s.parity and chosen and chosen[-1] is s:
                 continue
-            chosen.append(s)
-            rec(i, chosen, ant + s.var.antifield_number)
-            chosen.pop()
-
-    rec(0, [], 0)
+            stack.append((i, chosen + (s,), a))
     return out
 
 

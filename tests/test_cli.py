@@ -1,11 +1,13 @@
 """Command dispatch, exit codes, reports, and byte determinism."""
 
+import gc
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -416,3 +418,116 @@ def test_zoo_unknown_model(capsys):
 def test_check_passes_on_every_zoo_model():
     for spec in ("bf:2", "bf:3", "bf:4", "trivial", "scalar:2"):
         assert run_command(["check", "--zoo", spec]) == 0
+
+
+# Each command runs with the cyclic collector paused, which is safe only while
+# a command leaves no reference cycle: every object it builds must be freed
+# by reference counting.  Two stdlib cycles are allowed, named by the module
+# of what they hold: json's indented encoder (its nested closures, on every
+# --report write before Python 3.13) and argparse's HelpFormatter on a usage
+# error.  Neither holds a gaugelab object.  The usage error is an unknown
+# option: on Python 3.10 an argument argparse cannot convert leaves a cycle
+# of argparse's own frame with its exception, which keeps the frames of its
+# callers, the CLI's among them, alive through f_back.
+JSON_ENCODER = "json.encoder"
+ARGPARSE = "argparse"
+ACYCLIC_COMMANDS = [
+    (["check", "--zoo", "bf:3", "--report", "{report}"], 0, {JSON_ENCODER}),
+    (["check", "--model", "{bad}", "--report", "{report}"], 1, {JSON_ENCODER}),
+    (["gauge", "--zoo", "bf:3"], 0, set()),
+    (["homology", "--zoo", "bf:2", "--poly-degree", "2"], 0, set()),
+    (["homology", "--zoo", "scalar:1", "--sector", "0"], 0, set()),
+    (["homology", "--zoo", "bf:3", "--stage", "-1"], 0, set()),
+    (["homology", "--zoo", "bf:2", "--jet-order", "0", "--poly-degree", "60"], 2, set()),
+    (["zoo", "bf:3"], 0, set()),
+    (["check", "--model", "{junk}"], 2, set()),
+    (["check", "--zoo", "bf:2", "--frobnicate"], 2, {ARGPARSE}),
+]
+
+
+def _failing_and_unparsable(tmp_path):
+    """Model files on which ``check`` exits 1 and 2."""
+    bad = tmp_path / "bad.glm"
+    bad.write_text(render_model(rebuild_with_mutation(zoo_model("bf:2"), 0, "D", (),
+                                                      flip_first_term)))
+    junk = tmp_path / "junk.glm"
+    junk.write_text("dim 2\nfield A\nL = A +\n")
+    return bad, junk
+
+
+def _module(o) -> str:
+    """The module a function or frame runs the code of, else the module of
+    the object's class."""
+    if isinstance(o, types.FunctionType):
+        return o.__module__
+    if isinstance(o, types.FrameType):
+        return o.f_globals["__name__"]
+    return type(o).__module__
+
+
+@pytest.mark.parametrize("argv, code, allowed", ACYCLIC_COMMANDS,
+                         ids=[" ".join(case[0]) for case in ACYCLIC_COMMANDS])
+def test_a_command_leaves_no_reference_cycle(argv, code, allowed, tmp_path, capsys):
+    bad, junk = _failing_and_unparsable(tmp_path)
+    argv = [a.format(report=tmp_path / "r.json", bad=bad, junk=junk) for a in argv]
+    # the process's one parser is built on first use, and argparse formats
+    # each new option through a HelpFormatter: build it before looking
+    build_parser()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)      # what a collection finds stays in gc.garbage
+    try:
+        assert run_command(argv) == code
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    modules = {_module(o) for o in garbage}
+    assert not [m for m in modules if m.partition(".")[0] == "gaugelab"], modules
+    assert modules <= {"builtins", *allowed}, modules
+    if not allowed:
+        assert not garbage, garbage[:10]
+
+
+class _Interrupt(BaseException):
+    """Like the alarm a benchmark worker raises in a command that runs too long."""
+
+
+def test_a_command_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, capsys):
+    bad, junk = _failing_and_unparsable(tmp_path)
+    load = gaugelab.cli._load
+    seen = []
+
+    def recording_load(args):
+        seen.append(gc.isenabled())
+        return load(args)
+
+    def interrupted_load(args):
+        raise _Interrupt
+
+    monkeypatch.setattr(gaugelab.cli, "_load", recording_load)
+    assert gc.isenabled()
+    for argv, code in [(["check", "--zoo", "bf:2"], 0), (["check", "--model", str(bad)], 1),
+                       (["check", "--model", str(junk)], 2)]:
+        assert run_command(argv) == code
+        assert gc.isenabled()
+    assert seen == [False, False, False]
+    monkeypatch.setattr(gaugelab.cli, "_load", interrupted_load)
+    with pytest.raises(_Interrupt):
+        run_command(["gauge", "--zoo", "bf:2"])
+    assert gc.isenabled()
+    # a caller that paused the collector itself keeps it paused
+    gc.disable()
+    try:
+        assert run_command(["zoo", "bf:2"]) == 0
+        assert not gc.isenabled()
+        with pytest.raises(_Interrupt):
+            run_command(["gauge", "--zoo", "bf:2"])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -2,13 +2,14 @@
 regularity probe, cross-checked against a dense elimination oracle."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugelab import (
+    GHOST,
     GradedPoly,
     NotAComplex,
     TruncationWindow,
@@ -27,6 +28,7 @@ from gaugelab import (
 import gaugelab.homology
 from gaugelab.homology import (
     MAX_WINDOW_CHAINS, BoundaryMatrix, kt_differentials_for_sector, window_chains)
+from gaugelab.jets import window_jets
 from gaugelab.linalg import _kernel, kernel_of_columns, rank_fraction_free
 from support import (
     boundary_rows, dense_rank_oracle, flip_first_term, oracle_apply_prolonged,
@@ -63,6 +65,23 @@ def test_window_chain_count_matches_the_enumerated_bases(model):
                       + len(chain_basis(model, TruncationWindow(jets, degree, sector + 1),
                                         in_cap)))
         assert window_chains(model, w, stage) == enumerated
+
+
+@pytest.mark.parametrize("model", [bf_model(2), two_field_model(),
+                                   trivial_model([("x", 0), ("y", 1)], n=1)], ids=str)
+def test_chain_basis_lists_chains_in_pool_index_order(model):
+    # every multiset of pool jets in the sector, no odd jet twice, ordered by
+    # its tuple of pool indices: a chain comes before its extensions
+    for sector, jets, degree, stage in product(range(4), range(3), range(1, 4), (None, 0)):
+        w = TruncationWindow(jets, degree, sector)
+        pool = window_jets(model.table, [d for d in model.table.decls if d.kind != GHOST
+                                         and (stage is None or d.stage <= stage)], jets)
+        indexed = sorted(
+            idx for k in range(1, degree + 1)
+            for idx in combinations_with_replacement(range(len(pool)), k)
+            if sum(pool[i].var.antifield_number for i in idx) == sector
+            and not any(i == j and pool[i].parity for i, j in zip(idx, idx[1:])))
+        assert chain_basis(model, w, stage) == [tuple(pool[i] for i in idx) for idx in indexed]
 
 
 def test_sector_zero_is_the_field_monomials_modulo_the_bare_boundaries():
