@@ -122,7 +122,7 @@ def _cmd_homology(args) -> tuple:
         raise UsageError(too_large)
     try:
         report = kt_homology(m, w, max_stage=N)
-    except (RecursionError, MemoryError):
+    except (RecursionError, MemoryError):   # chains too long to enumerate, or no memory
         raise UsageError(too_large) from None
     gens = [render_poly(rep) for rep in report.representatives]
     entry = {

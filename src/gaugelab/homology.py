@@ -57,25 +57,31 @@ def chain_basis(m: ModelSpec, w: TruncationWindow,
                        w.max_jet_order)
     max_ant = max((s.var.antifield_number for s in pool), default=0)
     out: list[tuple] = []
-    # depth first: a node's extensions are pushed last pool index first, so
-    # they are popped, and their chains listed, in pool order
-    stack = [(0, (), 0)]            # (first pool index to extend with, chain, antifields)
-    while stack:
-        start, chosen, ant = stack.pop()
-        if ant == w.sector and chosen:
-            out.append(chosen)
-        slots = w.max_poly_degree - len(chosen)
-        if not slots:
-            continue
-        for i in range(len(pool) - 1, start - 1, -1):
-            s = pool[i]
-            a = ant + s.var.antifield_number
-            if a > w.sector or a + (slots - 1) * max_ant < w.sector:
-                continue
-            if s.parity and chosen and chosen[-1] is s:
-                continue
-            stack.append((i, chosen + (s,), a))
+    _extend(pool, max_ant, w, 0, [], 0, out)
     return out
+
+
+def _extend(pool: list, max_ant: int, w: TruncationWindow, start: int,
+            chosen: list, ant: int, out: list) -> None:
+    """Append ``chosen``, if a chain of the sector, and then its extensions by
+    ``pool[start:]`` to ``out``, depth first in pool order.  One frame per
+    factor, so very long chains end in RecursionError before they fill
+    memory; module level, as a closure that calls itself is a cycle."""
+    if ant == w.sector and chosen:
+        out.append(tuple(chosen))
+    slots = w.max_poly_degree - len(chosen)
+    if not slots:
+        return
+    for i in range(start, len(pool)):
+        s = pool[i]
+        a = ant + s.var.antifield_number
+        if a > w.sector or a + (slots - 1) * max_ant < w.sector:
+            continue
+        if s.parity and chosen and chosen[-1] is s:
+            continue
+        chosen.append(s)
+        _extend(pool, max_ant, w, i, chosen, a, out)
+        chosen.pop()
 
 
 MAX_WINDOW_CHAINS = 200_000

@@ -175,6 +175,11 @@ BAD_INPUT = [
     *((["homology", "--zoo", "bf:2", "--jet-order", "0", "--poly-degree", str(p)],
        rf"error: homology window \(jet order 0, degree {p}\) is too large to build$")
       for p in (60, 900, 5000)),
+    # ... or with few chains, each too long to enumerate (about 2p chains)
+    *((["homology", "--zoo", "scalar:1", "--sector", "0", "--jet-order", "0",
+        "--poly-degree", str(p)],
+       rf"error: homology window \(jet order 0, degree {p}\) is too large to build$")
+      for p in (5000, 99999)),
     # nesting too deep to parse
     (["check", "--model", "{deep_model}"],
      r".*:3:205: E-SYNTAX: expression nested too deeply$"),
@@ -434,11 +439,14 @@ ARGPARSE = "argparse"
 ACYCLIC_COMMANDS = [
     (["check", "--zoo", "bf:3", "--report", "{report}"], 0, {JSON_ENCODER}),
     (["check", "--model", "{bad}", "--report", "{report}"], 1, {JSON_ENCODER}),
+    (["check", "--model", "{top}", "--report", "{report}"], 1, {JSON_ENCODER}),
     (["gauge", "--zoo", "bf:3"], 0, set()),
     (["homology", "--zoo", "bf:2", "--poly-degree", "2"], 0, set()),
     (["homology", "--zoo", "scalar:1", "--sector", "0"], 0, set()),
     (["homology", "--zoo", "bf:3", "--stage", "-1"], 0, set()),
     (["homology", "--zoo", "bf:2", "--jet-order", "0", "--poly-degree", "60"], 2, set()),
+    (["homology", "--zoo", "scalar:1", "--sector", "0", "--jet-order", "0",
+      "--poly-degree", "5000"], 2, set()),
     (["zoo", "bf:3"], 0, set()),
     (["check", "--model", "{junk}"], 2, set()),
     (["check", "--zoo", "bf:2", "--frobnicate"], 2, {ARGPARSE}),
@@ -446,13 +454,16 @@ ACYCLIC_COMMANDS = [
 
 
 def _failing_and_unparsable(tmp_path):
-    """Model files on which ``check`` exits 1 and 2."""
-    bad = tmp_path / "bad.glm"
-    bad.write_text(render_model(rebuild_with_mutation(zoo_model("bf:2"), 0, "D", (),
-                                                      flip_first_term)))
-    junk = tmp_path / "junk.glm"
-    junk.write_text("dim 2\nfield A\nL = A +\n")
-    return bad, junk
+    """Model files on which ``check`` exits 1 (``bad``: a stage-0 defect;
+    ``top``: a defect at the top stage of bf:4, where the gauge supersymmetry
+    still holds) and 2 (``junk``)."""
+    paths = {name: tmp_path / f"{name}.glm" for name in ("bad", "top", "junk")}
+    paths["bad"].write_text(render_model(
+        rebuild_with_mutation(zoo_model("bf:2"), 0, "D", (), flip_first_term)))
+    paths["top"].write_text(render_model(
+        rebuild_with_mutation(zoo_model("bf:4"), 2, "D", (), flip_first_term)))
+    paths["junk"].write_text("dim 2\nfield A\nL = A +\n")
+    return paths
 
 
 def _module(o) -> str:
@@ -468,8 +479,8 @@ def _module(o) -> str:
 @pytest.mark.parametrize("argv, code, allowed", ACYCLIC_COMMANDS,
                          ids=[" ".join(case[0]) for case in ACYCLIC_COMMANDS])
 def test_a_command_leaves_no_reference_cycle(argv, code, allowed, tmp_path, capsys):
-    bad, junk = _failing_and_unparsable(tmp_path)
-    argv = [a.format(report=tmp_path / "r.json", bad=bad, junk=junk) for a in argv]
+    argv = [a.format(report=tmp_path / "r.json", **_failing_and_unparsable(tmp_path))
+            for a in argv]
     # the process's one parser is built on first use, and argparse formats
     # each new option through a HelpFormatter: build it before looking
     build_parser()
@@ -499,7 +510,7 @@ class _Interrupt(BaseException):
 
 
 def test_a_command_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, capsys):
-    bad, junk = _failing_and_unparsable(tmp_path)
+    paths = _failing_and_unparsable(tmp_path)
     load = gaugelab.cli._load
     seen = []
 
@@ -512,8 +523,8 @@ def test_a_command_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(gaugelab.cli, "_load", recording_load)
     assert gc.isenabled()
-    for argv, code in [(["check", "--zoo", "bf:2"], 0), (["check", "--model", str(bad)], 1),
-                       (["check", "--model", str(junk)], 2)]:
+    for argv, code in [(["check", "--zoo", "bf:2"], 0), (["check", "--model", str(paths["bad"])], 1),
+                       (["check", "--model", str(paths["junk"])], 2)]:
         assert run_command(argv) == code
         assert gc.isenabled()
     assert seen == [False, False, False]
