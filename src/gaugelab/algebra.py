@@ -544,12 +544,16 @@ class VariableTable:
 
     Symbol construction goes through ``jet`` so component and derivative
     indices are range-checked and antisymmetric components are normalized.
+    ``validate_poly`` checks a symbol once per table: ``_validated`` records
+    each symbol that passed, and each that ``jet`` made from a declaration of
+    this table.  Two threads can at worst check one symbol twice.
     """
 
     def __init__(self, base: BaseSpace, decls: Sequence[GradedVariableDecl] = ()):
         self.base = base
         self._decls: list[GradedVariableDecl] = []
         self._by_name: dict[str, GradedVariableDecl] = {}
+        self._validated: set[JetSymbol] = set()
         for d in decls:
             self.declare(d)
 
@@ -598,22 +602,26 @@ class VariableTable:
         decl = name if isinstance(name, GradedVariableDecl) else self.decl(name)
         comps = tuple(components)
         deriv = tuple(derivative)
+        n = self.base.n
         if len(comps) != decl.arity:
             raise IndexOutOfRange(
                 f"{decl.name} expects {decl.arity} component indices, got {len(comps)}")
         for c in comps:
-            if not 0 <= c < self.n:
-                raise IndexOutOfRange(f"component index {c} out of range for n={self.n}")
+            if not 0 <= c < n:
+                raise IndexOutOfRange(f"component index {c} out of range for n={n}")
         for d in deriv:
-            if not 0 <= d < self.n:
-                raise IndexOutOfRange(f"derivative index {d} out of range for n={self.n}")
+            if not 0 <= d < n:
+                raise IndexOutOfRange(f"derivative index {d} out of range for n={n}")
         sign = 1
-        if decl.antisym and decl.arity > 1:
+        if decl.antisym and any(a >= b for a, b in zip(comps, comps[1:])):
             sign = perm_sign(comps)
             if sign == 0:
                 return 0, None
             comps = tuple(sorted(comps))
-        return sign, JetSymbol(decl, comps, deriv)
+        sym = _intern(decl, comps, tuple(sorted(deriv)))
+        if self._by_name.get(decl.name) is decl:
+            self._validated.add(sym)
+        return sign, sym
 
     def symbol(self, name, components: Sequence[int] = (), derivative: Iterable[int] = ()) -> JetSymbol:
         """Strict constructor: components must already be canonical."""
@@ -637,5 +645,9 @@ class VariableTable:
                 raise IndexOutOfRange(f"derivative index {d_} out of range for n={self.n}")
 
     def validate_poly(self, p: GradedPoly) -> None:
-        for sym in p.symbols():
-            self.validate_symbol(sym)
+        done = self._validated
+        for fs, _ in p._terms:
+            for f in fs:
+                if f not in done:
+                    self.validate_symbol(f)
+                    done.add(f)

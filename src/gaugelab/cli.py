@@ -75,6 +75,20 @@ def _load(args) -> tuple:
     return spec, spec.resolve_stage(args.stage)
 
 
+def _report_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a report, without the
+    reference cycle that json's indenting encoder leaves before Python 3.13."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{json.dumps(k)}: {_report_json(value[k], inner)}"
+                       for k in sorted(value)], "{}"
+    elif isinstance(value, list):
+        items, ends = [_report_json(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
 # Each command returns (exit code, report payload, stdout text).
 
 def _cmd_check(args) -> tuple:
@@ -224,7 +238,7 @@ def _run(argv) -> int:
         _check_report_target(args.report)
         code, payload, text = args.func(args)
         if args.report:
-            Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            Path(args.report).write_text(_report_json(payload) + "\n")
     except NotAComplex as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -25,11 +25,16 @@ families are declared with distinct free letters and are evaluated on
 strictly increasing index tuples; they may also be given member by member
 with concrete indices.
 
-Loading is one pass per statement: a tokenizer regex per line, a recursive
-descent parser that folds each product's literals into one coefficient, and
-an expander that turns each Lagrangian or generator member into raw
-(coefficient, factors) terms for one ``GradedPoly.from_raw``.  It yields
-exactly one model or a list of positioned diagnostics with stable codes.
+Loading is one pass per statement.  One regex pass gives a line's token
+texts and 1-based columns; a token's first character is its kind, and an
+integer index list without spaces (``[0,1]``, ``[]``) is one token, which a
+message names by its ``[``.  A recursive descent parser folds each product's
+literals into one coefficient, and an expander turns each Lagrangian or
+generator member into raw (coefficient, factors) terms for one
+``GradedPoly.from_raw``.  The expander range-checks every index, and
+``VariableTable.jet`` records each symbol it makes as validated, so the
+builder's ``validate_poly`` checks only derivatives, once per model.  It
+yields exactly one model or a list of positioned diagnostics with stable codes.
 A check raises its diagnostic (``_reject``), and only the statement loops
 record it: every line is checked for syntax, and each statement, or each
 ``;``-separated generator definition, gives at most one diagnostic.  The
@@ -70,13 +75,9 @@ class ModelFormatError(GaugelabError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-_TOKEN_RE = re.compile(r"""
-    \s* (?: \#.*
-  | (?P<int>\d+)
-  | (?P<name>odd-field(?!\w)|[A-Za-z_]\w*)
-  | (?P<punct>[=\[\](),;:+\-*/^])
-  | (?P<bad>\S) )
-""", re.VERBOSE | re.ASCII)
+_TOKEN_RE = re.compile(
+    r"\[(?:\d+(?:,\d+)*)?\]|odd-field(?!\w)|[A-Za-z_]\w*|\d+|[=\[\](),;:+\-*/^]", re.ASCII)
+_BAD_RE = re.compile(r"[^\s\w=\[\](),;:+\-*/^]", re.ASCII)
 
 # Deepest nesting of (...) and d[i](...) in one expression; parsing takes
 # three stack frames per level.
@@ -84,14 +85,18 @@ _MAX_NESTING = 200
 _TOO_DEEP = "expression nested too deeply"
 
 
-def _tokenize_line(line: str, lineno: int) -> list:
-    """The line's (kind, text, column) tokens, rejecting its first bad character."""
-    toks = [(kind, mo[kind], mo.start(kind) + 1)
-            for mo in _TOKEN_RE.finditer(line) if (kind := mo.lastgroup)]
-    for kind, text, col in toks:
-        if kind == "bad":
-            _reject((lineno, col), "E-SYNTAX", f"unexpected character {text!r}")
-    return toks
+def _tokenize_line(line: str, lineno: int) -> tuple:
+    """(texts, 1-based columns) of the line's tokens, rejecting its first bad character."""
+    code = line.partition("#")[0]
+    bad = _BAD_RE.search(code)
+    if bad:
+        _reject((lineno, bad.start() + 1), "E-SYNTAX", f"unexpected character {bad[0]!r}")
+    found = list(_TOKEN_RE.finditer(code))
+    return [mo[0] for mo in found], [mo.start() + 1 for mo in found]
+
+
+def _shown(text: str) -> str:       # a message names an index list by its "["
+    return "[" if text[:1] == "[" else text
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +144,21 @@ def _nesting_at(pos: tuple):
 
 
 class _ExprParser:
-    """Recursive descent over one line's tokens, closed by end-of-line tokens."""
+    """Recursive descent over one line's tokens, closed by end-of-line tokens ``""``."""
 
-    def __init__(self, toks: list, line: int, start: int = 0):
-        end = ("end", "", toks[-1][2] + len(toks[-1][1]))
+    def __init__(self, toks: tuple, line: int, start: int = 0):
+        texts, cols = toks
+        end = cols[-1] + len(texts[-1])
         # two, since a rule that takes the first one still looks at the next
-        self.toks = toks + [end, end]
+        self.texts = texts + ["", ""]
+        self.cols = cols + [end, end]
         self.i = start
         self.line = line
         self.depth = 0
         self.letters = False
 
-    def take(self) -> tuple:
-        t = self.toks[self.i]
+    def take(self) -> str:
+        t = self.texts[self.i]
         self.i += 1
         return t
 
@@ -159,24 +166,31 @@ class _ExprParser:
         _reject((self.line, col), "E-SYNTAX", msg)
 
     def fail(self, msg: str):
-        self.error(self.toks[self.i][2], msg)
+        self.error(self.cols[self.i], msg)
+
+    def fail_after(self, msg: str):
+        """Reject at the token after the one just taken; after a lexed index
+        list, at its second character, as if the list were split."""
+        t = self.texts[self.i - 1]
+        lexed = len(t) > 1 and t[0] == "["
+        self.error(self.cols[self.i - 1] + 1 if lexed else self.cols[self.i], msg)
 
     def expect(self, text: str) -> None:
-        found = self.toks[self.i][1]
+        found = self.texts[self.i]
         if found != text:
-            self.fail(f"expected {text!r}, found {found or 'end of line'!r}")
+            self.fail(f"expected {text!r}, found {_shown(found) or 'end of line'!r}")
         self.i += 1
 
     def at_end(self) -> bool:
-        return self.toks[self.i][0] == "end"
+        return not self.texts[self.i]
 
     # expr := term (("+"|"-") term)*
     def expr(self):
-        toks = self.toks
-        pos = (self.line, toks[self.i][2])
+        texts = self.texts
+        pos = (self.line, self.cols[self.i])
         items = [(1, self.term())]
-        while toks[self.i][1] in ("+", "-"):
-            sign = 1 if self.take()[1] == "+" else -1
+        while texts[self.i] in ("+", "-"):
+            sign = 1 if self.take() == "+" else -1
             items.append((sign, self.term()))
         return items[0][1] if len(items) == 1 else Add(tuple(items), pos)
 
@@ -187,27 +201,27 @@ class _ExprParser:
         A division by 0 or by a non-literal stays a factor: elaboration
         evaluates it in its place and reports it at the product.
         """
-        toks = self.toks
-        pos = (self.line, toks[self.i][2])
+        texts = self.texts
+        pos = (self.line, self.cols[self.i])
         coeff = 1
         factors = []
         div = False
         while True:
-            while toks[self.i][1] in ("+", "-"):
-                if self.take()[1] == "-":
+            while texts[self.i] in ("+", "-"):
+                if self.take() == "-":
                     coeff = -coeff
             node = self.atom()
-            if toks[self.i][1] == "^":
+            if texts[self.i] == "^":
                 node = self.power(node)
             if node.__class__ is not Num:
                 factors.append(("div", node) if div else node)
             elif not div:
                 coeff = coeff * node.value
             elif node.value:
-                coeff = Fraction(coeff) / node.value
+                coeff = Fraction(coeff, node.value)
             else:
                 factors.append(("div", node))
-            op = toks[self.i][1]
+            op = texts[self.i]
             if op != "*" and op != "/":
                 break
             div = op == "/"
@@ -220,31 +234,36 @@ class _ExprParser:
 
     def power(self, base):
         self.i += 1
-        kind, text, col = self.take()
-        if kind != "int":
-            self.fail("exponent must be a nonnegative integer")
+        pos = (self.line, self.cols[self.i])
+        text = self.take()
+        if not text[:1].isdigit():
+            self.fail_after("exponent must be a nonnegative integer")
         k = int(text)
         if k == 0:
-            return Num(1, (self.line, col))
+            return Num(1, pos)
         if base.__class__ is Num:
-            return Num(base.value ** k, (self.line, col))
-        return Pow(base, k, (self.line, col))
+            return Num(base.value ** k, pos)
+        return Pow(base, k, pos)
 
     def _index(self):
-        kind, text, col = self.take()
-        if kind == "int":
+        text = self.take()
+        if text[:1].isdigit():
             return int(text)
-        if kind != "name":
-            self.error(col, f"expected an index, found {text!r}")
+        if not text[:1].isidentifier():
+            self.error(self.cols[self.i - 1], f"expected an index, found {_shown(text)!r}")
         self.letters = True
         return text
 
     def _index_list(self) -> tuple:
+        text = self.texts[self.i]
+        if len(text) > 1 and text[0] == "[":    # a lexed list, not a lone "["
+            self.i += 1
+            return tuple(map(int, text[1:-1].split(","))) if len(text) > 2 else ()
         self.expect("[")
         out = []
-        if self.toks[self.i][1] != "]":
+        if self.texts[self.i] != "]":
             out.append(self._index())
-            while self.toks[self.i][1] == ",":
+            while self.texts[self.i] == ",":
                 self.i += 1
                 out.append(self._index())
         self.expect("]")
@@ -252,7 +271,7 @@ class _ExprParser:
 
     def _open(self) -> None:
         """Take the "(" of a nested expression, within the nesting limit."""
-        col = self.toks[self.i][2]
+        col = self.cols[self.i]
         self.expect("(")
         if self.depth == _MAX_NESTING:
             self.error(col, _TOO_DEEP)
@@ -263,9 +282,9 @@ class _ExprParser:
         self.depth -= 1
 
     def atom(self):
-        kind, text, col = self.toks[self.i]
+        text, col = self.texts[self.i], self.cols[self.i]
         pos = (self.line, col)
-        if kind == "name":
+        if text[:1].isidentifier():
             self.i += 1
             if text == "d":
                 idxs = self._index_list()
@@ -285,26 +304,26 @@ class _ExprParser:
             if text == "sbar":
                 self.expect("(")
                 inner = self.take()
-                if inner[0] != "name":
-                    self.fail("sbar(...) needs a field name")
+                if not inner[:1].isidentifier():
+                    self.fail_after("sbar(...) needs a field name")
                 self.expect(")")
-                text = f"sbar({inner[1]})"
+                text = f"sbar({inner})"
             elif text == "cbar":
                 self.expect("(")
-                stage_kind, tag, _ = self.take()
-                if stage_kind != "int":
-                    self.fail("cbar(...) needs a stage number")
-                if self.toks[self.i][1] == ":":
+                tag = self.take()
+                if not tag[:1].isdigit():
+                    self.fail_after("cbar(...) needs a stage number")
+                if self.texts[self.i] == ":":
                     self.i += 1
                     fam = self.take()
-                    if fam[0] != "name":
-                        self.fail("cbar(K:FAMILY) needs a family name")
-                    tag = f"{tag}:{fam[1]}"
+                    if not fam[:1].isidentifier():
+                        self.fail_after("cbar(K:FAMILY) needs a family name")
+                    tag = f"{tag}:{fam}"
                 self.expect(")")
                 text = f"cbar({tag})"
-            idxs = self._index_list() if self.toks[self.i][1] == "[" else ()
+            idxs = self._index_list() if self.texts[self.i][:1] == "[" else ()
             return Ref(text, idxs, pos)
-        if kind == "int":
+        if text[:1].isdigit():
             self.i += 1
             return Num(int(text), pos)
         if text == "(":
@@ -312,7 +331,7 @@ class _ExprParser:
             e = self.expr()
             self._close()
             return e
-        self.fail(f"unexpected token {text or 'end of line'!r}")
+        self.fail(f"unexpected token {_shown(text) or 'end of line'!r}")
 
 
 def parse_model(text: str):
@@ -323,21 +342,22 @@ def parse_model(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             toks = _tokenize_line(raw, lineno)
-            if not toks:
+            texts, cols = toks
+            if not texts:
                 continue
             saw_statement = True
-            _, head, col = toks[0]
-            pos = (lineno, col)
+            head = texts[0]
+            pos = (lineno, cols[0])
             if head == "dim":
-                if len(toks) != 2 or toks[1][0] != "int":
+                if len(texts) != 2 or not texts[1][:1].isdigit():
                     _reject(pos, "E-SYNTAX", "usage: dim N")
-                if int(toks[1][1]) < 1:
+                if int(texts[1]) < 1:
                     _reject(pos, "E-SYNTAX", "dim N needs N >= 1")
                 if doc.dim is not None:
                     _reject(pos, "E-DUP-DECL", "dimension already declared")
-                doc.dim = int(toks[1][1])
+                doc.dim = int(texts[1])
             elif head in ("field", "odd-field"):
-                _parse_field(doc, toks, lineno)
+                _parse_field(doc, texts, cols, lineno)
             elif head == "L":
                 p = _ExprParser(toks, lineno, 1)
                 p.expect("=")
@@ -348,9 +368,9 @@ def parse_model(text: str):
                     _reject(pos, "E-DUP-DECL", "Lagrangian already declared")
                 doc.lagrangian = (expr, pos, p.letters)
             elif head == "stage":
-                _parse_stage(doc, toks, lineno, diags)
+                _parse_stage(doc, texts, cols, lineno, diags)
             else:
-                _reject(pos, "E-SYNTAX", f"unknown statement {head!r}")
+                _reject(pos, "E-SYNTAX", f"unknown statement {_shown(head)!r}")
         except _Bail as e:
             diags.append(e.args[0])
     if not saw_statement:
@@ -358,35 +378,37 @@ def parse_model(text: str):
     return (None if diags else doc), diags
 
 
-def _parse_field(doc: ModelDocument, toks: list, line: int) -> None:
-    col = toks[0][2]
-    rest = [t[1] for t in toks[2:]]
-    if len(toks) < 2 or toks[1][0] != "name" or rest and (
-            len(rest) not in (3, 4) or rest[0] != "[" or toks[3][0] != "int"
+def _parse_field(doc: ModelDocument, texts: list, cols: list, line: int) -> None:
+    col = cols[0]
+    rest = texts[2:]
+    if len(rest) == 1 and rest[0][:1] == "[":
+        rest = ["[", rest[0][1:-1], "]"]
+    if len(texts) < 2 or not texts[1][:1].isidentifier() or rest and (
+            len(rest) not in (3, 4) or rest[0] != "[" or not rest[1].isdigit()
             or rest[-1] != "]" or (len(rest) == 4 and rest[2] != "antisym")):
         _reject((line, col), "E-SYNTAX", "usage: field NAME [ARITY [antisym]]")
-    name = toks[1][1]
+    name = texts[1]
     if any(d[0] == name for d in doc.decls):
-        _reject((line, toks[1][2]), "E-DUP-DECL", f"field {name!r} already declared")
-    parity = ODD if toks[0][1] == "odd-field" else EVEN
+        _reject((line, cols[1]), "E-DUP-DECL", f"field {name!r} already declared")
+    parity = ODD if texts[0] == "odd-field" else EVEN
     doc.decls.append((name, parity, int(rest[1]) if rest else 0, len(rest) == 4, (line, col)))
 
 
-def _parse_stage(doc: ModelDocument, toks: list, line: int, diags: list) -> None:
+def _parse_stage(doc: ModelDocument, texts: list, cols: list, line: int, diags: list) -> None:
     """Parses each ``;``-separated definition, recording its diagnostic."""
-    if len(toks) < 3 or toks[1][0] != "int" or toks[2][1] != ":":
-        _reject((line, toks[0][2]), "E-SYNTAX", "usage: stage K: NAME[idx,...] = expr ; ...")
-    stage = int(toks[1][1])
-    cuts = [i for i, t in enumerate(toks) if t[1] == ";"]
-    for start, stop in zip([2] + cuts, cuts + [len(toks)]):
-        chunk = toks[start + 1:stop]
-        if not chunk:
+    if len(texts) < 3 or not texts[1][:1].isdigit() or texts[2] != ":":
+        _reject((line, cols[0]), "E-SYNTAX", "usage: stage K: NAME[idx,...] = expr ; ...")
+    stage = int(texts[1])
+    cuts = [i for i, t in enumerate(texts) if t == ";"]
+    for start, stop in zip([2] + cuts, cuts + [len(texts)]):
+        if stop == start + 1:
             continue
-        p = _ExprParser(chunk, line)
+        p = _ExprParser((texts[start + 1:stop], cols[start + 1:stop]), line)
         try:
-            kind, name, col = p.take()
-            if kind != "name":
-                p.fail("a generator definition starts with a family name")
+            col = cols[start + 1]
+            name = p.take()
+            if not name[:1].isidentifier():
+                p.fail_after("a generator definition starts with a family name")
             idxs = p._index_list()
             p.expect("=")
             expr = p.expr()
@@ -508,7 +530,8 @@ class _Expander:
                 ts = self.eval(f, env)
                 if len(ts) == 1:
                     c1, g = ts[0]
-                    terms = [(c if c1 == 1 else c * c1, fs + g) for c, fs in terms]
+                    terms = [(c if c1 == 1 else -c if c1 == -1 else c * c1, fs + g)
+                             for c, fs in terms]
                 else:
                     terms = _fold_product(terms, ts)
             return terms

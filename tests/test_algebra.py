@@ -397,6 +397,25 @@ def test_same_named_but_different_declaration_stays_distinct():
     assert not GradedPoly.from_raw([(1, (own, foreign))]).is_zero()
 
 
+def test_a_table_checks_each_symbol_once_and_a_foreign_one_fully():
+    t = two_field_model().table
+    own = t.symbol("s")                     # made by jet, so recorded as valid
+    other = trivial_model([("s", 1)], n=2).table
+    t.validate_poly(GradedPoly.from_symbol(own))
+    with pytest.raises(ModelMismatch):
+        t.validate_poly(GradedPoly.from_symbol(other.symbol("s")))
+    # jet records only the symbols of this table's own declarations
+    _, foreign = t.jet(other.decl("s"))
+    with pytest.raises(ModelMismatch):
+        t.validate_poly(GradedPoly.from_symbol(foreign))
+    # a symbol made without jet, such as a derivative, is checked in full
+    with pytest.raises(IndexOutOfRange):
+        t.validate_poly(GradedPoly.from_symbol(own.raised(t.n)))
+    with pytest.raises(IndexOutOfRange):
+        t.validate_poly(GradedPoly.from_symbol(own.raised(t.n)))
+    t.validate_poly(GradedPoly.from_symbol(own.raised(0)))
+
+
 def test_repeated_odd_factor_across_declarations_sharing_a_key_vanishes():
     # two odd declarations that differ only in ghost number share a key, so a
     # repeated symbol need not sort next to its first copy

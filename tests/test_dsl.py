@@ -237,10 +237,14 @@ def test_round_trip_all_zoo_models():
 nonzero_rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 60))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+# (n, Lagrangian factor, stage factors) of a rescaled bf:n tower
+towers = st.integers(2, 5).flatmap(lambda n: st.tuples(
     st.just(n), nonzero_rationals, st.lists(nonzero_rationals, min_size=n - 1,
-                                            max_size=n - 1))))
+                                            max_size=n - 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(towers)
 def test_round_trip_random_generator_towers(tower):
     n, lq, stage_qs = tower
     m = rescaled_tower(n, lq, stage_qs)
@@ -249,6 +253,40 @@ def test_round_trip_random_generator_towers(tower):
     assert diags == []
     assert m2 == m
     assert render_model(m2) == text
+
+
+# the tokens of a model file with every index list split into its brackets,
+# commas and integers
+_PIECE = re.compile(r"odd-field|[A-Za-z_]\w*|\d+|\S")
+_PADS = ("", "", "", " ", "\t", " \t ")
+
+
+def respaced(text, rng):
+    """text with random ASCII spaces and tabs before, between and after its
+    tokens, inside index lists too; tokens the text separates stay apart."""
+    lines = []
+    for line in text.splitlines():
+        out, end = [], 0
+        for mo in _PIECE.finditer(line):
+            pad = rng.choice(_PADS)
+            out.append((pad or (" " if mo.start() > end else "")) + mo[0])
+            end = mo.end()
+        lines.append("".join(out) + rng.choice(_PADS))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(2, 6).map(lambda n: zoo_model(f"bf:{n}")),
+                 towers.map(lambda tower: rescaled_tower(*tower))),
+       st.randoms(use_true_random=False))
+def test_spaces_between_tokens_load_the_same_model(m, rng):
+    # a lexed index list such as [0,1] and one split by spaces, [ 0, 1], are
+    # two paths through the tokenizer and the parser
+    text = render_model(m)
+    spaced = respaced(text, rng)
+    m2, diags = load_model(spaced, name=m.name)
+    assert diags == [], spaced
+    assert m2 == m
 
 
 def test_cbar_reference_in_higher_stage():
@@ -393,6 +431,38 @@ GOLDEN_DIAGNOSTICS = [
     # a line rejected by the tokenizer is no statement
     ('$\n', ["1:1: E-SYNTAX: unexpected character '$'",
              '1:1: E-EMPTY: the model file has no statements']),
+    # token boundaries: a message names the '[' of an index list at its column
+    (H + 'L = [0]\n', ["6:5: E-SYNTAX: unexpected token '['"]),
+    (H + 'L = d[0][1]\n', ["6:9: E-SYNTAX: expected '(', found '['"]),
+    (H + 'L = v[[0]]\n', ["6:7: E-SYNTAX: expected an index, found '['"]),
+    (H + 'L = s\nstage 0: D[] [0] = sbar(s)\n', ["7:14: E-SYNTAX: expected '=', found '['"]),
+    (H + '[0]\n', ["6:1: E-SYNTAX: unknown statement '['"]),
+    (H + 'L = v[0,]\n', ["6:9: E-SYNTAX: expected an index, found ']'"]),
+    (H + 'L = v[,0]\n', ["6:7: E-SYNTAX: expected an index, found ','"]),
+    (H + 'L = v[0\n', ["6:8: E-SYNTAX: expected ']', found 'end of line'"]),
+    (H + 'L = v[0]]\n', ['6:9: E-SYNTAX: trailing tokens after the Lagrangian']),
+    (H + 'L = v[\n', ["6:7: E-SYNTAX: expected an index, found ''"]),
+    (H + 'L = v[0,\n', ["6:9: E-SYNTAX: expected an index, found ''"]),
+    # a rule that takes an index list where it needs one token rejects at
+    # the list's second character
+    (H + 'L = s^[0]\n', ['6:8: E-SYNTAX: exponent must be a nonnegative integer']),
+    (H + 'L = sbar([0])\n', ['6:11: E-SYNTAX: sbar(...) needs a field name']),
+    (H + 'L = cbar([])\n', ['6:11: E-SYNTAX: cbar(...) needs a stage number']),
+    (H + 'L = s\nstage 0: [] = sbar(s)\n', ['7:11: E-SYNTAX: a generator definition starts with a family name']),
+    (H + 'L = v[0][1]\n', ['6:9: E-SYNTAX: trailing tokens after the Lagrangian']),
+    (H + 'L = s[0]\n', ['6:5: E-IDX-RANGE: s expects 0 component indices, got 1']),
+    (H + 'L = s\nstage 0: D[0,1 = sbar(w)[0,1]\n', ["7:16: E-SYNTAX: expected ']', found '='"]),
+    ('dim [2]\nfield s\nL = s\n', ['1:1: E-SYNTAX: usage: dim N']),
+    ('dim 2\nfield v[]\nL = 0\n', ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    ('dim 2\nfield v[1,2]\nL = 0\n', ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    ('dim 2\nfield v[1] antisym\nL = 0\n', ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
+    # a tab is one column
+    (H + '\tL = v[0]*v[1] $\n', ["6:16: E-SYNTAX: unexpected character '$'"]),
+    # spaces inside an index list, leading zeros and a comment's characters
+    ('dim 2\nfield v[ 1 ]\nL = v[0]*v[1]\n', []),
+    (H + 'L = v[ 0]*w[0 ,1 ]\n', []),
+    (H + 'L = v[00]\n', []),
+    (H + 'L = s # café\n', []),
 ]
 
 
