@@ -119,7 +119,8 @@ def _cmd_gauge(args) -> tuple:
             "components": components,
         },
     }
-    return 0, payload, "".join(f"u({t}) = {components[t]}\n" for t in sorted(components))
+    text = "".join(f"u({t}) = {components[t]}\n" for t in sorted(components))
+    return 0, payload, text or "u = 0\n"
 
 
 def _cmd_homology(args) -> tuple:

@@ -190,7 +190,8 @@ class CoefficientFamily:
 def eta_splits(M: MultiIndex):
     """(sigma, lam, w) for each split of the multiset M into sigma and lam:
     eta sends w * d_sigma of the order-M coefficient to order lam, where w is
-    (-1)^|M| times the product of per-index binomial coefficients."""
+    (-1)^|M| times the product of per-index binomial coefficients.  The
+    first split has sigma empty and lam = M."""
     idxs = sorted(set(M))
     mults = [M.count(i) for i in idxs]
     sign = -1 if len(M) % 2 else 1

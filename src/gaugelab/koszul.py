@@ -44,12 +44,11 @@ from .algebra import (
     ODD,
     VariableTable,
     _add_term,
-    _monomial,
+    _make,
     _reduced,
     _term_parity,
     factor_str,
     grading_of,
-    poly_sum,
     render_poly,
 )
 from .errors import (
@@ -405,18 +404,24 @@ def identity_witness(m: ModelSpec, fam: NoetherGeneratorFamily) -> tuple | None:
 def extended_lagrangian(m: ModelSpec, N: int | None = None) -> GradedPoly:
     """The original Lagrangian plus ghost * generator for every stage <= N.
 
-    The stage differential annihilates the result exactly whenever the
-    declared identities verify.
+    One accumulator over the lcm of the denominators of L and of the members
+    takes L's terms and each member term with its ghost in front.  The stage
+    differential annihilates the result exactly whenever the declared
+    identities verify.
     """
     N = m.resolve_stage(N)
-    parts = [m.lagrangian]
-    for fam in m.families:
-        if fam.stage > N:
-            continue
-        for ct, member in fam.sorted_members():
-            if not member.is_zero():
-                parts.append(GradedPoly.from_symbol(JetSymbol(fam.ghost, ct)) * member)
-    return poly_sum(parts)
+    fams = [fam for fam in m.families if fam.stage <= N]
+    L = m.lagrangian
+    den = lcm(L._den, *[member._den for fam in fams for member in fam.members.values()])
+    k = den // L._den
+    acc = {fs: c * k for fs, c in L._terms}
+    for fam in fams:
+        for ct, member in fam.members.items():
+            g = (JetSymbol(fam.ghost, ct),)
+            k = den // member._den
+            for fs, c in member._terms:
+                _add_term(acc, g + fs, c * k)
+    return GradedPoly._from_dict(acc, den)
 
 
 def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
@@ -428,26 +433,48 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
     components are zero.  One pass over each linear term c*(prefix, a_(M),
     suffix) adds, per split (sigma, lam, w) of M, (-1)^([a]*[suffix]) * w * c
     * ghost_(lam) * d_sigma(prefix*suffix) to the component on a's target.
+    The numerators go into one accumulator per antifield a, whose target is
+    resolved once at the end.  The splits of each multiset M are listed once
+    per call; when prefix*suffix is empty only the split with sigma empty
+    contributes, as d_sigma of a constant vanishes.
     """
     N = m.resolve_stage(N)
     fams = [fam for fam in m.families if fam.stage <= N]
     den = lcm(*[linear._den for fam in fams for linear, _ in fam.parts.values()])
-    accs: dict[JetSymbol, dict] = {}   # target -> int numerators over den
+    accs: dict[JetSymbol, dict] = {}   # a's zero-order symbol -> int numerators over den
+    splits: dict[tuple, tuple] = {}    # M -> eta_splits(M), the sigma-empty split first
     for fam in fams:
+        ghost = fam.ghost
         for fcomps, (linear, _) in fam.parts.items():
+            k = den // linear._den
             for fs, c in linear._terms:
-                i = next(i for i, f in enumerate(fs) if f.var.kind == ANTIFIELD)
-                a, q = fs[i], _monomial(fs[:i] + fs[i + 1:], 1)
-                c *= (den // linear._den) * (-1 if a.parity and _term_parity(fs[i + 1:]) else 1)
-                target_decl = (m.field_for_antifield(a.var) if fam.stage == 0
-                               else m.family_for_antifield(a.var).ghost)
-                acc = accs.setdefault(JetSymbol(target_decl, a.components), {})
-                for sigma, lam, w in eta_splits(a.derivative):
-                    g = (JetSymbol(fam.ghost, fcomps, lam),)
+                i = len(fs) - 1
+                while fs[i].var.kind != ANTIFIELD:   # fields sort first: a is mostly last
+                    i -= 1
+                a = fs[i]
+                c *= -k if a.parity and _term_parity(fs[i + 1:]) else k
+                acc = accs.get(za := a.zero_order())
+                if acc is None:
+                    acc = accs[za] = {}
+                ways = splits.get(a.derivative)
+                if ways is None:
+                    ways = splits[a.derivative] = tuple(eta_splits(a.derivative))
+                rest = fs[:i] + fs[i + 1:]
+                if not rest:
+                    _, lam, w = ways[0]
+                    _add_term(acc, (JetSymbol(ghost, fcomps, lam),), w * c)
+                    continue
+                q = _make(((rest, 1),), 1)
+                for sigma, lam, w in ways:
+                    g = (JetSymbol(ghost, fcomps, lam),)
                     for gf, gc in multi_total_derivative(q, sigma)._terms:
                         _add_term(acc, g + gf, w * c * gc)
-    return VerticalDerivation({sym: GradedPoly._from_dict(acc, den) for sym, acc in accs.items()},
-                              parity=ODD, side=LEFT, antifield_delta=0, ghost_delta=1)
+    comps = {}
+    for a, acc in accs.items():
+        target = (m.field_for_antifield(a.var) if a.var.stage < 0
+                  else m.family_for_antifield(a.var).ghost)
+        comps[JetSymbol(target, a.components)] = GradedPoly._from_dict(acc, den)
+    return VerticalDerivation(comps, parity=ODD, side=LEFT, antifield_delta=0, ghost_delta=1)
 
 
 def verify_variational_supersymmetry(m: ModelSpec, v: VerticalDerivation) -> bool:

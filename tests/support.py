@@ -274,7 +274,7 @@ def oracle_identity_defect(m, fam, comps):
             inner = m.euler_lagrange_map()[m.table.symbol(m.field_for_antifield(s.var),
                                                           s.components)]
         else:
-            prev = next(f for f in m.families if f.antifield is s.var)
+            prev = next(f for f in m.families if f.antifield == s.var)
             inner = oracle_split(prev.stage, prev.member(s.components))[0]
         parts.append(partial_derivative(linear, s, "right")
                      * multi_total_derivative(inner, s.derivative))
@@ -352,6 +352,20 @@ def oracle_ascent_operator(m, N=None):
                     parts.setdefault(m.table.symbol(target, acomps), []).append(ghost * coeff)
     return VerticalDerivation({sym: poly_sum(ps) for sym, ps in parts.items()},
                               parity=1, side="left", antifield_delta=0, ghost_delta=1)
+
+
+def oracle_extended_lagrangian(m, N):
+    """L plus the oracle product ghost * member for every member up to stage
+    N, summed over Fraction."""
+    acc = dict(m.lagrangian.terms)
+    for fam in m.families:
+        if fam.stage > N:
+            continue
+        for comps, member in fam.sorted_members():
+            ghost = GradedPoly.from_symbol(m.table.symbol(fam.ghost, comps))
+            for fs, c in oracle_mul(ghost, member).terms:
+                acc[fs] = acc.get(fs, Fraction(0)) + c
+    return GradedPoly(acc.items())
 
 
 def flip_first_term(poly):

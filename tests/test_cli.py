@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import gaugelab
 import gaugelab.cli
 from gaugelab import load_model, render_model, run_checks, zoo_model
 from gaugelab.cli import build_parser, run_command
-from support import drop_first_term, flip_first_term, rebuild_with_mutation
+from support import drop_first_term, flip_first_term, rebuild_with_mutation, rescaled_tower
 
 
 def test_check_passes_on_zoo_models(tmp_path, capsys):
@@ -88,6 +89,28 @@ def test_gauge_output(tmp_path, capsys):
     assert comps["c(1)[0]"] == "-c(2)_(0)"
     out = capsys.readouterr().out
     assert "u(B[0,1,2])" in out
+
+
+@pytest.mark.parametrize("argv", [["gauge", "--zoo", "scalar:2"],
+                                  ["gauge", "--zoo", "bf:3", "--stage", "-1"]], ids=" ".join)
+def test_gauge_prints_u_0_when_the_ascent_operator_is_zero(argv, tmp_path, capsys):
+    report = tmp_path / "g.json"
+    assert run_command([*argv, "--report", str(report)]) == 0
+    assert capsys.readouterr().out == "u = 0\n"
+    assert json.loads(report.read_text())["ascent"]["components"] == {}
+
+
+def test_gauge_report_of_a_rescaled_tower_matches_golden(tmp_path):
+    # stage factors with different denominators: the ascent operator's
+    # common denominator and every component's lowest terms are pinned
+    m = rescaled_tower(6, Fraction(3, 4), [Fraction(2, 3), Fraction(-5, 7), Fraction(1, 6),
+                                           Fraction(7, 10), Fraction(-9, 11)])
+    model_file = tmp_path / "rbf6.glm"
+    model_file.write_text(render_model(m))
+    report = tmp_path / "r.json"
+    assert run_command(["gauge", "--model", str(model_file), "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        "a337b625d137d177ff9da4b76cec51671e7bddfdbe189e05609289ecacd0183b"
 
 
 def test_homology_report(tmp_path, capsys):

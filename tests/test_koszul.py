@@ -39,6 +39,7 @@ from gaugelab import (
     total_derivative,
     trivial_model,
     verify_variational_supersymmetry,
+    zoo_model,
 )
 from gaugelab.jets import multi_indices, window_jets
 from gaugelab.koszul import ModelBuilder
@@ -52,6 +53,7 @@ from support import (
     flip_first_term,
     oracle_mul,
     oracle_ascent_operator,
+    oracle_extended_lagrangian,
     oracle_identity_defect,
     oracle_split,
     rebuild_with_mutation,
@@ -193,6 +195,26 @@ def test_extended_lagrangian_examples():
     assert le == expect
 
 
+def _assert_extended_lagrangian_matches_oracle(m):
+    assert extended_lagrangian(m, -1) == m.lagrangian
+    for N in range(-1, m.max_stage + 1):
+        le = extended_lagrangian(m, N)
+        assert le == oracle_extended_lagrangian(m, N)
+        assert_canonical_coefficients(le)
+
+
+def test_extended_lagrangian_matches_oracle_on_a_rescaled_tower():
+    _assert_extended_lagrangian_matches_oracle(_named_model("rescaled"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_extended_lagrangian_matches_oracle_on_random_models(seed):
+    rng = random.Random(seed)
+    _assert_extended_lagrangian_matches_oracle(split_model(rng))
+    _assert_extended_lagrangian_matches_oracle(ascent_model(rng))
+
+
 def test_extended_lagrangian_closure():
     for n in (2, 3, 4):
         m = bf_model(n)
@@ -260,6 +282,24 @@ stage 1: E[0] = sbar(x)[0]*sbar(y)[0] - cbar(0)[0]; E[1] = sbar(x)[1]*sbar(y)[1]
 """
 
 
+# linear terms at derivative order >= 2, with and without a coefficient
+# monomial (u is compared with its oracle; the identities need not hold)
+SECOND_ORDER = """dim 2
+field x
+odd-field psi
+L = 1/2*d[0](x)*d[0](x)
+stage 0: D[] = d[0](d[1](sbar(x))) + 2/3*x*d[0](d[0](d[1](sbar(x)))) - d[1](x)*psi*d[1](d[1](sbar(psi)))
+stage 1: E[] = d[1](d[1](cbar(0))) - 3/5*x*d[0](d[1](cbar(0)))
+"""
+
+
+def _named_model(name):
+    if name == "rescaled":      # L and each stage with its own denominator
+        return rescaled_tower(4, Fraction(3, 4), [Fraction(2, 3), Fraction(-5, 7), Fraction(1, 6)])
+    texts = {"onshell": ONSHELL, "second-order": SECOND_ORDER}
+    return parse_or_raise(texts[name]) if name in texts else zoo_model(name)
+
+
 def _assert_ascent_matches_oracle(m):
     for N in range(m.max_stage + 1):
         u, want = ascent_operator(m, N), oracle_ascent_operator(m, N)
@@ -267,17 +307,30 @@ def _assert_ascent_matches_oracle(m):
         assert (u.parity, u.side, u.ghost_delta, u.den) == (1, "left", 1, want.den)
 
 
-@pytest.mark.parametrize("name", ["bf:2", "bf:3", "bf:4", "bf:5", "bf:6", "trivial", "onshell"])
+@pytest.mark.parametrize("name", ["bf:2", "bf:3", "bf:4", "bf:5", "bf:6", "trivial", "onshell",
+                                  "second-order", "rescaled"])
 def test_ascent_operator_matches_eta_oracle_on_named_models(name):
     # the stage identities of every member are checked against their oracle too
-    from gaugelab import parse_or_raise, zoo_model
-    m = parse_or_raise(ONSHELL) if name == "onshell" else zoo_model(name)
+    m = _named_model(name)
     if name == "onshell":
         assert any(fam.parts[c][1] for fam in m.families_at(1) for c in fam.parts)
     _assert_ascent_matches_oracle(m)
     for fam in m.families:
         for comps, _ in fam.sorted_members():
             assert identity_defect(m, fam, comps) == oracle_identity_defect(m, fam, comps)
+
+
+def test_second_order_model_reaches_both_kinds_of_linear_term():
+    # a linear term with no coefficient monomial adds its sigma-empty split
+    # alone; one with a monomial adds every split; both at order >= 2
+    shapes = set()
+    for fam in _named_model("second-order").families:
+        for linear, _ in fam.parts.values():
+            for fs, _ in linear._terms:
+                (a,) = [f for f in fs if f.var.kind == "antifield"]
+                if a.order >= 2:
+                    shapes.add(len(fs) > 1)
+    assert shapes == {False, True}
 
 
 @settings(max_examples=60, deadline=None)
