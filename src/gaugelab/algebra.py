@@ -24,15 +24,17 @@ permutation sign, and repeated components give zero.
 
 Jet symbols are interned per declaration: each declaration keeps a table of
 its symbols, so one model holds one object per jet coordinate and the term
-kernels mostly compare factors by identity.  Equality and hashing stay by
-value, so symbols and polynomials of two separately built models with equal
-declarations compare and hash equal.  Pickling re-interns: an unpickled
-symbol is looked up in (or added to) its unpickled declaration's table, and
-a pickled declaration carries no table.  Two threads racing on the first
-request for a coordinate can at worst make two equal symbols.  A variable
-table empties its declarations' symbol tables when it is freed, so a model
-needs no cyclic garbage collection; a declaration that outlives its table
-interns afresh, into symbols equal by value to the old ones.
+kernels mostly compare factors by identity.  A raised symbol is made with
+its parent's checked components and zero-order symbol, with no second check.
+Equality and hashing stay by value, so symbols and polynomials of two
+separately built models with equal declarations compare and hash equal.
+Pickling re-interns: an unpickled symbol is looked up in (or added to) its
+unpickled declaration's table, and a pickled declaration carries no table.
+Two threads racing on the first request for a coordinate can at worst make
+two equal symbols.  A variable table empties its declarations' symbol
+tables when it is freed, so a model needs no cyclic garbage collection; a
+declaration that outlives its table interns afresh, into symbols equal by
+value to the old ones.
 
 All values here are immutable and hashable and may be shared freely between
 threads or worker processes.  A polynomial's derivative memo (filled by
@@ -138,7 +140,15 @@ class JetSymbol:
         return self._zero or self
 
     def raised(self, lam: int) -> "JetSymbol":
-        return _intern(self.var, self.components, tuple(sorted(self.derivative + (lam,))))
+        """d_lam of this coordinate: one table lookup, and on a miss a symbol
+        made with this one's checked components and zero-order symbol."""
+        var = self.var
+        comps = self.components
+        deriv = tuple(sorted(self.derivative + (lam,)))
+        sym = var.symbols.get((comps, deriv))
+        if sym is None:
+            sym = _new_symbol(var, comps, deriv, self._zero or self)
+        return sym
 
     def __reduce__(self):
         return (JetSymbol, (self.var, self.components, self.derivative))
@@ -166,6 +176,12 @@ def _intern(var: GradedVariableDecl, comps: tuple, deriv: tuple) -> JetSymbol:
         raise ValueError(f"{var.name} expects {var.arity} component indices, got {comps}")
     if var.antisym and any(comps[i] >= comps[i + 1] for i in range(len(comps) - 1)):
         raise ValueError(f"antisymmetric components must be strictly increasing: {comps}")
+    return _new_symbol(var, comps, deriv, _intern(var, comps, ()) if deriv else None)
+
+
+def _new_symbol(var: GradedVariableDecl, comps: tuple, deriv: tuple, zero) -> JetSymbol:
+    """Make and intern the symbol of var at checked comps and sorted deriv;
+    zero is its zero-order symbol, None when deriv is empty."""
     sym = object.__new__(JetSymbol)
     sym.var = var
     sym.components = comps
@@ -174,7 +190,7 @@ def _intern(var: GradedVariableDecl, comps: tuple, deriv: tuple) -> JetSymbol:
     sym.parity = var.parity
     sym._hash = hash(sym.key)
     # None, not sym itself: a symbol must not be a reference cycle
-    sym._zero = _intern(var, comps, ()) if deriv else None
+    sym._zero = zero
     var.symbols[(comps, deriv)] = sym
     return sym
 
@@ -198,12 +214,18 @@ def _add_term(acc: dict, factors: Sequence[JetSymbol], c) -> None:
     This is the one entry for raw terms: it sorts the factors into the global
     order, negates c once per transposition of two odd factors, and stores
     nothing when an odd factor repeats, also apart within the run of its key
-    (two declarations can share a key).  A first insert stores c itself, never
-    0 + c, and the sign is applied by negation, which skips the normalising
-    gcd that a product with an int sign would pay.  The canonical form of a
-    polynomial is unique, so the result depends only on the terms merged,
-    never on the order their factors arrive in.
+    (two declarations can share a key).  A one-factor monomial is already
+    canonical, so it is merged as it is, with no sort.  A first insert stores
+    c itself, never 0 + c, and the sign is applied by negation, which skips
+    the normalising gcd that a product with an int sign would pay.  The
+    canonical form of a polynomial is unique, so the result depends only on
+    the terms merged, never on the order their factors arrive in.
     """
+    if len(factors) == 1:
+        fs = tuple(factors)
+        prev = acc.get(fs)
+        acc[fs] = c if prev is None else prev + c
+        return
     out: list[JetSymbol] = []
     odd_swaps = 0
     for f in factors:
@@ -475,13 +497,13 @@ def grading_of(p: GradedPoly):
     """
     grading = None
     for fs, _ in p._terms:
-        g = Grading(_term_parity(fs), sum(f.var.antifield_number for f in fs),
-                    sum(f.var.ghost_number for f in fs))
+        g = (_term_parity(fs), sum(f.var.antifield_number for f in fs),
+             sum(f.var.ghost_number for f in fs))
         if grading is None:
             grading = g
         elif grading != g:
             return INHOMOGENEOUS
-    return grading if grading is not None else Grading(0, 0, 0)
+    return Grading(*(grading or (0, 0, 0)))
 
 
 def _coeff_str(q: Fraction) -> str:
@@ -546,7 +568,9 @@ class VariableTable:
     indices are range-checked and antisymmetric components are normalized.
     ``validate_poly`` checks a symbol once per table: ``_validated`` records
     each symbol that passed, and each that ``jet`` made from a declaration of
-    this table.  Two threads can at worst check one symbol twice.
+    this table.  A derivative symbol whose zero-order symbol is recorded has
+    only its derivative indices range-checked.  Two threads can at worst
+    check one symbol twice.
     """
 
     def __init__(self, base: BaseSpace, decls: Sequence[GradedVariableDecl] = ()):
@@ -609,9 +633,7 @@ class VariableTable:
         for c in comps:
             if not 0 <= c < n:
                 raise IndexOutOfRange(f"component index {c} out of range for n={n}")
-        for d in deriv:
-            if not 0 <= d < n:
-                raise IndexOutOfRange(f"derivative index {d} out of range for n={n}")
+        self._check_derivative(deriv)
         sign = 1
         if decl.antisym and any(a >= b for a, b in zip(comps, comps[1:])):
             sign = perm_sign(comps)
@@ -640,14 +662,21 @@ class VariableTable:
         for c in sym.components:
             if not 0 <= c < self.n:
                 raise IndexOutOfRange(f"component index {c} out of range for n={self.n}")
-        for d_ in sym.derivative:
-            if not 0 <= d_ < self.n:
-                raise IndexOutOfRange(f"derivative index {d_} out of range for n={self.n}")
+        self._check_derivative(sym.derivative)
+
+    def _check_derivative(self, deriv: tuple) -> None:
+        for d in deriv:
+            if not 0 <= d < self.n:
+                raise IndexOutOfRange(f"derivative index {d} out of range for n={self.n}")
 
     def validate_poly(self, p: GradedPoly) -> None:
         done = self._validated
         for fs, _ in p._terms:
             for f in fs:
                 if f not in done:
-                    self.validate_symbol(f)
+                    if f._zero is not None and f._zero in done:
+                        # its declaration and components passed with its zero-order symbol
+                        self._check_derivative(f.derivative)
+                    else:
+                        self.validate_symbol(f)
                     done.add(f)

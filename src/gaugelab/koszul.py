@@ -46,7 +46,6 @@ from .algebra import (
     _add_term,
     _make,
     _reduced,
-    _term_parity,
     factor_str,
     grading_of,
     render_poly,
@@ -295,7 +294,10 @@ class ModelBuilder:
 def _split_member(stage, fname, poly) -> tuple:
     """A stage-k member's (linear, correction) parts: the terms linear in
     stage-(k-1) antifields, and the optional stage-(k-2) antifield times
-    field antifield terms.  Any other term shape is rejected."""
+    field antifield terms.  Any other term shape is rejected.  Every other
+    factor of a linear term is a field, and fields (stage -1, kind rank 0)
+    sort before every antifield, so a linear term's antifield is its last
+    factor."""
     linear, correction = [], []
     for term in poly._terms:
         fs = term[0]
@@ -430,12 +432,13 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
     Field components come from the stage-0 generators, ghost components from
     the next stage's generators, in both cases through the
     integration-by-parts involution of the coefficient families; antifield
-    components are zero.  One pass over each linear term c*(prefix, a_(M),
-    suffix) adds, per split (sigma, lam, w) of M, (-1)^([a]*[suffix]) * w * c
-    * ghost_(lam) * d_sigma(prefix*suffix) to the component on a's target.
-    The numerators go into one accumulator per antifield a, whose target is
+    components are zero.  A linear term c*(prefix, a_(M)) ends in its one
+    antifield (see ``_split_member``), so taking the right partial on a
+    costs no sign; per split (sigma, lam, w) of M the term adds w * c *
+    ghost_(lam) * d_sigma(prefix) to the component on a's target.  The
+    numerators go into one accumulator per antifield a, whose target is
     resolved once at the end.  The splits of each multiset M are listed once
-    per call; when prefix*suffix is empty only the split with sigma empty
+    per call; when the prefix is empty only the split with sigma empty
     contributes, as d_sigma of a constant vanishes.
     """
     N = m.resolve_stage(N)
@@ -448,18 +451,15 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
         for fcomps, (linear, _) in fam.parts.items():
             k = den // linear._den
             for fs, c in linear._terms:
-                i = len(fs) - 1
-                while fs[i].var.kind != ANTIFIELD:   # fields sort first: a is mostly last
-                    i -= 1
-                a = fs[i]
-                c *= -k if a.parity and _term_parity(fs[i + 1:]) else k
+                a = fs[-1]      # every other factor is a field (see _split_member)
+                c *= k
                 acc = accs.get(za := a.zero_order())
                 if acc is None:
                     acc = accs[za] = {}
                 ways = splits.get(a.derivative)
                 if ways is None:
                     ways = splits[a.derivative] = tuple(eta_splits(a.derivative))
-                rest = fs[:i] + fs[i + 1:]
+                rest = fs[:-1]
                 if not rest:
                     _, lam, w = ways[0]
                     _add_term(acc, (JetSymbol(ghost, fcomps, lam),), w * c)

@@ -217,8 +217,9 @@ def _oracle_from_raw(raw):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_from_raw_matches_an_independent_oracle(seed):
-    # int, Fraction and zero coefficients; factors in any order, odd factors
-    # repeated; and pairs that cancel, also through a reordering
+    # int, Fraction and zero coefficients; factors in any order, as a tuple
+    # or a list, odd factors repeated; and pairs that cancel, also through a
+    # reordering
     rng = random.Random(seed)
     raw = []
     for _ in range(rng.randint(0, 6)):
@@ -228,9 +229,9 @@ def test_from_raw_matches_an_independent_oracle(seed):
         c = rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
         raw.append((c, tuple(fs)))
         if rng.random() < 0.3:
-            raw.append((-c, tuple(fs)))
+            raw.append((-c, rng.choice((tuple(fs), list(fs)))))
             rng.shuffle(fs)
-            raw.append((c, tuple(fs)))
+            raw.append((c, list(fs)))
     rng.shuffle(raw)
     want = _oracle_from_raw(raw)
     got = GradedPoly.from_raw(raw)
@@ -241,6 +242,18 @@ def test_from_raw_matches_an_independent_oracle(seed):
     ints = tuple((fs, c.numerator) for fs, c in want)
     assert GradedPoly(ints) == GradedPoly.from_raw((c, fs) for fs, c in ints)
     assert_canonical_coefficients(GradedPoly(ints))
+
+
+def test_from_raw_of_lone_factors():
+    # a one-factor term, odd or even and given as a tuple or a list, merges
+    # with no sort, and merges that cancel leave the zero polynomial
+    psi = T.symbol("psi", (), (1,))
+    assert GradedPoly.from_raw([(1, [psi])]) == GradedPoly.from_symbol(psi)
+    assert GradedPoly.from_raw([(2, (psi,)), (-1, [psi])]).terms == (((psi,), 1),)
+    for raw in ([(1, (psi,)), (-1, [psi])], [(Fraction(1, 3), [S]), (Fraction(-2, 6), (S,))]):
+        got = GradedPoly.from_raw(raw)
+        assert got.is_zero() and got == GradedPoly.zero()
+        assert_canonical_coefficients(got)
 
 
 def test_mul_cancels_to_zero_coefficients_and_drops_them():
@@ -408,12 +421,18 @@ def test_a_table_checks_each_symbol_once_and_a_foreign_one_fully():
     _, foreign = t.jet(other.decl("s"))
     with pytest.raises(ModelMismatch):
         t.validate_poly(GradedPoly.from_symbol(foreign))
-    # a symbol made without jet, such as a derivative, is checked in full
+    # a derivative of a recorded symbol has its derivative indices checked,
+    # and a failed check records nothing
     with pytest.raises(IndexOutOfRange):
         t.validate_poly(GradedPoly.from_symbol(own.raised(t.n)))
     with pytest.raises(IndexOutOfRange):
         t.validate_poly(GradedPoly.from_symbol(own.raised(t.n)))
     t.validate_poly(GradedPoly.from_symbol(own.raised(0)))
+    with pytest.raises(IndexOutOfRange):
+        t.validate_poly(GradedPoly.from_symbol(own.raised(0).raised(t.n)))
+    # a derivative of a foreign symbol is checked in full
+    with pytest.raises(ModelMismatch):
+        t.validate_poly(GradedPoly.from_symbol(foreign.raised(0)))
 
 
 def test_repeated_odd_factor_across_declarations_sharing_a_key_vanishes():
@@ -441,6 +460,55 @@ def test_constructor_still_rejects_bad_components():
         with pytest.raises(ValueError, match="strictly increasing"):
             JetSymbol(b, (1, 1), (0,))
     assert JetSymbol(b, (0, 1)).components == (0, 1)
+
+
+def _raise_model():
+    """A fresh builder model whose only jets are zero-order: an even and an
+    odd scalar, an antisymmetric 2-form field and an antisymmetric stage-0
+    family, so every derivative symbol is first made by ``raised``."""
+    from gaugelab import ModelBuilder
+
+    b = ModelBuilder("raise", 3)
+    b.add_field("s", parity=0)
+    b.add_field("psi", parity=1)
+    b.add_field("B", parity=0, arity=2, antisym=True)
+    b.add_stage([("G", 2, True, {})])
+    return b.build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2)), min_size=1, max_size=12))
+def test_raised_symbols_are_the_constructors_symbols(steps):
+    # each step raises the current jet of one coordinate, so coordinates,
+    # antisymmetric ones among them, are raised in random orders and
+    # interleaved, and every derivative symbol is made by raised
+    m, other = _raise_model(), _raise_model()
+    t = m.table
+    coords = [(d, ct) for d in t.decls for ct in t.component_tuples(d)]
+    current = {}
+    for i, lam in steps:
+        decl, comps = coords[i % len(coords)]
+        zero = t.symbol(decl, comps)
+        sym = current.get((decl.name, comps), zero)
+        deriv = tuple(sorted(sym.derivative + (lam,)))
+        assert (comps, deriv) not in decl.symbols     # so raised makes it
+        up = sym.raised(lam)
+        current[decl.name, comps] = up
+        assert up is JetSymbol(decl, comps, deriv) and up.derivative == deriv
+        assert up.zero_order() is zero and up.zero_order() == JetSymbol(decl, comps)
+        twin = JetSymbol(other.table.decl(decl.name), comps, deriv)
+        assert twin is not up and twin == up
+        assert twin.key == up.key and hash(twin) == hash(up)
+        x = pickle.loads(pickle.dumps(up))
+        assert x == up and hash(x) == hash(up) and x.raised(lam) == twin.raised(lam)
+    # pickled with its model, a raised symbol re-interns into the copy
+    syms = tuple(current.values())
+    m2, xs = pickle.loads(pickle.dumps((m, syms)))
+    for x, up in zip(xs, syms):
+        assert x == up and x is not up
+        assert x.var is m2.table.decl(up.var.name)
+        assert x is JetSymbol(x.var, x.components, x.derivative)
+        assert x.zero_order() is m2.table.symbol(x.var, x.components)
 
 
 def test_pickle_round_trip_re_interns():

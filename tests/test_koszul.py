@@ -536,6 +536,19 @@ def test_member_split_matches_term_filter(seed):
             assert identity_defect(m, fam, comps) == oracle_identity_defect(m, fam, comps)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([split_model, ascent_model]))
+def test_a_linear_term_ends_in_its_antifield(seed, make):
+    # ascent_operator reads a linear term's antifield as its last factor
+    m = make(random.Random(seed))
+    for fam in m.families:
+        for linear, _ in fam.parts.values():
+            for fs, _ in linear._terms:
+                assert fs[-1].var.kind == "antifield"
+                assert fs[-1].var.stage == fam.stage - 1
+                assert all(f.var.kind == "field" for f in fs[:-1])
+
+
 def test_correction_term_enters_the_stage_identity():
     # L = x*y; D = sbar(x)*x - sbar(y)*y; the bare differential sends
     # sbar(x)*sbar(y) to D, so E = -cbar(0) + sbar(x)*sbar(y) is an identity
