@@ -24,10 +24,11 @@ permutation sign, and repeated components give zero.
 
 Jet symbols are interned per declaration: each declaration keeps a table of
 its symbols, so one model holds one object per jet coordinate and the term
-kernels mostly compare factors by identity.  A raised symbol is made with
-its parent's checked components and zero-order symbol, with no second check.
-Equality and hashing stay by value, so symbols and polynomials of two
-separately built models with equal declarations compare and hash equal.
+kernels mostly compare factors by identity.  A declaration carries its base
+dimension n, and a symbol's indices are checked against it once, when the
+symbol is made; a raise checks only its new index.  Equality and hashing
+stay by value, so symbols and polynomials of two separately built models
+with equal declarations (n included) compare and hash equal.
 Pickling re-interns: an unpickled symbol is looked up in (or added to) its
 unpickled declaration's table, and a pickled declaration carries no table.
 Two threads racing on the first request for a coordinate can at worst make
@@ -88,6 +89,7 @@ class GradedVariableDecl:
 
     ``stage`` is -1 for dynamical fields and for their antifields, k >= 0 for
     the antifield/ghost family attached to the stage-k generator family.
+    ``n`` is the base dimension, over which every index of its symbols ranges.
     ``symbols`` interns this declaration's jet symbols by (components,
     derivative); it takes no part in comparison, hashing or pickling.
     """
@@ -100,6 +102,7 @@ class GradedVariableDecl:
     stage: int = -1
     arity: int = 0
     antisym: bool = False
+    n: int = 1
     symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -123,14 +126,15 @@ class JetSymbol:
     """One jet coordinate: variable + component tuple + derivative multiset.
 
     ``JetSymbol(var, comps, deriv)`` returns the declaration's interned
-    symbol for that coordinate, creating it on the first request.
+    symbol for that coordinate, creating it on the first request.  A wrong
+    component count or an index outside 0..var.n-1 raises IndexOutOfRange.
     """
 
     __slots__ = ("var", "components", "derivative", "key", "parity", "_hash", "_zero")
 
     def __new__(cls, var: GradedVariableDecl, components: Sequence[int] = (),
                 derivative: Iterable[int] = ()):
-        return _intern(var, tuple(components), tuple(sorted(derivative)))
+        return _intern(var, tuple(components), tuple(derivative))
 
     @property
     def order(self) -> int:
@@ -140,13 +144,15 @@ class JetSymbol:
         return self._zero or self
 
     def raised(self, lam: int) -> "JetSymbol":
-        """d_lam of this coordinate: one table lookup, and on a miss a symbol
-        made with this one's checked components and zero-order symbol."""
+        """d_lam of this coordinate: one table lookup, and on a miss, once lam
+        is in range, a symbol with this one's components and zero-order symbol."""
         var = self.var
         comps = self.components
         deriv = tuple(sorted(self.derivative + (lam,)))
         sym = var.symbols.get((comps, deriv))
         if sym is None:
+            if not 0 <= lam < var.n:
+                raise IndexOutOfRange(f"derivative index {lam} out of range for n={var.n}")
             sym = _new_symbol(var, comps, deriv, self._zero or self)
         return sym
 
@@ -168,15 +174,30 @@ class JetSymbol:
 
 
 def _intern(var: GradedVariableDecl, comps: tuple, deriv: tuple) -> JetSymbol:
-    """The symbol of var at canonical comps and sorted deriv, made on first use."""
-    sym = var.symbols.get((comps, deriv))
+    """The symbol of var at canonical comps and deriv (in any order); on first
+    use its indices are checked and it is made."""
+    key = (comps, tuple(sorted(deriv)))
+    sym = var.symbols.get(key)
     if sym is not None:
         return sym
-    if len(comps) != var.arity:
-        raise ValueError(f"{var.name} expects {var.arity} component indices, got {comps}")
+    _check_indices(var, comps, deriv)
     if var.antisym and any(comps[i] >= comps[i + 1] for i in range(len(comps) - 1)):
         raise ValueError(f"antisymmetric components must be strictly increasing: {comps}")
-    return _new_symbol(var, comps, deriv, _intern(var, comps, ()) if deriv else None)
+    return _new_symbol(var, comps, key[1], _intern(var, comps, ()) if deriv else None)
+
+
+def _check_indices(var: GradedVariableDecl, comps: tuple, deriv: tuple) -> None:
+    """Raise IndexOutOfRange unless var takes len(comps) components and every
+    index lies in 0..var.n-1; the first bad index in the order given is named."""
+    if len(comps) != var.arity:
+        raise IndexOutOfRange(f"{var.name} expects {var.arity} component indices, got {len(comps)}")
+    n = var.n
+    for c in comps:
+        if not 0 <= c < n:
+            raise IndexOutOfRange(f"component index {c} out of range for n={n}")
+    for d in deriv:
+        if not 0 <= d < n:
+            raise IndexOutOfRange(f"derivative index {d} out of range for n={n}")
 
 
 def _new_symbol(var: GradedVariableDecl, comps: tuple, deriv: tuple, zero) -> JetSymbol:
@@ -564,20 +585,17 @@ def perm_sign(seq: Sequence[int]) -> int:
 class VariableTable:
     """Declared variables of one model plus the base space.
 
-    Symbol construction goes through ``jet`` so component and derivative
-    indices are range-checked and antisymmetric components are normalized.
-    ``validate_poly`` checks a symbol once per table: ``_validated`` records
-    each symbol that passed, and each that ``jet`` made from a declaration of
-    this table.  A derivative symbol whose zero-order symbol is recorded has
-    only its derivative indices range-checked.  Two threads can at worst
-    check one symbol twice.
+    Every declaration of a table has the table's base dimension, so a symbol
+    of a declaration is valid here exactly when that declaration, or one
+    equal to it by value, is declared under its name.  ``jet`` folds permuted
+    antisymmetric components into a sign; ``validate_poly`` looks at each
+    factor's declaration only.
     """
 
     def __init__(self, base: BaseSpace, decls: Sequence[GradedVariableDecl] = ()):
         self.base = base
         self._decls: list[GradedVariableDecl] = []
         self._by_name: dict[str, GradedVariableDecl] = {}
-        self._validated: set[JetSymbol] = set()
         for d in decls:
             self.declare(d)
 
@@ -598,6 +616,8 @@ class VariableTable:
     def declare(self, decl: GradedVariableDecl) -> GradedVariableDecl:
         if decl.name in self._by_name:
             raise ValueError(f"duplicate variable {decl.name!r}")
+        if decl.n != self.n:
+            raise ModelMismatch(f"{decl.name!r} is declared over n={decl.n}, not n={self.n}")
         self._decls.append(decl)
         self._by_name[decl.name] = decl
         return decl
@@ -626,24 +646,15 @@ class VariableTable:
         decl = name if isinstance(name, GradedVariableDecl) else self.decl(name)
         comps = tuple(components)
         deriv = tuple(derivative)
-        n = self.base.n
-        if len(comps) != decl.arity:
-            raise IndexOutOfRange(
-                f"{decl.name} expects {decl.arity} component indices, got {len(comps)}")
-        for c in comps:
-            if not 0 <= c < n:
-                raise IndexOutOfRange(f"component index {c} out of range for n={n}")
-        self._check_derivative(deriv)
         sign = 1
         if decl.antisym and any(a >= b for a, b in zip(comps, comps[1:])):
+            # checked before the fold, which would reorder or drop a bad index
+            _check_indices(decl, comps, deriv)
             sign = perm_sign(comps)
             if sign == 0:
                 return 0, None
             comps = tuple(sorted(comps))
-        sym = _intern(decl, comps, tuple(sorted(deriv)))
-        if self._by_name.get(decl.name) is decl:
-            self._validated.add(sym)
-        return sign, sym
+        return sign, _intern(decl, comps, deriv)
 
     def symbol(self, name, components: Sequence[int] = (), derivative: Iterable[int] = ()) -> JetSymbol:
         """Strict constructor: components must already be canonical."""
@@ -659,24 +670,10 @@ class VariableTable:
         if d is not sym.var and d != sym.var:
             raise ModelMismatch(
                 f"{sym.var.name!r} is declared differently in this model")
-        for c in sym.components:
-            if not 0 <= c < self.n:
-                raise IndexOutOfRange(f"component index {c} out of range for n={self.n}")
-        self._check_derivative(sym.derivative)
-
-    def _check_derivative(self, deriv: tuple) -> None:
-        for d in deriv:
-            if not 0 <= d < self.n:
-                raise IndexOutOfRange(f"derivative index {d} out of range for n={self.n}")
 
     def validate_poly(self, p: GradedPoly) -> None:
-        done = self._validated
+        by_name = self._by_name
         for fs, _ in p._terms:
             for f in fs:
-                if f not in done:
-                    if f._zero is not None and f._zero in done:
-                        # its declaration and components passed with its zero-order symbol
-                        self._check_derivative(f.derivative)
-                    else:
-                        self.validate_symbol(f)
-                    done.add(f)
+                if by_name.get(f.var.name) is not f.var:
+                    self.validate_symbol(f)

@@ -31,9 +31,9 @@ integer index list without spaces (``[0,1]``, ``[]``) is one token, which a
 message names by its ``[``.  A recursive descent parser folds each product's
 literals into one coefficient, and an expander turns each Lagrangian or
 generator member into raw (coefficient, factors) terms for one
-``GradedPoly.from_raw``.  The expander range-checks every index, and
-``VariableTable.jet`` records each symbol it makes as validated, so the
-builder's ``validate_poly`` checks only derivatives, once per model.  It
+``GradedPoly.from_raw``.  The expander range-checks every index, so a
+message names its position; a jet symbol is valid once made, so the
+builder's ``validate_poly`` looks only at each factor's declaration.  It
 yields exactly one model or a list of positioned diagnostics with stable codes.
 A check raises its diagnostic (``_reject``), and only the statement loops
 record it: every line is checked for syntax, and each statement, or each

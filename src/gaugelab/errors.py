@@ -9,8 +9,8 @@ class UnknownVariable(GaugelabError):
     """A symbol references a variable that is not declared in the model."""
 
 
-class IndexOutOfRange(GaugelabError):
-    """A component or derivative index is not in 0..n-1."""
+class IndexOutOfRange(GaugelabError, ValueError):
+    """A jet coordinate has the wrong component count or an index not in 0..n-1."""
 
 
 class ModelMismatch(GaugelabError):

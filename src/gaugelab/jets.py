@@ -38,7 +38,7 @@ from .algebra import (
     multi_index,
     poly_sum,
 )
-from .errors import GradingMismatch, IndexOutOfRange
+from .errors import GradingMismatch
 
 LEFT = "left"
 RIGHT = "right"
@@ -73,11 +73,10 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
     return GradedPoly._from_dict(acc, p._den)
 
 
-def total_derivative(p: GradedPoly, lam: int, n: int | None = None) -> GradedPoly:
+def total_derivative(p: GradedPoly, lam: int) -> GradedPoly:
     """Total derivative d_lam: raises each factor's derivative multiset.
-    Memoised on p: a later call for the same p and lam returns this object."""
-    if lam < 0 or (n is not None and lam >= n):
-        raise IndexOutOfRange(f"derivative index {lam} out of range")
+    Memoised on p: a later call for the same p and lam returns this object.
+    A lam outside 0..n-1 raises IndexOutOfRange, unless p is a constant."""
     terms = p._terms
     if not terms or not terms[-1][0]:   # a constant: the empty monomial sorts first
         return _ZERO
@@ -96,11 +95,11 @@ def total_derivative(p: GradedPoly, lam: int, n: int | None = None) -> GradedPol
     return out
 
 
-def multi_total_derivative(p: GradedPoly, Lam: Iterable[int], n: int | None = None):
+def multi_total_derivative(p: GradedPoly, Lam: Iterable[int]):
     """Composition of total derivatives over a multi-index (order immaterial)."""
     out = p
     for lam in multi_index(Lam):
-        out = total_derivative(out, lam, n)
+        out = total_derivative(out, lam)
     return out
 
 

@@ -209,11 +209,11 @@ class ModelBuilder:
     def add_field(self, name: str, parity: int = EVEN, arity: int = 0,
                   antisym: bool = False) -> GradedVariableDecl:
         decl = self.table.declare(GradedVariableDecl(
-            name=name, kind=FIELD, parity=parity, arity=arity, antisym=antisym))
+            name=name, kind=FIELD, parity=parity, arity=arity, antisym=antisym, n=self.table.n))
         anti = self.table.declare(GradedVariableDecl(
             name=f"sbar({name})", kind=ANTIFIELD, parity=(parity + 1) % 2,
             antifield_number=1, ghost_number=-1, stage=-1,
-            arity=arity, antisym=antisym))
+            arity=arity, antisym=antisym, n=self.table.n))
         self._field_antifield[decl] = anti
         return decl
 
@@ -266,11 +266,11 @@ class ModelBuilder:
             anti = GradedVariableDecl(
                 name=f"cbar({tag})", kind=ANTIFIELD, parity=(parity + 1) % 2,
                 antifield_number=stage + 2, ghost_number=-(stage + 2),
-                stage=stage, arity=arity, antisym=antisym)
+                stage=stage, arity=arity, antisym=antisym, n=n)
             ghost = GradedVariableDecl(
                 name=f"c({tag})", kind=GHOST, parity=parity,
                 antifield_number=0, ghost_number=stage + 1,
-                stage=stage, arity=arity, antisym=antisym)
+                stage=stage, arity=arity, antisym=antisym, n=n)
             built.append(NoetherGeneratorFamily(stage, fname, arity, antisym, cleaned,
                                                 parity, anti, ghost, parts))
         if not built:

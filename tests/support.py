@@ -589,7 +589,7 @@ class OracleExpander:
                 raise OracleError("E-IDX-RANGE") from None
             return GradedPoly.zero() if sym is None else GradedPoly.from_symbol(sym, sign)
         if kind == "d":
-            return total_derivative(self.eval(node[2], env), self._idx(node[1], env), self.n)
+            return total_derivative(self.eval(node[2], env), self._idx(node[1], env))
         if kind == "add":
             return poly_sum(self.eval(sub, env) if sign > 0 else -self.eval(sub, env)
                             for sign, sub in node[1])

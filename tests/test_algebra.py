@@ -25,7 +25,9 @@ from gaugelab import (
     partial_derivative,
     poly_sum,
     render_poly,
+    total_derivative,
 )
+from gaugelab.algebra import perm_sign
 from support import (
     _canon_factors,
     assert_canonical_coefficients,
@@ -410,19 +412,19 @@ def test_same_named_but_different_declaration_stays_distinct():
     assert not GradedPoly.from_raw([(1, (own, foreign))]).is_zero()
 
 
-def test_a_table_checks_each_symbol_once_and_a_foreign_one_fully():
+def test_a_table_checks_each_factor_by_its_declaration():
     t = two_field_model().table
-    own = t.symbol("s")                     # made by jet, so recorded as valid
+    own = t.symbol("s")
     other = trivial_model([("s", 1)], n=2).table
     t.validate_poly(GradedPoly.from_symbol(own))
     with pytest.raises(ModelMismatch):
         t.validate_poly(GradedPoly.from_symbol(other.symbol("s")))
-    # jet records only the symbols of this table's own declarations
+    # jet makes a symbol of any declaration; validate_poly rejects a foreign one
     _, foreign = t.jet(other.decl("s"))
     with pytest.raises(ModelMismatch):
         t.validate_poly(GradedPoly.from_symbol(foreign))
-    # a derivative of a recorded symbol has its derivative indices checked,
-    # and a failed check records nothing
+    # a raise past the base is refused when the symbol would be made, before
+    # validate_poly sees it, and a refused raise leaves nothing behind
     with pytest.raises(IndexOutOfRange):
         t.validate_poly(GradedPoly.from_symbol(own.raised(t.n)))
     with pytest.raises(IndexOutOfRange):
@@ -430,7 +432,7 @@ def test_a_table_checks_each_symbol_once_and_a_foreign_one_fully():
     t.validate_poly(GradedPoly.from_symbol(own.raised(0)))
     with pytest.raises(IndexOutOfRange):
         t.validate_poly(GradedPoly.from_symbol(own.raised(0).raised(t.n)))
-    # a derivative of a foreign symbol is checked in full
+    # a derivative of a foreign symbol has the foreign declaration
     with pytest.raises(ModelMismatch):
         t.validate_poly(GradedPoly.from_symbol(foreign.raised(0)))
 
@@ -511,10 +513,124 @@ def test_raised_symbols_are_the_constructors_symbols(steps):
         assert x.zero_order() is m2.table.symbol(x.var, x.components)
 
 
+def _first_bad(comps, deriv, n):
+    """The message for the first out-of-range index, in the order given."""
+    for what, idx in (("component", comps), ("derivative", deriv)):
+        for i in idx:
+            if not 0 <= i < n:
+                return f"{what} index {i} out of range for n={n}"
+    return None
+
+
+def _assert_in_range(sym, n):
+    assert all(0 <= i < n for i in sym.components + sym.derivative)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_no_out_of_range_coordinate_can_be_made(data):
+    m = _raise_model()
+    t, n = m.table, m.table.n
+    idx = st.integers(-1, n + 1)
+    decl = data.draw(st.sampled_from(t.decls))
+    comps = tuple(data.draw(st.lists(idx, min_size=decl.arity, max_size=decl.arity)))
+    deriv = tuple(data.draw(st.lists(idx, max_size=3)))
+    lam = data.draw(idx)
+    bad = _first_bad(comps, deriv, n)
+    canonical = not decl.antisym or list(comps) == sorted(set(comps))
+
+    def outcome(make):
+        try:
+            return make(), None
+        except ValueError as e:
+            return None, e
+
+    for make in (lambda: JetSymbol(decl, comps, deriv),
+                 lambda: t.symbol(decl.name, comps, deriv)):
+        sym, err = outcome(make)
+        if bad:
+            assert type(err) is IndexOutOfRange and str(err) == bad
+        elif canonical:
+            assert err is None
+            _assert_in_range(sym, n)
+        else:
+            assert type(err) is ValueError
+    res, err = outcome(lambda: t.jet(decl.name, comps, deriv))
+    if bad:
+        assert type(err) is IndexOutOfRange and str(err) == bad
+    else:
+        sign, sym = res
+        assert (sym is None) == (len(set(comps)) < len(comps) and decl.antisym)
+        if sym is not None:
+            assert sign == (perm_sign(comps) if decl.antisym else 1)
+            _assert_in_range(sym, n)
+    # raising a valid coordinate, alone or inside a polynomial
+    good = t.symbol(decl, tuple(range(decl.arity)), [d for d in deriv if 0 <= d < n])
+    p = GradedPoly.from_symbol(good) * GradedPoly.from_symbol(t.symbol("s"))
+    for make in (lambda: good.raised(lam), lambda: total_derivative(p, lam)):
+        out, err = outcome(make)
+        if 0 <= lam < n:
+            assert err is None
+            for sym in (out.symbols() if isinstance(out, GradedPoly) else (out,)):
+                _assert_in_range(sym, n)
+        else:
+            assert type(err) is IndexOutOfRange
+            assert str(err) == f"derivative index {lam} out of range for n={n}"
+    # a rejected coordinate is not left behind
+    for d in t.decls:
+        for sym in d.symbols.values():
+            _assert_in_range(sym, n)
+
+
+def test_jet_names_the_first_bad_index_in_the_order_given():
+    t = bf_model(3).table
+    b = t.decl("B")   # arity 2, antisymmetric
+    with pytest.raises(IndexOutOfRange, match="^component index 5 out of range for n=3$"):
+        JetSymbol(b, (0, 5))
+    for comps, named in (((5, 5), 5), ((7, 5), 7), ((5, 7), 5), ((1, 9), 9)):
+        with pytest.raises(IndexOutOfRange, match=f"^component index {named} out of range"):
+            t.jet("B", comps)
+    with pytest.raises(IndexOutOfRange, match="^derivative index 7 out of range for n=3$"):
+        t.jet("B", (1, 0), (7, 5))
+    with pytest.raises(IndexOutOfRange, match="^B expects 2 component indices, got 3$"):
+        t.jet("B", (1, 1, 1))
+    assert t.jet("B", (1, 1)) == (0, None) and t.jet("B", (2, 2), (0,)) == (0, None)
+    assert t.jet("B", (2, 0)) == (-1, t.symbol("B", (0, 2)))
+    assert all(0 <= i < 3 for comps, deriv in b.symbols for i in comps + deriv)
+
+
+def test_declarations_over_different_bases_are_different():
+    from gaugelab import FIELD, BaseSpace, GradedVariableDecl, ModelBuilder, VariableTable
+
+    assert bf_model(3).table.decl("A") != bf_model(4).table.decl("A")
+    assert bf_model(3).table.decl("A") == bf_model(3).table.decl("A")
+    m3 = bf_model(3)
+
+    def builder(n):
+        b = ModelBuilder("copy", n)
+        for d in m3.table.kind_decls(FIELD):
+            b.add_field(d.name, parity=d.parity, arity=d.arity, antisym=d.antisym)
+        return b
+
+    # the same fields over a wider base: every index is in range, but the
+    # declarations differ
+    with pytest.raises(ModelMismatch):
+        builder(4).set_lagrangian(m3.lagrangian)
+    b = builder(3)
+    b.set_lagrangian(m3.lagrangian)
+    assert b.build().lagrangian is m3.lagrangian
+    table = VariableTable(BaseSpace(3))
+    with pytest.raises(ModelMismatch, match="n=4"):
+        table.declare(GradedVariableDecl("x", FIELD, 0, n=4))
+    assert not table.has("x")
+    assert table.declare(GradedVariableDecl("x", FIELD, 0, n=3)).n == 3
+
+
 def test_pickle_round_trip_re_interns():
     m = pickle.loads(pickle.dumps(bf_model(3)))
     assert m == bf_model(3)
     t = m.table
+    assert [d.n for d in t.decls] == [3] * len(t.decls)
     a = t.symbol("A")
     first = m.lagrangian.terms[0][0]
     assert first[0] is a and first[0].var is t.decl("A")

@@ -99,7 +99,7 @@ def test_total_derivative_leibniz():
 
 def test_total_derivative_range_check():
     with pytest.raises(IndexOutOfRange):
-        total_derivative(GradedPoly.from_symbol(T.symbol("s")), 5, n=2)
+        total_derivative(GradedPoly.from_symbol(T.symbol("s")), 5)
 
 
 def test_total_derivatives_commute_on_random_inputs():
@@ -150,8 +150,8 @@ def test_full_check_computes_each_derivative_once(monkeypatch):
     real = jets.total_derivative
     seen = {}   # (polynomial, direction) -> the derivative first returned
 
-    def counting(p, lam, n=None):
-        out = real(p, lam, n)
+    def counting(p, lam):
+        out = real(p, lam)
         if p.max_degree() > 0:
             first = seen.setdefault((id(p), lam), (p, out))
             assert first[0] is p and first[1] is out
