@@ -148,7 +148,8 @@ class JetSymbol:
         is in range, a symbol with this one's components and zero-order symbol."""
         var = self.var
         comps = self.components
-        deriv = tuple(sorted(self.derivative + (lam,)))
+        d = self.derivative
+        deriv = d + (lam,) if not d or d[-1] <= lam else tuple(sorted(d + (lam,)))
         sym = var.symbols.get((comps, deriv))
         if sym is None:
             if not 0 <= lam < var.n:

@@ -22,6 +22,9 @@ Euler-Lagrange expression and chosen generator antifields to their images.
 With every member up to stage N as the images it is the stage differential;
 with the linear parts of the stage-(k-1) members it is the stage-k identity
 derivation, and a stage-k identity is the image of the member under it.
+``run_checks`` applies the stage differential once to each of its
+components; Koszul-Tate nilpotency and closure of the extended Lagrangian
+both read that one list of images.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .algebra import (
     _reduced,
     factor_str,
     grading_of,
+    poly_sum,
     render_poly,
 )
 from .errors import (
@@ -506,6 +510,12 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
     the ascent operator, and ascent nilpotency.  Every check runs even after
     one fails; a failing check carries its first failure as the witness,
     except gauge supersymmetry, which has none.
+
+    The stage differential delta is applied once to each of its components.
+    Nilpotency reports the first nonzero image, as ``check_nilpotency``
+    does.  Closure is delta(L) + sum of ghost * delta(member) over the same
+    images, which is delta of ``extended_lagrangian(m, N)`` term by term:
+    delta is a right derivation with no ghost component.
     """
     N = m.resolve_stage(N)
     results = []
@@ -519,9 +529,14 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
                        else _failed(name, f"{fam.name}{list(found[0])}", found[1]))
 
     delta = build_stage_differential(m, N)
-    results.append(_nilpotency_result("kt-nilpotency", check_nilpotency(delta)))
+    images = [(sym, apply_prolonged(delta, comp)) for sym, comp in delta.sorted_components()]
+    failed = next(((sym, r) for sym, r in images if r), None)
+    results.append(_nilpotency_result("kt-nilpotency", NilpotencyResult(failed is None, failed)))
 
-    closure = apply_prolonged(delta, extended_lagrangian(m, N))
+    closure = poly_sum([apply_prolonged(delta, m.lagrangian)] + [
+        GradedPoly.from_symbol(JetSymbol(m.family_for_antifield(sym.var).ghost,
+                                         sym.components)) * r
+        for sym, r in images if r and sym.var.stage >= 0])
     results.append(CheckResult("extended-lagrangian-closure", closure.is_zero(),
                                None if closure.is_zero() else render_poly(closure)))
 

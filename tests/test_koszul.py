@@ -41,8 +41,9 @@ from gaugelab import (
     verify_variational_supersymmetry,
     zoo_model,
 )
+from gaugelab import koszul
 from gaugelab.jets import multi_indices, window_jets
-from gaugelab.koszul import ModelBuilder
+from gaugelab.koszul import CheckResult, ModelBuilder
 from support import (
     ONSHELL_GLM,
     ROTOR_GLM,
@@ -230,6 +231,76 @@ def test_closure_fails_for_mutated_model():
     bad = rebuild_with_mutation(m, 0, "D", (), flip_first_term)
     d = build_stage_differential(bad)
     assert not apply_prolonged(d, extended_lagrangian(bad)).is_zero()
+
+
+def _with_first_members_flipped(m):
+    """m, then m with the first nonzero member of one family sign-flipped,
+    once per family."""
+    yield m
+    for fam in m.families:
+        comps, member = fam.sorted_members()[0]
+        if member:
+            yield rebuild_with_mutation(m, fam.stage, fam.name, comps, flip_first_term)
+
+
+def _assert_shared_images_give_the_direct_checks(m):
+    # run_checks derives kt-nilpotency and closure from one list of member
+    # images; the direct oracle applies the differential to L_E itself
+    for N in range(-1, m.max_stage + 1):
+        got = {r.name: r for r in run_checks(m, N)}
+        d = build_stage_differential(m, N)
+        assert got["kt-nilpotency"] == koszul._nilpotency_result(
+            "kt-nilpotency", check_nilpotency(d))
+        closure = apply_prolonged(d, extended_lagrangian(m, N))
+        assert got["extended-lagrangian-closure"] == CheckResult(
+            "extended-lagrangian-closure", closure.is_zero(),
+            None if closure.is_zero() else render_poly(closure))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([split_model, ascent_model]))
+def test_shared_images_give_the_direct_checks(seed, make):
+    for m in _with_first_members_flipped(make(random.Random(seed))):
+        _assert_shared_images_give_the_direct_checks(m)
+
+
+def test_shared_images_with_field_antifields_in_the_lagrangian():
+    # such a Lagrangian gives field antifields nonzero images, which have no
+    # ghost and enter closure only through delta(L)
+    b = ModelBuilder("antifield-lagrangian", 1)
+    b.add_field("x", parity=0)
+    b.add_field("y", parity=0)
+    t = b.table
+    x, y, sx = t.symbol("x"), t.symbol("y"), t.symbol("sbar(x)")
+    b.set_lagrangian(GradedPoly.from_raw([(1, (x, y, sx, t.symbol("sbar(y)", (), (0,))))]))
+    b.add_stage([("D", 0, False, {(): GradedPoly.from_symbol(sx)})])
+    m = b.build()
+    bare = build_stage_differential(m, -1)
+    assert apply_prolonged(bare, bare.components[sx])    # the image of sbar(x)
+    _assert_shared_images_give_the_direct_checks(m)
+
+
+def test_full_check_applies_the_stage_differential_once_per_component(monkeypatch):
+    real_apply, real_build = koszul.apply_prolonged, koszul.build_stage_differential
+    built, calls = [], []
+
+    def building(m, N=None):
+        built.append(real_build(m, N))
+        return built[-1]
+
+    def applying(v, p):
+        calls.append((v, p))
+        return real_apply(v, p)
+
+    monkeypatch.setattr(koszul, "build_stage_differential", building)
+    monkeypatch.setattr(koszul, "apply_prolonged", applying)
+    m = bf_model(6)
+    assert all(r.ok for r in run_checks(m))
+    (d,) = built
+    inputs = [p for v, p in calls if v is d]
+    want = [comp for _, comp in d.sorted_components()] + [m.lagrangian]
+    assert sorted(map(id, inputs)) == sorted(map(id, want))
+    assert extended_lagrangian(m) not in inputs
 
 
 def expected_bf_ascent(m):
