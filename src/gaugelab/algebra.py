@@ -89,6 +89,10 @@ class GradedVariableDecl:
 
     ``stage`` is -1 for dynamical fields and for their antifields, k >= 0 for
     the antifield/ghost family attached to the stage-k generator family.
+    The grading follows from kind and stage and is never passed in: a field
+    (stage -1) has antifield and ghost number (0, 0), a stage-k antifield
+    (k >= -1) has (k+2, -(k+2)), and a stage-k ghost (k >= 0) has (0, k+1);
+    any other kind/stage pair raises ValueError.
     ``n`` is the base dimension, over which every index of its symbols ranges.
     ``symbols`` interns this declaration's jet symbols by (components,
     derivative); it takes no part in comparison, hashing or pickling.
@@ -97,21 +101,30 @@ class GradedVariableDecl:
     name: str
     kind: str
     parity: int
-    antifield_number: int = 0
-    ghost_number: int = 0
     stage: int = -1
     arity: int = 0
     antisym: bool = False
     n: int = 1
+    antifield_number: int = field(init=False, compare=False)
+    ghost_number: int = field(init=False, compare=False)
     symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        kind, k = self.kind, self.stage
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown kind {kind!r}")
+        if kind == FIELD and k == -1:
+            grading = (0, 0)
+        elif kind == ANTIFIELD and k >= -1:
+            grading = (k + 2, -(k + 2))
+        elif kind == GHOST and k >= 0:
+            grading = (0, k + 1)
+        else:
+            raise ValueError(f"a {kind} cannot sit at stage {k}")
+        object.__setattr__(self, "antifield_number", grading[0])
+        object.__setattr__(self, "ghost_number", grading[1])
         if self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        if self.antifield_number < 0:
-            raise ValueError("antifield number must be >= 0")
         if self.arity < 0:
             raise ValueError("arity must be >= 0")
         if self.arity < 2 and self.antisym:

@@ -396,10 +396,11 @@ def _parse_field(doc: ModelDocument, texts: list, cols: list, line: int) -> None
 
 def _parse_stage(doc: ModelDocument, texts: list, cols: list, line: int, diags: list) -> None:
     """Parses each ``;``-separated definition, recording its diagnostic."""
-    if len(texts) < 3 or not texts[1][:1].isdigit() or texts[2] != ":":
+    cuts = [i for i, t in enumerate(texts) if t == ";"]
+    if (len(texts) < 3 or not texts[1][:1].isdigit() or texts[2] != ":"
+            or len(cuts) == len(texts) - 3):        # no definition after the ':'
         _reject((line, cols[0]), "E-SYNTAX", "usage: stage K: NAME[idx,...] = expr ; ...")
     stage = int(texts[1])
-    cuts = [i for i, t in enumerate(texts) if t == ";"]
     for start, stop in zip([2] + cuts, cuts + [len(texts)]):
         if stop == start + 1:
             continue

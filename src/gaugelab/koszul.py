@@ -6,8 +6,9 @@ antifield of antifield number 1 and opposite parity; every stage-k generator
 family gets an antifield family of antifield number k+2 (parity opposite to
 the generator density) and a ghost family of ghost number k+1 (parity
 opposite to the antifield).  Users never declare antifields or ghosts by
-hand: the grading bookkeeping is fixed, and declaring it manually only
-invites inconsistency.
+hand, and no grading is stated twice: a declaration derives its antifield
+and ghost numbers from its kind and stage, and a family reads its stage,
+arity, antisymmetry and parity from its ghost.
 
 Stage-0 generator densities are linear in the field antifields.  A stage-k
 density (k >= 1) is a part linear in the stage-(k-1) antifields plus an
@@ -83,23 +84,23 @@ class NoetherGeneratorFamily:
     ``antifield`` and ``ghost`` are the family's declarations; ``parts`` maps
     each member's components to its (linear, correction) split, both in
     lowest terms, with the member itself as the linear part when it has no
-    correction.
+    correction.  ``stage``, ``arity``, ``antisym`` and ``parity`` are the
+    ghost's, so the family holds no copy of them.
     """
 
-    __slots__ = ("stage", "name", "arity", "antisym", "members", "parity",
-                 "antifield", "ghost", "parts")
+    __slots__ = ("name", "members", "antifield", "ghost", "parts")
 
-    def __init__(self, stage, name, arity, antisym, members, parity, antifield, ghost,
-                 parts):
-        self.stage = stage
+    def __init__(self, name, members, antifield, ghost, parts):
         self.name = name
-        self.arity = arity
-        self.antisym = antisym
         self.members = dict(sorted(members.items()))
-        self.parity = parity
         self.antifield = antifield
         self.ghost = ghost
         self.parts = parts
+
+    stage = property(lambda self: self.ghost.stage)
+    arity = property(lambda self: self.ghost.arity)
+    antisym = property(lambda self: self.ghost.antisym)
+    parity = property(lambda self: self.ghost.parity)
 
     def member(self, comps) -> GradedPoly:
         return self.members.get(tuple(comps), GradedPoly.zero())
@@ -109,8 +110,7 @@ class NoetherGeneratorFamily:
 
     def __eq__(self, other):
         return (isinstance(other, NoetherGeneratorFamily)
-                and (self.stage, self.name, self.arity, self.antisym) ==
-                    (other.stage, other.name, other.arity, other.antisym)
+                and (self.name, self.ghost) == (other.name, other.ghost)
                 and self.members == other.members)
 
     def __repr__(self):
@@ -216,7 +216,6 @@ class ModelBuilder:
             name=name, kind=FIELD, parity=parity, arity=arity, antisym=antisym, n=self.table.n))
         anti = self.table.declare(GradedVariableDecl(
             name=f"sbar({name})", kind=ANTIFIELD, parity=(parity + 1) % 2,
-            antifield_number=1, ghost_number=-1, stage=-1,
             arity=arity, antisym=antisym, n=self.table.n))
         self._field_antifield[decl] = anti
         return decl
@@ -269,14 +268,11 @@ class ModelBuilder:
             tag = f"{stage}:{fname}" if len(families) > 1 else f"{stage}"
             anti = GradedVariableDecl(
                 name=f"cbar({tag})", kind=ANTIFIELD, parity=(parity + 1) % 2,
-                antifield_number=stage + 2, ghost_number=-(stage + 2),
                 stage=stage, arity=arity, antisym=antisym, n=n)
             ghost = GradedVariableDecl(
                 name=f"c({tag})", kind=GHOST, parity=parity,
-                antifield_number=0, ghost_number=stage + 1,
                 stage=stage, arity=arity, antisym=antisym, n=n)
-            built.append(NoetherGeneratorFamily(stage, fname, arity, antisym, cleaned,
-                                                parity, anti, ghost, parts))
+            built.append(NoetherGeneratorFamily(fname, cleaned, anti, ghost, parts))
         if not built:
             raise ValueError("a stage needs at least one generator family")
         names = [d.name for fam in built for d in (fam.antifield, fam.ghost)]
@@ -355,22 +351,21 @@ class NilpotencyResult:
 
 
 def check_nilpotency(v: VerticalDerivation) -> NilpotencyResult:
-    """Apply the prolonged derivation to each of its own components.
+    """``check_ascent_nilpotency`` for an odd derivation.
 
-    Nilpotency of an odd derivation is exactly the vanishing of all these
-    images; requesting the check for an even derivation is an error.
+    Nilpotency of an odd derivation is exactly the vanishing of the images of
+    its own components; requesting the check for an even derivation is an
+    error.
     """
     if v.parity != ODD:
         raise EvenDerivation("nilpotency requires an odd derivation")
-    return _self_application(v)
+    return check_ascent_nilpotency(v)
 
 
 def check_ascent_nilpotency(v: VerticalDerivation) -> NilpotencyResult:
-    """Same computation, but non-nilpotence is a report, not an error."""
-    return _self_application(v)
-
-
-def _self_application(v: VerticalDerivation) -> NilpotencyResult:
+    """Apply the prolonged derivation to each of its own components, in
+    component order, and report the first nonzero image; non-nilpotence is a
+    report, not an error."""
     for sym, comp in v.sorted_components():
         r = apply_prolonged(v, comp)
         if not r.is_zero():
@@ -408,26 +403,14 @@ def identity_witness(m: ModelSpec, fam: NoetherGeneratorFamily) -> tuple | None:
 
 
 def extended_lagrangian(m: ModelSpec, N: int | None = None) -> GradedPoly:
-    """The original Lagrangian plus ghost * generator for every stage <= N.
-
-    One accumulator over the lcm of the denominators of L and of the members
-    takes L's terms and each member term with its ghost in front.  The stage
-    differential annihilates the result exactly whenever the declared
-    identities verify.
+    """The original Lagrangian plus ghost * generator for every member of
+    every stage <= N, as one ``poly_sum``.  The stage differential
+    annihilates the result exactly whenever the declared identities verify.
     """
     N = m.resolve_stage(N)
-    fams = [fam for fam in m.families if fam.stage <= N]
-    L = m.lagrangian
-    den = lcm(L._den, *[member._den for fam in fams for member in fam.members.values()])
-    k = den // L._den
-    acc = {fs: c * k for fs, c in L._terms}
-    for fam in fams:
-        for ct, member in fam.members.items():
-            g = (JetSymbol(fam.ghost, ct),)
-            k = den // member._den
-            for fs, c in member._terms:
-                _add_term(acc, g + fs, c * k)
-    return GradedPoly._from_dict(acc, den)
+    return poly_sum([m.lagrangian] + [
+        GradedPoly.from_symbol(JetSymbol(fam.ghost, ct)) * member
+        for fam in m.families if fam.stage <= N for ct, member in fam.members.items()])
 
 
 def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
@@ -493,13 +476,13 @@ class CheckResult:
     witness: str | None = None   # the rendered first failure; None when ok
 
 
-def _failed(name: str, label: str, poly: GradedPoly) -> CheckResult:
-    return CheckResult(name, False, f"{label}: {render_poly(poly)}")
-
-
-def _nilpotency_result(name: str, r: NilpotencyResult) -> CheckResult:
-    return CheckResult(name, True) if r.ok else _failed(name, factor_str(r.witness[0]),
-                                                        r.witness[1])
+def _result(name: str, found: tuple | None, label=factor_str) -> CheckResult:
+    """A passing result when ``found`` is None; else a failing one whose
+    witness is ``label(key): poly`` for the pair (key, poly) in ``found``."""
+    if found is None:
+        return CheckResult(name, True)
+    key, poly = found
+    return CheckResult(name, False, f"{label(key)}: {render_poly(poly)}")
 
 
 def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
@@ -524,14 +507,12 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
             continue
         kind = "noether-identity" if fam.stage == 0 else f"stage-{fam.stage}-identity"
         name = f"{kind}[{fam.name}]"
-        found = identity_witness(m, fam)
-        results.append(CheckResult(name, True) if found is None
-                       else _failed(name, f"{fam.name}{list(found[0])}", found[1]))
+        results.append(_result(name, identity_witness(m, fam),
+                               lambda ct: f"{fam.name}{list(ct)}"))
 
     delta = build_stage_differential(m, N)
     images = [(sym, apply_prolonged(delta, comp)) for sym, comp in delta.sorted_components()]
-    failed = next(((sym, r) for sym, r in images if r), None)
-    results.append(_nilpotency_result("kt-nilpotency", NilpotencyResult(failed is None, failed)))
+    results.append(_result("kt-nilpotency", next(((sym, r) for sym, r in images if r), None)))
 
     closure = poly_sum([apply_prolonged(delta, m.lagrangian)] + [
         GradedPoly.from_symbol(JetSymbol(m.family_for_antifield(sym.var).ghost,
@@ -542,7 +523,7 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
 
     u = ascent_operator(m, N)
     results.append(CheckResult("gauge-supersymmetry", verify_variational_supersymmetry(m, u)))
-    results.append(_nilpotency_result("ascent-nilpotency", check_ascent_nilpotency(u)))
+    results.append(_result("ascent-nilpotency", check_ascent_nilpotency(u).witness))
     return results
 
 

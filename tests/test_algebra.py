@@ -438,10 +438,10 @@ def test_a_table_checks_each_factor_by_its_declaration():
 
 
 def test_repeated_odd_factor_across_declarations_sharing_a_key_vanishes():
-    # two odd declarations that differ only in ghost number share a key, so a
-    # repeated symbol need not sort next to its first copy
+    # two odd declarations that differ only in base dimension share a key, so
+    # a repeated symbol need not sort next to its first copy
     from gaugelab.algebra import FIELD, ODD, GradedVariableDecl
-    x, y = (JetSymbol(GradedVariableDecl("s", FIELD, ODD, ghost_number=g)) for g in (0, 1))
+    x, y = (JetSymbol(GradedVariableDecl("s", FIELD, ODD, n=g)) for g in (1, 2))
     assert x.key == y.key and x != y
     for fs in ((x, y, x), (y, x, y), (x, x, y), (y, x, x)):
         assert GradedPoly.from_raw([(1, fs)]).is_zero()

@@ -343,6 +343,13 @@ GOLDEN_DIAGNOSTICS = [
     ('dim 2\nfield s\nfield s\nL = s\n', ["3:7: E-DUP-DECL: field 's' already declared"]),
     (H + 'frobnicate 3\nL = s\n', ["6:1: E-SYNTAX: unknown statement 'frobnicate'"]),
     (H + 'L = s\nstage x\n', ['7:1: E-SYNTAX: usage: stage K: NAME[idx,...] = expr ; ...']),
+    # a stage line with no definition is no stage, even after stage 0
+    (H + 'L = s\nstage 0:\n', ['7:1: E-SYNTAX: usage: stage K: NAME[idx,...] = expr ; ...']),
+    (H + 'L = s\nstage 0: ;\n', ['7:1: E-SYNTAX: usage: stage K: NAME[idx,...] = expr ; ...']),
+    (H + 'L = s\nstage 5:\n', ['7:1: E-SYNTAX: usage: stage K: NAME[idx,...] = expr ; ...']),
+    (H + 'L = s\nstage 0: D[] = sbar(s)\nstage 2:\n',
+     ['8:1: E-SYNTAX: usage: stage K: NAME[idx,...] = expr ; ...']),
+    (H + 'L = s\nstage 0: D[] = sbar(s) ;\n', []),
     (H + 'L = s\nstage 0: 1[] = sbar(s)\n', ['7:11: E-SYNTAX: a generator definition starts with a family name']),
     (H + 'L = s\nstage 0: D = sbar(s)\n', ["7:12: E-SYNTAX: expected '[', found '='"]),
     (H + 'L = s\nstage 0: D[] sbar(s)\n', ["7:14: E-SYNTAX: expected '=', found 'sbar'"]),

@@ -2,6 +2,7 @@
 and the ascent operator."""
 
 import gc
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -42,6 +43,7 @@ from gaugelab import (
     zoo_model,
 )
 from gaugelab import koszul
+from gaugelab.algebra import GradedVariableDecl
 from gaugelab.jets import multi_indices, window_jets
 from gaugelab.koszul import CheckResult, ModelBuilder
 from support import (
@@ -52,11 +54,13 @@ from support import (
     assert_canonical_coefficients,
     drop_first_term,
     flip_first_term,
+    jet_pool,
     oracle_mul,
     oracle_ascent_operator,
     oracle_extended_lagrangian,
     oracle_identity_defect,
     oracle_split,
+    random_poly,
     rebuild_with_mutation,
     rescaled_tower,
     split_model,
@@ -123,6 +127,37 @@ def test_nilpotency_requires_odd():
                            parity=0, side="left")
     with pytest.raises(EvenDerivation):
         check_nilpotency(v)
+
+
+def _odd_derivations(rng):
+    """Stage differentials and ascent operators of a random tower, at every
+    cut and with one member sign-flipped, then random odd derivations on an
+    even and an odd scalar, some nilpotent and most not."""
+    for m in _with_first_members_flipped(rng.choice([split_model, ascent_model])(rng)):
+        for N in range(-1, m.max_stage + 1):
+            yield build_stage_differential(m, N)
+            yield ascent_operator(m, N)
+    t = trivial_model([("s", 0), ("psi", 1)], n=1).table
+    pool = jet_pool(t, ["s", "psi", "sbar(s)", "sbar(psi)"], 1)
+    for side in ("left", "right"):
+        comps = {t.symbol(nm): random_poly(rng, pool, max_terms=2, max_degree=2,
+                                           parity=1 - t.symbol(nm).parity)
+                 for nm in ("s", "psi") if rng.random() < 0.8}
+        yield VerticalDerivation(comps, parity=1, side=side)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nilpotency_is_the_ascent_scan_guarded_for_parity(seed):
+    rng = random.Random(seed)
+    for v in _odd_derivations(rng):
+        assert check_nilpotency(v) == check_ascent_nilpotency(v)
+    t = trivial_model([("s", 0)], n=1).table
+    s = t.symbol("s")
+    even = VerticalDerivation({s: random_poly(rng, jet_pool(t, ["s"], 1), parity=0)},
+                              parity=0, side=rng.choice(("left", "right")))
+    with pytest.raises(EvenDerivation):
+        check_nilpotency(even)
 
 
 def test_full_tower_nilpotency():
@@ -249,8 +284,8 @@ def _assert_shared_images_give_the_direct_checks(m):
     for N in range(-1, m.max_stage + 1):
         got = {r.name: r for r in run_checks(m, N)}
         d = build_stage_differential(m, N)
-        assert got["kt-nilpotency"] == koszul._nilpotency_result(
-            "kt-nilpotency", check_nilpotency(d))
+        assert got["kt-nilpotency"] == koszul._result(
+            "kt-nilpotency", check_nilpotency(d).witness)
         closure = apply_prolonged(d, extended_lagrangian(m, N))
         assert got["extended-lagrangian-closure"] == CheckResult(
             "extended-lagrangian-closure", closure.is_zero(),
@@ -687,6 +722,53 @@ def test_antisymmetric_member_key_must_increase():
             b.add_stage([("D", 2, True, {comps: member})])
     b.add_stage([("D", 2, True, {(0, 1): member})])
     assert all(r.ok for r in run_checks(b.build()))
+
+
+def _rule_grading(decl):
+    """(antifield number, ghost number) that kind and stage give a declaration."""
+    k = decl.stage
+    return {"field": (0, 0), "antifield": (k + 2, -(k + 2)), "ghost": (0, k + 1)}[decl.kind]
+
+
+def _assert_tower_bookkeeping(m):
+    for copy in (m, pickle.loads(pickle.dumps(m))):
+        for decl in copy.table.decls:
+            assert decl.stage >= {"field": -1, "antifield": -1, "ghost": 0}[decl.kind]
+            assert decl.kind != "field" or decl.stage == -1
+            assert (decl.antifield_number, decl.ghost_number) == _rule_grading(decl)
+        for fam in copy.families:
+            g = fam.ghost
+            assert (fam.stage, fam.arity, fam.antisym, fam.parity) == (
+                g.stage, g.arity, g.antisym, g.parity)
+            a = fam.antifield
+            assert (a.stage, a.arity, a.antisym, a.parity) == (
+                g.stage, g.arity, g.antisym, 1 - g.parity)
+
+
+@pytest.mark.parametrize("spec", ["bf:2", "bf:3", "bf:4", "bf:5", "trivial", "scalar:1",
+                                  "scalar:3"])
+def test_zoo_declarations_carry_the_grading_of_their_kind_and_stage(spec):
+    _assert_tower_bookkeeping(zoo_model(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([split_model, ascent_model]))
+def test_random_tower_declarations_carry_the_grading_of_their_kind_and_stage(seed, make):
+    _assert_tower_bookkeeping(make(random.Random(seed)))
+
+
+@pytest.mark.parametrize("kind, stage", [("ghost", -1), ("field", 0), ("antifield", -2),
+                                         ("ghost", -2), ("field", -2)])
+def test_a_declaration_at_a_stage_its_kind_cannot_take_is_rejected(kind, stage):
+    with pytest.raises(ValueError):
+        GradedVariableDecl("x", kind, 1, stage=stage)
+
+
+def test_a_family_holds_no_copy_of_its_ghost_grading():
+    fam = bf_model(3).family(0)
+    for attr in ("stage", "arity", "antisym", "parity"):
+        with pytest.raises(AttributeError):
+            setattr(fam, attr, 0)
 
 
 def test_duplicate_family_name_declares_nothing():
