@@ -39,9 +39,9 @@ value to the old ones.
 
 All values here are immutable and hashable and may be shared freely between
 threads or worker processes.  A polynomial's derivative memo (filled by
-``jets.total_derivative``) is a benign, idempotent cache: two threads racing
-on one entry store equal values, and it takes no part in equality, hashing,
-``repr`` or pickling.
+``jets``) is a benign, idempotent cache: two threads racing on one entry
+store equal values, and it takes no part in equality, hashing, ``repr`` or
+pickling.
 """
 
 from __future__ import annotations
@@ -314,7 +314,8 @@ class GradedPoly:
 
     ``_terms`` holds (factors, nonzero int numerator) pairs in canonical
     order over the positive common denominator ``_den``, in lowest terms.
-    ``_d`` is None or the derivative memo, direction -> total derivative.
+    ``_d`` is None or the derivative memo, sorted multiset L -> d_L as
+    unsorted (factors, nonzero int numerator over ``_den``) pairs.
     """
 
     __slots__ = ("_terms", "_den", "_d")

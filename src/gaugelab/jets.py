@@ -14,7 +14,9 @@ and total-divergence detection are views of it.  A density is a total
 divergence (on one contractible chart) exactly when every E_x vanishes; no
 boundary-term witness is produced.
 
-All operations are pure; total derivatives are memoised on the polynomial.
+All operations are pure.  Total derivatives are memoised on the polynomial
+as raw images, which derivation images read as they are; the total
+derivative functions are canonical views of them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .algebra import (
     VariableTable,
     _ZERO,
     _add_term,
+    _reduced,
+    _term_key,
     _term_parity,
     multi_index,
     poly_sum,
@@ -73,34 +77,38 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
     return GradedPoly._from_dict(acc, p._den)
 
 
-def total_derivative(p: GradedPoly, lam: int) -> GradedPoly:
-    """Total derivative d_lam: raises each factor's derivative multiset.
-    Memoised on p: a later call for the same p and lam returns this object.
+def _raw_derivative(p: GradedPoly, L: MultiIndex):
+    """d_L p for a sorted multiset L: distinct canonical factors with nonzero
+    int numerators over p._den, unsorted.  Memoised on p prefix by prefix.
     A lam outside 0..n-1 raises IndexOutOfRange, unless p is a constant."""
-    terms = p._terms
-    if not terms or not terms[-1][0]:   # a constant: the empty monomial sorts first
-        return _ZERO
     memo = p._d
     if memo is None:
-        memo = p._d = {}
-    else:
-        out = memo.get(lam)
-        if out is not None:
-            return out
-    acc: dict[Factors, int] = {}
-    for fs, c in terms:
-        for i, f in enumerate(fs):
-            _add_term(acc, fs[:i] + (f.raised(lam),) + fs[i + 1:], c)
-    out = memo[lam] = GradedPoly._from_dict(acc, p._den)
+        memo = p._d = {(): p._terms}
+    out = memo.get(L)
+    if out is None:
+        k = len(L) - 1
+        while (out := memo.get(L[:k])) is None:
+            k -= 1
+        for j in range(k, len(L)):
+            lam = L[j]
+            acc: dict[Factors, int] = {}
+            for fs, c in out:
+                for i, f in enumerate(fs):
+                    _add_term(acc, fs[:i] + (f.raised(lam),) + fs[i + 1:], c)
+            out = memo[L[:j + 1]] = [t for t in acc.items() if t[1]]
     return out
+
+
+def total_derivative(p: GradedPoly, lam: int) -> GradedPoly:
+    """Total derivative d_lam: raises each factor's derivative multiset.
+    A lam outside 0..n-1 raises IndexOutOfRange, unless p is a constant."""
+    return multi_total_derivative(p, (lam,))
 
 
 def multi_total_derivative(p: GradedPoly, Lam: Iterable[int]):
     """Composition of total derivatives over a multi-index (order immaterial)."""
-    out = p
-    for lam in multi_index(Lam):
-        out = total_derivative(out, lam)
-    return out
+    L = multi_index(Lam)
+    return _reduced(tuple(sorted(_raw_derivative(p, L), key=_term_key)), p._den) if L else p
 
 
 def multi_indices(n: int, max_order: int) -> list[MultiIndex]:
@@ -215,7 +223,7 @@ class VerticalDerivation:
     """A vertical graded derivation given by its zero-order components.
 
     The action on a derived symbol v_(L) is the L-th total derivative of the
-    component on v, read from the component's derivative memo.  ``side``
+    component on v, read raw from the component's derivative memo.  ``side``
     selects the left or the right Leibniz rule.  Missing components act as
     zero.  Treat instances as immutable.  ``den`` is the lcm of the
     components' denominators; every image's denominator divides it.
@@ -269,6 +277,7 @@ def _prolonged(v: VerticalDerivation, terms: Iterable[tuple]) -> dict[Factors, i
     discovery order; a merge that cancels leaves a 0."""
     vden = v.den
     right = v.side == RIGHT
+    comps = v.components
     acc: dict[Factors, int] = {}
     for fs, c in terms:
         # parity of the factors v crosses: before f (left rule) or after f (right)
@@ -276,11 +285,14 @@ def _prolonged(v: VerticalDerivation, terms: Iterable[tuple]) -> dict[Factors, i
         for i, f in enumerate(fs):
             if right:
                 crossed ^= f.parity
-            img = v.image(f)
-            if img is not None:
-                # k carries the sign and img's share of the common denominator
-                k = (-c if v.parity and crossed else c) * (vden // img._den)
-                for gf, gc in img._terms:
+            base = comps.get(f._zero or f)
+            if base is not None:
+                img = base._d and base._d.get(f.derivative)
+                if img is None:
+                    img = _raw_derivative(base, f.derivative)
+                # k carries the sign and base's share of the common denominator
+                k = (-c if v.parity and crossed else c) * (vden // base._den)
+                for gf, gc in img:
                     _add_term(acc, fs[:i] + gf + fs[i + 1:], k * gc)
             if not right:
                 crossed ^= f.parity

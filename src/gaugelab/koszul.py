@@ -24,8 +24,8 @@ With every member up to stage N as the images it is the stage differential;
 with the linear parts of the stage-(k-1) members it is the stage-k identity
 derivation, and a stage-k identity is the image of the member under it.
 ``run_checks`` applies the stage differential once to each of its
-components; Koszul-Tate nilpotency and closure of the extended Lagrangian
-both read that one list of images.
+components; the stage identities, Koszul-Tate nilpotency and closure of the
+extended Lagrangian all read that one list of images.
 """
 
 from __future__ import annotations
@@ -485,6 +485,19 @@ def _result(name: str, found: tuple | None, label=factor_str) -> CheckResult:
     return CheckResult(name, False, f"{label(key)}: {render_poly(poly)}")
 
 
+def _correction_derivation(m: ModelSpec, k: int) -> VerticalDerivation | None:
+    """epsilon_k, the stage differential minus the stage-k identity derivation
+    on stage-k members, or None when zero: it sends each stage-(k-1)
+    antifield to its member's correction part and, when stage k has
+    correction terms, each stage-(k-2) antifield to its member."""
+    comps = {JetSymbol(prev.antifield, ct): corr for prev in m.families_at(k - 1)
+             for ct, (_, corr) in prev.parts.items() if corr}
+    if k >= 2 and any(corr for fam in m.families_at(k) for _, corr in fam.parts.values()):
+        comps.update((JetSymbol(prev.antifield, ct), member)
+                     for prev in m.families_at(k - 2) for ct, member in prev.members.items())
+    return VerticalDerivation(comps, parity=ODD, side=RIGHT) if comps else None
+
+
 def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
     """The fixed check sequence of the tower cut at stage N, in report order.
 
@@ -495,29 +508,43 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
     except gauge supersymmetry, which has none.
 
     The stage differential delta is applied once to each of its components.
+    A stage-k identity is the member's image minus epsilon_k(member), which
+    is ``identity_defect``, and its witness is ``identity_witness``'s.
     Nilpotency reports the first nonzero image, as ``check_nilpotency``
     does.  Closure is delta(L) + sum of ghost * delta(member) over the same
     images, which is delta of ``extended_lagrangian(m, N)`` term by term:
     delta is a right derivation with no ghost component.
     """
     N = m.resolve_stage(N)
+    delta = build_stage_differential(m, N)
+    images = {sym: apply_prolonged(delta, comp) for sym, comp in delta.sorted_components()}
+
     results = []
     for fam in m.families:
         if fam.stage > N:
             continue
-        kind = "noether-identity" if fam.stage == 0 else f"stage-{fam.stage}-identity"
-        name = f"{kind}[{fam.name}]"
-        results.append(_result(name, identity_witness(m, fam),
+        k = fam.stage
+        eps = _correction_derivation(m, k)
+        found = None
+        for ct, member in fam.sorted_members():
+            if member:
+                r = images[JetSymbol(fam.antifield, ct)]
+                if eps is not None:
+                    r = r - apply_prolonged(eps, member)
+                if r:
+                    found = ct, r
+                    break
+        kind = "noether-identity" if k == 0 else f"stage-{k}-identity"
+        results.append(_result(f"{kind}[{fam.name}]", found,
                                lambda ct: f"{fam.name}{list(ct)}"))
 
-    delta = build_stage_differential(m, N)
-    images = [(sym, apply_prolonged(delta, comp)) for sym, comp in delta.sorted_components()]
-    results.append(_result("kt-nilpotency", next(((sym, r) for sym, r in images if r), None)))
+    results.append(_result("kt-nilpotency", next(
+        ((sym, r) for sym, r in images.items() if r), None)))
 
     closure = poly_sum([apply_prolonged(delta, m.lagrangian)] + [
         GradedPoly.from_symbol(JetSymbol(m.family_for_antifield(sym.var).ghost,
                                          sym.components)) * r
-        for sym, r in images if r and sym.var.stage >= 0])
+        for sym, r in images.items() if r and sym.var.stage >= 0])
     results.append(CheckResult("extended-lagrangian-closure", closure.is_zero(),
                                None if closure.is_zero() else render_poly(closure)))
 

@@ -4,6 +4,7 @@ first variational formula."""
 import pickle
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -125,42 +126,98 @@ def test_total_derivative_is_memoised_on_the_polynomial():
     s, psi = T.symbol("s"), T.symbol("psi")
     p = GradedPoly.from_raw([(Fraction(1, 2), (s, s)), (1, (s, psi))])
     d0 = total_derivative(p, 0)
-    assert total_derivative(p, 0) is d0
-    assert multi_total_derivative(p, (1, 0)) is total_derivative(d0, 1)
+    assert total_derivative(p, 0) == d0
+    assert multi_total_derivative(p, (1, 0)) == total_derivative(d0, 1)
+    assert multi_total_derivative(p, ()) is p
     assert total_derivative(GradedPoly.constant(3), 1).is_zero()
+    # the memo holds each sorted prefix once, as raw numerators over p's
+    # denominator, and a repeated call reads the stored list
+    raw = p._d[(0,)]
+    assert sorted(p._d) == [(), (0,), (0, 1)]
+    assert GradedPoly(((fs, Fraction(c, p._den)) for fs, c in raw)) == d0
+    total_derivative(p, 0)
+    assert p._d[(0,)] is raw
     # a filled memo is invisible to equality, hashing, repr and pickling
     fresh = GradedPoly(p.terms)
+    assert fresh._d is None
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
     assert pickle.dumps(p) == pickle.dumps(fresh)
-    assert pickle.loads(pickle.dumps(p)) == p
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and back._d is None
 
 
 def test_stage_differential_images_are_the_members_memoised_derivatives():
     m = bf_model(5)
     assert all(r.ok for r in run_checks(m))
     d = build_stage_differential(m)
+    # the check run filled the raw memos of the components it read
+    assert any(comp._d for comp in d.components.values())
     for sym, comp in d.components.items():
         for lam in ((0,), (1, 3), (0, 2, 2)):
             jet = m.table.symbol(sym.var, sym.components, lam)
-            assert d.image(jet) is multi_total_derivative(comp, lam)
+            img = d.image(jet)
+            assert img == multi_total_derivative(comp, lam)
+            assert img == oracle_apply_prolonged(d, GradedPoly.from_symbol(jet))
 
 
 def test_full_check_computes_each_derivative_once(monkeypatch):
     from gaugelab import jets
-    real = jets.total_derivative
-    seen = {}   # (polynomial, direction) -> the derivative first returned
+    real = jets._raw_derivative
+    computed = {}   # (polynomial id, derivative prefix) -> the polynomial
 
-    def counting(p, lam):
-        out = real(p, lam)
-        if p.max_degree() > 0:
-            first = seen.setdefault((id(p), lam), (p, out))
-            assert first[0] is p and first[1] is out
+    def counting(p, L):
+        prefixes = [L[:k] for k in range(1, len(L) + 1)]
+        before = [(p._d or {}).get(pre) for pre in prefixes]
+        out = real(p, L)
+        after = [(p._d or {}).get(pre) for pre in prefixes]
+        assert not L or out is after[-1]
+        for pre, old, new in zip(prefixes, before, after):
+            # a raw image the memo did not hold, or one stored anew, is a miss
+            if (old is None or new is not old) and p.max_degree() > 0:
+                assert (id(p), pre) not in computed
+                computed[(id(p), pre)] = p
         return out
 
-    monkeypatch.setattr(jets, "total_derivative", counting)
-    assert all(r.ok for r in run_checks(bf_model(6)))
+    monkeypatch.setattr(jets, "_raw_derivative", counting)
+    m = bf_model(6)
+    assert all(r.ok for r in run_checks(m))
     # the whole check of bf:6 needs 408 distinct derivatives
-    assert len(seen) <= 408
+    assert 0 < len(computed) <= 408
+    # a second check of the same model finds every image of the stage
+    # differential in the memos; only the new ascent operator's are computed
+    assert all(r.ok for r in run_checks(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_multi_total_derivative_is_every_composition(seed):
+    rng = random.Random(seed)
+    # odd factors and fractional coefficients; the component of an odd
+    # derivation on the even s is odd
+    s, psi = T.symbol("s"), T.symbol("psi")
+    p = poly_sum([random_poly(rng, POOL, max_terms=5, parity=1, max_den=12),
+                  GradedPoly.from_raw([(Fraction(5, 13), (psi, s.raised(1)))])])
+    L = tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, 3)))
+    want = p
+    for lam in L:
+        want = oracle_total_derivative(want, lam)
+
+    def composed(q, order):
+        for lam in order:
+            q = total_derivative(q, lam)
+        return q
+
+    # twin's raw memo is filled through a derivation image first; p's is empty
+    twin = GradedPoly(p.terms)
+    v = VerticalDerivation({s: twin}, parity=1, side=rng.choice(("left", "right")))
+    apply_prolonged(v, GradedPoly.from_raw([(1, (psi, T.symbol("s", (), L)))]))
+    assert tuple(sorted(L)) in twin._d and p._d is None
+    for q in (p, twin):
+        got = multi_total_derivative(q, L)
+        assert got == want
+        assert_canonical_coefficients(got)
+        for order in set(permutations(L)):
+            assert composed(q, order) == want
 
 
 def test_euler_lagrange_second_order_scalar():

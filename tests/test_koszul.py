@@ -292,6 +292,32 @@ def _assert_shared_images_give_the_direct_checks(m):
             None if closure.is_zero() else render_poly(closure))
 
 
+def _with_each_member_flipped(m):
+    """m, then m with one nonzero member sign-flipped, once per member."""
+    yield m
+    for fam in m.families:
+        for comps, member in fam.sorted_members():
+            if member:
+                yield rebuild_with_mutation(m, fam.stage, fam.name, comps, flip_first_term)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([split_model, ascent_model]))
+def test_identities_from_the_stage_differential_images_match_the_direct_path(seed, make):
+    # run_checks reads each identity off delta's member images minus the
+    # correction derivation; identity_witness applies the identity derivation
+    for m in _with_each_member_flipped(make(random.Random(seed))):
+        for N in range(m.max_stage + 1):
+            got = {r.name: r for r in run_checks(m, N)}
+            for fam in m.families:
+                if fam.stage > N:
+                    continue
+                kind = "noether-identity" if fam.stage == 0 else f"stage-{fam.stage}-identity"
+                name = f"{kind}[{fam.name}]"
+                assert got[name] == koszul._result(name, identity_witness(m, fam),
+                                                   lambda ct: f"{fam.name}{list(ct)}")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([split_model, ascent_model]))
 def test_shared_images_give_the_direct_checks(seed, make):
@@ -336,6 +362,11 @@ def test_full_check_applies_the_stage_differential_once_per_component(monkeypatc
     want = [comp for _, comp in d.sorted_components()] + [m.lagrangian]
     assert sorted(map(id, inputs)) == sorted(map(id, want))
     assert extended_lagrangian(m) not in inputs
+    # the identities read the same images: no identity derivation is built,
+    # and the correction derivation of a bf tower is zero, so the only other
+    # derivation applied is the (left) ascent operator
+    assert m._identity_cache == {}
+    assert all(v is d or v.side == "left" for v, _ in calls)
 
 
 def expected_bf_ascent(m):
