@@ -25,7 +25,8 @@ from pathlib import Path
 from .algebra import factor_str, render_poly
 from .dsl import ModelFormatError, parse_or_raise, render_model
 from .errors import GaugelabError, NotAComplex
-from .homology import MAX_WINDOW_CHAINS, TruncationWindow, kt_homology, window_chains
+from .homology import (MAX_WINDOW_CHAINS, MAX_WINDOW_FACTORS, TruncationWindow, kt_homology,
+                       window_size)
 from .koszul import ascent_operator, run_checks
 from .zoo import zoo_model
 
@@ -133,11 +134,12 @@ def _cmd_homology(args) -> tuple:
     # this frame, and the model, in a reference cycle through its traceback
     too_large = (f"homology window (jet order {w.max_jet_order}, degree "
                  f"{w.max_poly_degree}) is too large to build")
-    if window_chains(m, w, N) > MAX_WINDOW_CHAINS:
+    chains, factors = window_size(m, w, N)
+    if chains > MAX_WINDOW_CHAINS or factors > MAX_WINDOW_FACTORS:
         raise UsageError(too_large)
     try:
         report = kt_homology(m, w, max_stage=N)
-    except (RecursionError, MemoryError):   # chains too long to enumerate, or no memory
+    except MemoryError:
         raise UsageError(too_large) from None
     gens = [render_poly(rep) for rep in report.representatives]
     entry = {

@@ -13,7 +13,8 @@ is the raw numerators of the Leibniz rule on one chain over the derivation's
 denominator, with no polynomial built per chain.  The elimination, cycles
 included, is in ``int`` arithmetic (``linalg``); only the representatives are
 rational.
-``window_chains`` counts a window's chains without building them.
+``window_size`` counts a window's chains and their factors without building
+them.
 """
 
 from __future__ import annotations
@@ -51,49 +52,58 @@ def chain_basis(m: ModelSpec, w: TruncationWindow,
 
     Ghost variables never enter chains; ``max_stage`` keeps only antifields of
     stage <= max_stage (fields and field antifields count as stage -1).
+    Chains come depth first in pool order, each before its extensions, from
+    a plain loop: no stack frame per factor, so the caller's stack depth
+    never limits a chain's length.
     """
     pool = window_jets(m.table, [d for d in m.table.decls if d.kind != GHOST
                                  and (max_stage is None or d.stage <= max_stage)],
                        w.max_jet_order)
-    max_ant = max((s.var.antifield_number for s in pool), default=0)
+    ants = [s.var.antifield_number for s in pool]
+    max_ant = max(ants, default=0)
+    sector, degree = w.sector, w.max_poly_degree
+    # idx holds the pool indices of chosen; i is the next one tried after it
     out: list[tuple] = []
-    _extend(pool, max_ant, w, 0, [], 0, out)
-    return out
-
-
-def _extend(pool: list, max_ant: int, w: TruncationWindow, start: int,
-            chosen: list, ant: int, out: list) -> None:
-    """Append ``chosen``, if a chain of the sector, and then its extensions by
-    ``pool[start:]`` to ``out``, depth first in pool order.  One frame per
-    factor, so very long chains end in RecursionError before they fill
-    memory; module level, as a closure that calls itself is a cycle."""
-    if ant == w.sector and chosen:
-        out.append(tuple(chosen))
-    slots = w.max_poly_degree - len(chosen)
-    if not slots:
-        return
-    for i in range(start, len(pool)):
-        s = pool[i]
-        a = ant + s.var.antifield_number
-        if a > w.sector or a + (slots - 1) * max_ant < w.sector:
+    chosen: list = []
+    idx: list[int] = []
+    ant = i = 0
+    while True:
+        slots = degree - len(chosen)
+        while slots and i < len(pool):
+            a = ant + ants[i]
+            if (a <= sector and a + (slots - 1) * max_ant >= sector
+                    and not (pool[i].parity and idx and idx[-1] == i)):
+                break
+            i += 1
+        else:
+            if not idx:
+                return out
+            i = idx.pop()
+            chosen.pop()
+            ant -= ants[i]
+            i += 1
             continue
-        if s.parity and chosen and chosen[-1] is s:
-            continue
-        chosen.append(s)
-        _extend(pool, max_ant, w, i, chosen, a, out)
-        chosen.pop()
+        idx.append(i)
+        chosen.append(pool[i])
+        ant = a
+        if ant == sector:
+            out.append(tuple(chosen))
 
 
 MAX_WINDOW_CHAINS = 200_000
+MAX_WINDOW_FACTORS = 2_000_000
 
 
-def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = None) -> int:
-    """Chains of the out- and in-map sources of ``kt_homology`` at w, from the
-    generating function, without building them: antifield monomials by
-    (degree, antifield number), field monomials of degree <= D in closed form.
-    Exact up to MAX_WINDOW_CHAINS; the count stops as soon as it passes it."""
+def window_size(m: ModelSpec, w: TruncationWindow,
+                max_stage: int | None = None) -> tuple[int, int]:
+    """(chains, factors) of the out- and in-map sources of ``kt_homology`` at
+    w, from the generating function, without building them: antifield
+    monomials by (degree, antifield number), field monomials of degree <= D
+    and their summed degrees in closed form.  Both are exact while the
+    chains stay within MAX_WINDOW_CHAINS; the count stops as soon as the
+    chains pass it, and both are then lower bounds."""
     jets = comb(m.table.n + w.max_jet_order, m.table.n)
-    total = 0
+    total = factors = 0
     for k, cap in zip((w.sector, w.sector + 1), _caps(m, w.sector, max_stage)):
         fields, ways = [0, 0], {(0, 0): 1}      # even, odd field jets; (deg, ant) -> count
         decls = [d for d in m.table.decls if d.kind != GHOST and d.stage <= cap]
@@ -118,7 +128,7 @@ def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = Non
                     if key[1] == k:     # each of these x monomials is at least one chain
                         reached += x
                         if reached > MAX_WINDOW_CHAINS:
-                            return reached
+                            return reached, factors
         even, odd = fields
         for (deg, ant), c in ways.items():
             if ant != k:
@@ -127,10 +137,14 @@ def window_chains(m: ModelSpec, w: TruncationWindow, max_stage: int | None = Non
             top = min(w.max_poly_degree - deg, MAX_WINDOW_CHAINS + 1)
             total -= deg == 0                   # the empty monomial is no chain
             for j in range(min(odd, top) + 1):
-                total += c * comb(odd, j) * comb(even + top - j, even)
+                # j odd field jets, then even ones of degree <= t: C(E+t, E)
+                # monomials whose even degrees sum to E*C(E+t, E+1)
+                x, t = c * comb(odd, j), top - j
+                total += x * comb(even + t, even)
+                factors += x * ((deg + j) * comb(even + t, even) + even * comb(even + t, even + 1))
                 if total > MAX_WINDOW_CHAINS:
-                    return total
-    return total
+                    return total, factors
+    return total, factors
 
 
 @dataclass

@@ -16,7 +16,9 @@ boundary-term witness is produced.
 
 All operations are pure.  Total derivatives are memoised on the polynomial
 as raw images, which derivation images read as they are; the total
-derivative functions are canonical views of them.
+derivative functions are canonical views of them.  In both term loops a
+one-factor term, the only kind on the ``bf:N`` towers, is merged as it is,
+with no slice, sort or sign; every other term takes ``_add_term``.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ def partial_derivative(p: GradedPoly, x: JetSymbol, side: str = LEFT) -> GradedP
 def _raw_derivative(p: GradedPoly, L: MultiIndex):
     """d_L p for a sorted multiset L: distinct canonical factors with nonzero
     int numerators over p._den, unsorted.  Memoised on p prefix by prefix.
+    Each step stores d_lam of a one-factor term (f,) as (f_lam,) directly;
+    longer terms go through ``_add_term``.
     A lam outside 0..n-1 raises IndexOutOfRange, unless p is a constant."""
     memo = p._d
     if memo is None:
@@ -93,6 +97,11 @@ def _raw_derivative(p: GradedPoly, L: MultiIndex):
             lam = L[j]
             acc: dict[Factors, int] = {}
             for fs, c in out:
+                if len(fs) == 1:
+                    # (f_lam,) is canonical, and no other term lands on it:
+                    # raising by lam is one-to-one and keeps the length
+                    acc[(fs[0].raised(lam),)] = c
+                    continue
                 for i, f in enumerate(fs):
                     _add_term(acc, fs[:i] + (f.raised(lam),) + fs[i + 1:], c)
             out = memo[L[:j + 1]] = [t for t in acc.items() if t[1]]
@@ -274,12 +283,26 @@ def apply_prolonged(v: VerticalDerivation, P: GradedPoly) -> GradedPoly:
 def _prolonged(v: VerticalDerivation, terms: Iterable[tuple]) -> dict[Factors, int]:
     """The Leibniz loop of ``apply_prolonged``: the image of the sum of the
     canonical (factors, int) terms, as {factors: int numerator over v.den} in
-    discovery order; a merge that cancels leaves a 0."""
+    discovery order; a merge that cancels leaves a 0.  A one-factor term
+    (f,) crosses no factor, so the raw image of f is merged as it is, each
+    factor tuple already canonical; longer terms go through ``_add_term``."""
     vden = v.den
     right = v.side == RIGHT
     comps = v.components
     acc: dict[Factors, int] = {}
     for fs, c in terms:
+        if len(fs) == 1:
+            f = fs[0]
+            base = comps.get(f._zero or f)
+            if base is not None:
+                img = base._d and base._d.get(f.derivative)
+                if img is None:
+                    img = _raw_derivative(base, f.derivative)
+                k = c * (vden // base._den)
+                for gf, gc in img:
+                    prev = acc.get(gf)
+                    acc[gf] = k * gc if prev is None else prev + k * gc
+            continue
         # parity of the factors v crosses: before f (left rule) or after f (right)
         crossed = _term_parity(fs) if right else 0
         for i, f in enumerate(fs):

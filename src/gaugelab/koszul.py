@@ -426,7 +426,10 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
     numerators go into one accumulator per antifield a, whose target is
     resolved once at the end.  The splits of each multiset M are listed once
     per call; when the prefix is empty only the split with sigma empty
-    contributes, as d_sigma of a constant vanishes.
+    contributes, as d_sigma of a constant vanishes, and the one-factor term
+    ghost_(M) is merged as it is.  Each member's underived ghost symbol is
+    made once; a ghost jet is that symbol for an empty lam, one raise of it
+    for |lam| = 1, and a symbol-table lookup only for |lam| >= 2.
     """
     N = m.resolve_stage(N)
     fams = [fam for fam in m.families if fam.stage <= N]
@@ -437,6 +440,7 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
         ghost = fam.ghost
         for fcomps, (linear, _) in fam.parts.items():
             k = den // linear._den
+            g0 = JetSymbol(ghost, fcomps)
             for fs, c in linear._terms:
                 a = fs[-1]      # every other factor is a field (see _split_member)
                 c *= k
@@ -447,13 +451,14 @@ def ascent_operator(m: ModelSpec, N: int | None = None) -> VerticalDerivation:
                 if ways is None:
                     ways = splits[a.derivative] = tuple(eta_splits(a.derivative))
                 rest = fs[:-1]
-                if not rest:
-                    _, lam, w = ways[0]
-                    _add_term(acc, (JetSymbol(ghost, fcomps, lam),), w * c)
-                    continue
-                q = _make(((rest, 1),), 1)
-                for sigma, lam, w in ways:
-                    g = (JetSymbol(ghost, fcomps, lam),)
+                q = _make(((rest, 1),), 1) if rest else None
+                for sigma, lam, w in ways if rest else ways[:1]:
+                    g = (g0 if not lam else g0.raised(lam[0]) if len(lam) == 1
+                         else JetSymbol(ghost, fcomps, lam),)
+                    if q is None:
+                        prev = acc.get(g)
+                        acc[g] = w * c if prev is None else prev + w * c
+                        continue
                     for gf, gc in multi_total_derivative(q, sigma)._terms:
                         _add_term(acc, g + gf, w * c * gc)
     comps = {}

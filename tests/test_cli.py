@@ -270,12 +270,20 @@ GOLDEN_REPORTS = {
     ("check", "bf:3"): "8bd4e0cb0123e6c0d08e0770016e2c0fc7d1094da6f8b59d07ec1ac4d1708ba7",
     ("check", "bf:4"): "792e1641ab51703d6a07ae204cbfce69bf3251b711afdef1f9ba358aba1ac119",
     ("check", "bf:5"): "775688016b8a23d61a59ef02efd512eed509b6ce8fad8abee681c7b934e6e9a0",
+    ("check", "bf:6"): "bc497198b9c8550c836a279bbe815c2d7b39e8d5c63e7584b9e50b91d9d047be",
+    ("check", "bf:7"): "f06cf6f30ca3d459c11e26bc19fb7dee5568a5c874c3b35f15b29efbb38993ec",
+    ("check", "bf:8"): "e1ed6946390b559e0119b04c1b995ea92e1adb651baef5b63504a70fabdf50c6",
+    ("check", "bf:9"): "032808ad894f5ba62a1ee7cc4b29088d3ebcf9e75f41b2557c9827b95ffa046d",
     ("check", "trivial"): "2d78a62e16c2e0ceec5415cd882332542a7102fdba094b9ab6bb34d00f59fdfc",
     ("check", "scalar:2"): "31452e5f4c51c992755b797edaceced69bcbdcb5eddfb2b678e905e3636adfd0",
     ("gauge", "bf:2"): "fb15874b6d1703c8c1eadb86d98bc61fc55c276fa1bb046be32272e2f153c190",
     ("gauge", "bf:3"): "b141d71bdaeeabd420fc1130eb6691b961b3ba539f0c72631ce565e10b4ffa45",
     ("gauge", "bf:4"): "4eeebfea76204565333cf129a23dfdfd25f2c503f36b72c31bd495d58f39dc7f",
     ("gauge", "bf:5"): "39af887095fe71e4933b35bf0afdbf28016be18d532e6593c8de0ebd91f1ba7b",
+    ("gauge", "bf:6"): "96e884ce467c0e8363142f71e87850a77b6cead1134f5603401197bc3f3290eb",
+    ("gauge", "bf:7"): "95700c1578fc28e7cb136a56b0e52d3a3eb470339fad5d339d516055ad22dcd7",
+    ("gauge", "bf:8"): "20b829421a75d68684d895cab6ca00eb17be3681dca3eb6df4f1ec9e0efba1aa",
+    ("gauge", "bf:9"): "90058c6a1fc91e5183d7c04e8960ac632d99340def5d31019bac75a9925ab581",
     ("gauge", "trivial"): "9dfffae1125aa79be1f54036b5f19f9bbaf9068adb602f6e4c878c8ad98e601f",
     ("gauge", "scalar:2"): "7bce611658d1371ce03f051784823802f22eb57383ce3c327937cc2fae0f6e56",
     ("zoo", "bf:2"): "692eff345dcaacf24a8ff2068e77fedf1e916100846610fbed693259ad8dc5a6",
@@ -388,6 +396,23 @@ def test_python_dash_m_runs_the_cli():
     r = _run_python("-c", "import sys, gaugelab.cli; "
                           "sys.exit('gaugelab.__main__' in sys.modules)")
     assert r.returncode == 0
+
+
+@pytest.mark.parametrize("degree", [900, 990])
+def test_a_window_of_long_chains_exits_alike_at_any_stack_depth(degree, capsys):
+    # 2p chains of up to p factors, within the factor cap: the verdict and the
+    # output are the same in a fresh process and in one deep in recursion
+    argv = ["homology", "--zoo", "scalar:1", "--sector", "0", "--jet-order", "0",
+            "--poly-degree", str(degree)]
+    fresh = _run_python("-m", "gaugelab", *argv)
+
+    def nested(depth):
+        return nested(depth - 1) if depth else run_command(argv)
+
+    code = nested(sys.getrecursionlimit() - 200)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and captured.out.startswith("sector 0: window homology dimension ")
 
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):

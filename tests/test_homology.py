@@ -27,7 +27,8 @@ from gaugelab import (
 )
 import gaugelab.homology
 from gaugelab.homology import (
-    MAX_WINDOW_CHAINS, BoundaryMatrix, kt_differentials_for_sector, window_chains)
+    MAX_WINDOW_CHAINS, MAX_WINDOW_FACTORS, BoundaryMatrix, kt_differentials_for_sector,
+    window_size)
 from gaugelab.jets import window_jets
 from gaugelab.linalg import _kernel, kernel_of_columns, rank_fraction_free
 from support import (
@@ -61,10 +62,9 @@ def test_window_chain_count_matches_the_enumerated_bases(model):
     for sector, jets, degree, stage in product(range(4), range(3), range(1, 4), (None, -1)):
         w = TruncationWindow(jets, degree, sector)
         *_, out_cap, in_cap = kt_differentials_for_sector(model, sector, stage)
-        enumerated = (len(chain_basis(model, w, out_cap))
-                      + len(chain_basis(model, TruncationWindow(jets, degree, sector + 1),
-                                        in_cap)))
-        assert window_chains(model, w, stage) == enumerated
+        bases = (chain_basis(model, w, out_cap)
+                 + chain_basis(model, TruncationWindow(jets, degree, sector + 1), in_cap))
+        assert window_size(model, w, stage) == (len(bases), sum(map(len, bases)))
 
 
 @pytest.mark.parametrize("model", [bf_model(2), two_field_model(),
@@ -97,12 +97,24 @@ def test_sector_zero_is_the_field_monomials_modulo_the_bare_boundaries():
 def test_window_chain_count_stops_past_the_cap():
     # bf:2 at jet order 0, degree 60 has 113,460 + 145,790 chains
     for degree in (60, 900, 5000, 10**30):
-        assert window_chains(bf_model(2), TruncationWindow(0, degree, 1)) > MAX_WINDOW_CHAINS
-    assert window_chains(bf_model(3), TruncationWindow(2, 3, 1)) == 92_250
+        assert window_size(bf_model(2), TruncationWindow(0, degree, 1))[0] > MAX_WINDOW_CHAINS
+    assert window_size(bf_model(3), TruncationWindow(2, 3, 1))[0] == 92_250
     # sectors and degrees of 1000 pass the cap on the first monomials that
     # reach the sector, before the rest of the generating function is built
-    assert window_chains(bf_model(5), TruncationWindow(1, 1000, 1000)) > MAX_WINDOW_CHAINS
-    assert window_chains(bf_model(9), TruncationWindow(2, 1000, 1000)) > MAX_WINDOW_CHAINS
+    assert window_size(bf_model(5), TruncationWindow(1, 1000, 1000))[0] > MAX_WINDOW_CHAINS
+    assert window_size(bf_model(9), TruncationWindow(2, 1000, 1000))[0] > MAX_WINDOW_CHAINS
+
+
+def test_window_factor_count_bounds_few_long_chains():
+    # scalar:1 at sector 0, jet order 0, degree p: the out-map sources s^j
+    # and the in-map sources sbar(s)*s^(j-1) for j = 1..p, p(p+1) factors
+    m = free_scalar_model(1)
+    for p in (1, 2, 990, 5000, 99999):
+        assert window_size(m, TruncationWindow(0, p, 0)) == (2 * p, p * (p + 1))
+    assert window_size(m, TruncationWindow(0, 10**30, 0))[0] > MAX_WINDOW_CHAINS
+    assert 990 * 991 < MAX_WINDOW_FACTORS < 5000 * 5001
+    c990 = chain_basis(m, TruncationWindow(0, 990, 0))
+    assert [len(fs) for fs in c990] == list(range(1, 991))
 
 
 def test_window_chain_count_of_a_sector_out_of_reach_is_zero():
@@ -110,9 +122,9 @@ def test_window_chain_count_of_a_sector_out_of_reach_is_zero():
     # monomial at most once, so nothing past either bound is counted
     for n, jets, degree, sector in ((2, 1, 1, 100_000), (2, 0, 1, 10**6), (2, 0, 1, 4000),
                                     (5, 0, 1000, 100_000), (5, 1, 100, 1000)):
-        assert window_chains(bf_model(n), TruncationWindow(jets, degree, sector)) == 0
+        assert window_size(bf_model(n), TruncationWindow(jets, degree, sector))[0] == 0
     # degree 4 reaches sector 8 only as a product of four cbar(0) jets
-    assert window_chains(bf_model(2), TruncationWindow(1, 4, 8)) == len(
+    assert window_size(bf_model(2), TruncationWindow(1, 4, 8))[0] == len(
         chain_basis(bf_model(2), TruncationWindow(1, 4, 8), 0)) == 15
 
 

@@ -220,6 +220,45 @@ def test_multi_total_derivative_is_every_composition(seed):
             assert composed(q, order) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_linear_derivations_on_linear_inputs_match_the_oracles(seed):
+    # every term of the components and of the input has one factor, as on
+    # every bf:N tower, except a constant, whose derivatives and image vanish
+    rng = random.Random(seed)
+    parity, side = rng.randint(0, 1), rng.choice(("left", "right"))
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+
+    def linear(pool, k):
+        return GradedPoly.from_raw([(coeff(), (x,)) for x in rng.sample(pool, k)])
+
+    comps = {}
+    for x in rng.sample([T.symbol(nm) for nm in ("s", "psi", "sbar(s)", "sbar(psi)")],
+                        rng.randint(1, 4)):
+        want = (parity + x.parity) % 2
+        comp = linear([f for f in POOL if f.parity == want], rng.randint(1, 4))
+        comps[x] = comp if want else comp + GradedPoly.constant(coeff())
+    v = VerticalDerivation(comps, parity=parity, side=side)
+    p = linear(POOL, rng.randint(1, 6)) + GradedPoly.constant(coeff())
+    L = tuple(rng.choice((0, 1)) for _ in range(rng.randint(1, 3)))
+    want_image = oracle_apply_prolonged(v, p)
+    want_d = p
+    for lam in L:
+        want_d = oracle_total_derivative(want_d, lam)
+    assert all(comp._d is None for comp in comps.values()) and p._d is None
+    # read cold, then again from the filled memos
+    for _ in range(2):
+        got = apply_prolonged(v, p)
+        assert got == want_image
+        assert_canonical_coefficients(got)
+        got = multi_total_derivative(p, L)
+        assert got == want_d
+        assert_canonical_coefficients(got)
+    assert tuple(sorted(L)) in p._d
+
+
 def test_euler_lagrange_second_order_scalar():
     m = free_scalar_model(1)
     t = m.table
