@@ -38,7 +38,6 @@ from .errors import (
     UnsupportedCorrection,
 )
 from .jets import (
-    CoefficientFamily,
     VerticalDerivation,
     apply_prolonged,
     eta,

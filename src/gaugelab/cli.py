@@ -110,7 +110,7 @@ def _cmd_check(args) -> tuple:
 def _cmd_gauge(args) -> tuple:
     m, N = _load(args)
     u = ascent_operator(m, N)
-    components = {factor_str(sym): render_poly(p) for sym, p in u.sorted_components()}
+    components = {factor_str(sym): render_poly(p) for sym, p in u.components.items()}
     payload = {
         "model": m.name,
         "command": "gauge",

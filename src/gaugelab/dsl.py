@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 
 from .algebra import EVEN, GradedPoly, ODD, _add_term, _render_terms, perm_sign
-from .errors import GaugelabError, IndexOutOfRange, UnknownVariable
+from .errors import GaugelabError, GradingMismatch, IndexOutOfRange, UnknownVariable
 from .koszul import ModelBuilder, ModelSpec
 
 
@@ -625,7 +625,10 @@ def elaborate(doc: ModelDocument, name: str = "model"):
             free = ex.frees(lexpr) if letters else None
             if free:
                 _reject(lpos, "E-FREE-IDX", f"the Lagrangian has free indices {sorted(free)}")
-            builder.set_lagrangian(GradedPoly.from_raw(ex.eval(lexpr, {})))
+            try:
+                builder.set_lagrangian(GradedPoly.from_raw(ex.eval(lexpr, {})))
+            except GradingMismatch as e:
+                _reject(lpos, "E-SHAPE", str(e))
         stages = sorted({f.stage for f in doc.families})
         if stages != list(range(len(stages))):
             _reject((1, 1), "E-STAGE-ORDER",

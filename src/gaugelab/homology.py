@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import ClassVar
 
 from .algebra import GHOST, GradedPoly, _term_key
 from .errors import GradingMismatch, NotAComplex
@@ -194,30 +195,36 @@ def boundary_matrix(delta: VerticalDerivation, m: ModelSpec,
 class HomologyReport:
     """Window-relative homology numbers at one antifield sector."""
 
-    sector: int
     window: TruncationWindow
     dim_chains: int
     dim_in_chains: int
     rank_out: int
     rank_in_window: int
     dim_cycles: int
-    dim_homology: int
     representatives: tuple      # GradedPoly densities, leading coefficient 1
-    window_relative: bool = True
+    window_relative: ClassVar[bool] = True
+
+    @property
+    def sector(self) -> int:
+        return self.window.sector
+
+    @property
+    def dim_homology(self) -> int:
+        return self.dim_cycles - self.rank_in_window
 
 
-def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
-                       delta_out: VerticalDerivation, w: TruncationWindow,
-                       max_stage_out: int | None = None,
-                       max_stage_in: int | None = None) -> HomologyReport:
-    """Cycles of delta_out modulo window boundaries of delta_in at sector k.
+def homology_dimension(m: ModelSpec, w: TruncationWindow, out_cap: int,
+                       in_cap: int) -> HomologyReport:
+    """Cycles of the stage-``out_cap`` differential modulo window boundaries of
+    the stage-``in_cap`` differential at sector k, the chains at k and k+1
+    holding antifields of stage <= their map's cap.
 
     The composition delta_out(delta_in(chain)) is checked to vanish exactly on
     every in-window chain; a nonzero value indicates inconsistent generators.
     """
-    bm_out = boundary_matrix(delta_out, m, w, max_stage_out)
+    bm_out = boundary_matrix(build_stage_differential(m, out_cap), m, w, out_cap)
     w_in = TruncationWindow(w.max_jet_order, w.max_poly_degree, w.sector + 1)
-    bm_in = boundary_matrix(delta_in, m, w_in, max_stage_in)
+    bm_in = boundary_matrix(build_stage_differential(m, in_cap), m, w_in, in_cap)
 
     # In-window chain j is key j, in-map target i outside the window is key
     # len(source) + i: inside pivots have no outside entries, so they are a
@@ -256,20 +263,18 @@ def homology_dimension(m: ModelSpec, delta_in: VerticalDerivation,
     rank_out = bm_out.rank
     if rank_out + dim_cycles != len(bm_out.source):
         raise AssertionError("rank and kernel computations disagree")
-    dim_h = dim_cycles - len(boundaries)
-    if dim_h != len(reps):
-        raise AssertionError("homology bookkeeping is inconsistent")
-    return HomologyReport(
-        sector=w.sector,
+    report = HomologyReport(
         window=w,
         dim_chains=len(bm_out.source),
         dim_in_chains=len(bm_in.source),
         rank_out=rank_out,
         rank_in_window=len(boundaries),
         dim_cycles=dim_cycles,
-        dim_homology=dim_h,
         representatives=tuple(reps),
     )
+    if report.dim_homology != len(reps):
+        raise AssertionError("homology bookkeeping is inconsistent")
+    return report
 
 
 def _caps(m: ModelSpec, sector: int, max_stage: int | None) -> tuple[int, int]:
@@ -295,10 +300,7 @@ def kt_differentials_for_sector(m: ModelSpec, sector: int,
 def kt_homology(m: ModelSpec, w: TruncationWindow,
                 max_stage: int | None = None) -> HomologyReport:
     """Window homology of the tower at w.sector with the standard caps."""
-    delta_in, delta_out, out_cap, in_cap = kt_differentials_for_sector(
-        m, w.sector, max_stage)
-    return homology_dimension(m, delta_in, delta_out, w,
-                              max_stage_out=out_cap, max_stage_in=in_cap)
+    return homology_dimension(m, w, *_caps(m, w.sector, max_stage))
 
 
 @dataclass(frozen=True)
@@ -309,8 +311,11 @@ class RegularityReport:
     window: TruncationWindow
     dim_cycles: int
     rank_boundaries: int
-    holds: bool
-    window_relative: bool = True
+    window_relative: ClassVar[bool] = True
+
+    @property
+    def holds(self) -> bool:
+        return self.dim_cycles == self.rank_boundaries
 
 
 def regularity_probe(m: ModelSpec, level: int, max_jet_order: int,
@@ -318,14 +323,5 @@ def regularity_probe(m: ModelSpec, level: int, max_jet_order: int,
     """Check that every window cycle of the stage-``level`` differential at
     sector level+3 is a window boundary of the stage-(level+1) differential."""
     w = TruncationWindow(max_jet_order, max_poly_degree, level + 3)
-    delta_out = build_stage_differential(m, level)
-    delta_in = build_stage_differential(m, level + 1)
-    report = homology_dimension(m, delta_in, delta_out, w,
-                                max_stage_out=level, max_stage_in=level + 1)
-    return RegularityReport(
-        level=level,
-        window=w,
-        dim_cycles=report.dim_cycles,
-        rank_boundaries=report.rank_in_window,
-        holds=report.dim_homology == 0,
-    )
+    report = homology_dimension(m, w, level, level + 1)
+    return RegularityReport(level, w, report.dim_cycles, report.rank_in_window)

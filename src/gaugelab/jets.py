@@ -167,47 +167,11 @@ def is_dH_exact(P: GradedPoly) -> bool:
     return not any(euler_operator(P).values())
 
 
-class CoefficientFamily:
-    """Finitely supported map from derivative multi-indices to polynomials."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, mapping: Mapping[MultiIndex, GradedPoly] | Iterable = ()):
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        parts: dict[MultiIndex, list] = {}
-        for mi, poly in items:
-            parts.setdefault(multi_index(mi), []).append(poly)
-        sums = ((mi, poly_sum(ps)) for mi, ps in parts.items())
-        self._items = tuple(sorted(((mi, p) for mi, p in sums if not p.is_zero()),
-                                   key=lambda t: (len(t[0]), t[0])))
-
-    @property
-    def items(self) -> tuple:
-        return self._items
-
-    def get(self, mi: Iterable[int]) -> GradedPoly:
-        mi = multi_index(mi)
-        for k, p in self._items:
-            if k == mi:
-                return p
-        return GradedPoly.zero()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CoefficientFamily) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{mi}: {p!r}" for mi, p in self._items)
-        return f"CoefficientFamily({{{body}}})"
-
-
 def eta_splits(M: MultiIndex):
     """(sigma, lam, w) for each split of the multiset M into sigma and lam:
     eta sends w * d_sigma of the order-M coefficient to order lam, where w is
-    (-1)^|M| times the product of per-index binomial coefficients.  The
-    first split has sigma empty and lam = M."""
+    (-1)^|M| times the product of per-index binomial coefficients.  Every
+    lam comes out sorted, and the first split has sigma empty and lam = M."""
     idxs = sorted(set(M))
     mults = [M.count(i) for i in idxs]
     sign = -1 if len(M) % 2 else 1
@@ -217,15 +181,20 @@ def eta_splits(M: MultiIndex):
         yield sigma, lam, sign * prod(map(comb, mults, choice))
 
 
-def eta(fam: CoefficientFamily) -> CoefficientFamily:
-    """Integration-by-parts involution on coefficient families.
+def eta(fam: Mapping[MultiIndex, GradedPoly]) -> dict[MultiIndex, GradedPoly]:
+    """Integration-by-parts involution on coefficient families: finite maps
+    from derivative multisets to polynomials, returned as a dict with sorted
+    multiset keys and no zero entries.
 
     Determined by  sum_L (-1)^|L| d_L(f^L p) = sum_L eta(f)^L d_L p  for every
     polynomial p; on multiset-indexed families the splitting multiplicity is
     the product of per-index binomial coefficients.  Satisfies eta(eta(f)) = f.
     """
-    return CoefficientFamily((lam, multi_total_derivative(f, sigma).scale(w))
-                             for M, f in fam.items for sigma, lam, w in eta_splits(M))
+    parts: dict[MultiIndex, list] = {}
+    for M, f in fam.items():
+        for sigma, lam, w in eta_splits(M):
+            parts.setdefault(lam, []).append(multi_total_derivative(f, sigma).scale(w))
+    return {lam: p for lam, ps in parts.items() if (p := poly_sum(ps))}
 
 
 class VerticalDerivation:
@@ -265,14 +234,6 @@ class VerticalDerivation:
 
     def is_zero(self) -> bool:
         return not self.components
-
-    def image(self, sym: JetSymbol) -> GradedPoly | None:
-        """Prolonged action on one jet symbol, or None when the component is zero."""
-        base = self.components.get(sym.zero_order())
-        return None if base is None else multi_total_derivative(base, sym.derivative)
-
-    def sorted_components(self):
-        return tuple(self.components.items())
 
 
 def apply_prolonged(v: VerticalDerivation, P: GradedPoly) -> GradedPoly:
@@ -339,7 +300,7 @@ def contracted_el_density(el: Mapping[JetSymbol, GradedPoly],
     """The density sum_x v^x * E_x, with the Euler-Lagrange expression E_x
     read from ``el``; a component with no entry in ``el`` counts as zero."""
     parts = []
-    for sym, comp in v.sorted_components():
+    for sym, comp in v.components.items():
         e = el.get(sym, _ZERO)
         if not e.is_zero():
             parts.append(comp * e)

@@ -50,6 +50,7 @@ from .algebra import (
     _add_term,
     _make,
     _reduced,
+    _term_parity,
     factor_str,
     grading_of,
     poly_sum,
@@ -221,7 +222,11 @@ class ModelBuilder:
         return decl
 
     def set_lagrangian(self, L: GradedPoly) -> None:
+        """Raises GradingMismatch when a term of L is odd; an even Lagrangian
+        may hold antifields."""
         self.table.validate_poly(L)
+        if any(_term_parity(fs) for fs, _ in L._terms):
+            raise GradingMismatch("the Lagrangian has an odd term")
         self._lagrangian = L
 
     def add_stage(self, families) -> None:
@@ -346,8 +351,11 @@ def build_stage_differential(m: ModelSpec, N: int | None = None) -> VerticalDeri
 
 @dataclass(frozen=True)
 class NilpotencyResult:
-    ok: bool
     witness: tuple | None = None   # (JetSymbol, GradedPoly) for the first failure
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 def check_nilpotency(v: VerticalDerivation) -> NilpotencyResult:
@@ -366,11 +374,11 @@ def check_ascent_nilpotency(v: VerticalDerivation) -> NilpotencyResult:
     """Apply the prolonged derivation to each of its own components, in
     component order, and report the first nonzero image; non-nilpotence is a
     report, not an error."""
-    for sym, comp in v.sorted_components():
+    for sym, comp in v.components.items():
         r = apply_prolonged(v, comp)
         if not r.is_zero():
-            return NilpotencyResult(False, (sym, r))
-    return NilpotencyResult(True, None)
+            return NilpotencyResult((sym, r))
+    return NilpotencyResult()
 
 
 def identity_defect(m: ModelSpec, fam: NoetherGeneratorFamily, comps) -> GradedPoly:
@@ -500,7 +508,8 @@ def _correction_derivation(m: ModelSpec, k: int) -> VerticalDerivation | None:
     if k >= 2 and any(corr for fam in m.families_at(k) for _, corr in fam.parts.values()):
         comps.update((JetSymbol(prev.antifield, ct), member)
                      for prev in m.families_at(k - 2) for ct, member in prev.members.items())
-    return VerticalDerivation(comps, parity=ODD, side=RIGHT) if comps else None
+    return (VerticalDerivation(comps, parity=ODD, side=RIGHT, antifield_delta=-1, ghost_delta=1)
+            if comps else None)
 
 
 def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
@@ -522,7 +531,7 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
     """
     N = m.resolve_stage(N)
     delta = build_stage_differential(m, N)
-    images = {sym: apply_prolonged(delta, comp) for sym, comp in delta.sorted_components()}
+    images = {sym: apply_prolonged(delta, comp) for sym, comp in delta.components.items()}
 
     results = []
     for fam in m.families:
@@ -562,7 +571,10 @@ def run_checks(m: ModelSpec, N: int | None = None) -> list[CheckResult]:
 @dataclass(frozen=True)
 class OnShellResult:
     residual: GradedPoly
-    in_ideal: bool
+
+    @property
+    def in_ideal(self) -> bool:
+        return self.residual.is_zero()
 
 
 def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = None,
@@ -577,13 +589,13 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
     span, never shrink it.
     """
     if p.is_zero():
-        return OnShellResult(p, True)
+        return OnShellResult(p)
     g = grading_of(p)
     if g == INHOMOGENEOUS:
         raise GradingMismatch("on-shell reduction expects a graded-homogeneous input")
     nonzero_el = {sym: e for sym, e in m.euler_lagrange_map().items() if e}
     if not nonzero_el:
-        return OnShellResult(p, False)
+        return OnShellResult(p)
     if max_jet_order is None:
         max_jet_order = p.max_jet_order() + max(e.max_jet_order()
                                                 for e in nonzero_el.values())
@@ -614,5 +626,4 @@ def on_shell_reduce(m: ModelSpec, p: GradedPoly, max_jet_order: int | None = Non
     out, scale = span._reduce(dict(p._terms))
     if scale < 0:
         out, scale = {fs: -c for fs, c in out.items()}, -scale
-    residual = GradedPoly._from_dict(out, scale * p._den)
-    return OnShellResult(residual, residual.is_zero())
+    return OnShellResult(GradedPoly._from_dict(out, scale * p._den))

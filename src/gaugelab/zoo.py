@@ -62,14 +62,14 @@ def bf_model(n: int) -> ModelSpec:
     return b.build()
 
 
-def trivial_model(field_decls, n: int = 1, name: str = "trivial") -> ModelSpec:
+def trivial_model(field_decls, n: int = 1) -> ModelSpec:
     """Zero Lagrangian; one stage-0 generator per field sending its antifield
     family to itself.
 
     ``field_decls`` is a list of (name, parity) or (name, parity, arity,
     antisym) tuples.
     """
-    b = ModelBuilder(name, n)
+    b = ModelBuilder("trivial", n)
     specs = []
     for fd in field_decls:
         fname, parity, arity, antisym = (tuple(fd) + (0, False))[:4]

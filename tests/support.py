@@ -50,6 +50,14 @@ def random_poly(rng, pool, max_terms=4, max_degree=3, parity=None,
     return GradedPoly.from_raw(terms)
 
 
+def random_family(rng, pool, max_order, max_entries, **kw):
+    """A random coefficient family: {sorted multiset over 0..1: random_poly}
+    with no zero entry."""
+    fam = {tuple(sorted(rng.choice(range(2)) for _ in range(rng.randint(0, max_order)))):
+           random_poly(rng, pool, **kw) for _ in range(rng.randint(1, max_entries))}
+    return {mi: p for mi, p in fam.items() if p}
+
+
 def unit_poly(rng, pool, **kw):
     """A random polynomial whose every coefficient is +1 or -1."""
     terms = random_poly(rng, pool, **kw).terms
@@ -330,7 +338,7 @@ def oracle_ascent_operator(m, N=None):
     """The ascent operator composed step by step: right partials against
     each linear antifield jet, grouped into coefficient families, the
     involution ``eta``, then products with the ghost jets."""
-    from gaugelab import CoefficientFamily, VerticalDerivation, eta, partial_derivative
+    from gaugelab import VerticalDerivation, eta, partial_derivative
 
     N = m.resolve_stage(N)
     parts = {}
@@ -347,7 +355,7 @@ def oracle_ascent_operator(m, N=None):
             for (anti, acomps), family_map in groups.items():
                 target = (m.field_for_antifield(anti) if fam.stage == 0
                           else m.family_for_antifield(anti).ghost)
-                for lam, coeff in eta(CoefficientFamily(family_map)).items:
+                for lam, coeff in eta(family_map).items():
                     ghost = GradedPoly.from_symbol(m.table.symbol(fam.ghost, fcomps, lam))
                     parts.setdefault(m.table.symbol(target, acomps), []).append(ghost * coeff)
     return VerticalDerivation({sym: poly_sum(ps) for sym, ps in parts.items()},

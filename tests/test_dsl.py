@@ -21,6 +21,7 @@ from gaugelab import (
     zoo_model,
 )
 from gaugelab import dsl
+from gaugelab.algebra import _term_parity
 from support import ONSHELL_GLM, ROTOR_GLM, OracleError, oracle_expand, rescaled_tower
 
 BF2_TEXT = """\
@@ -397,7 +398,7 @@ GOLDEN_DIAGNOSTICS = [
     (H + 'L = s\nstage 0: D[0] = sbar(v)[0]; D[1] = sbar(psi)\n',
      ['7:29: E-SHAPE: family D has members of mixed parity']),
     # names have no hyphen, and the input is ASCII
-    (H + 'L = 2*s-3*psi\n', []),
+    (H + 'L = 2*s-3*psi\n', ['6:1: E-SHAPE: the Lagrangian has an odd term']),
     ('dim 1\nfield my-field\nL = my-field\n',
      ['2:1: E-SYNTAX: usage: field NAME [ARITY [antisym]]']),
     ('dim 1\nfield A\nL = \u0663*A\n', ["3:5: E-SYNTAX: unexpected character '\u0663'"]),
@@ -666,6 +667,18 @@ def test_expansion_matches_the_polynomial_oracle(tree, tight):
         want = oracle_expand(b.table, tree)
     except OracleError as e:
         assert m is None and [d.code for d in diags] == [e.code], (text, diags)
+        return
+    if any(_term_parity(fs) for fs, _ in want.terms):
+        # an odd Lagrangian is rejected at its statement; its expansion
+        # still matches, read from the parser and the expander
+        assert m is None and [d.code for d in diags] == ["E-SHAPE"], (text, diags)
+        doc, _ = parse_model(text)
+        lexpr, (line, col), letters = doc.lagrangian
+        assert (diags[0].line, diags[0].col) == (line, col)
+        ex = dsl._Expander(b.table, 2)
+        if letters:
+            ex.frees(lexpr)
+        assert GradedPoly.from_raw(ex.eval(lexpr, {})) == want, text
         return
     assert diags == [], text
     assert m.lagrangian == want, text

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gaugelab import (
     EvenDerivation,
     GradedPoly,
+    Grading,
     IndexOutOfRange,
     MissingStage,
     UnsupportedCorrection,
@@ -359,7 +360,7 @@ def test_full_check_applies_the_stage_differential_once_per_component(monkeypatc
     assert all(r.ok for r in run_checks(m))
     (d,) = built
     inputs = [p for v, p in calls if v is d]
-    want = [comp for _, comp in d.sorted_components()] + [m.lagrangian]
+    want = list(d.components.values()) + [m.lagrangian]
     assert sorted(map(id, inputs)) == sorted(map(id, want))
     assert extended_lagrangian(m) not in inputs
     # the identities read the same images: no identity derivation is built,
@@ -397,7 +398,7 @@ def test_ascent_operator_matches_descent_pattern():
     for n in (2, 3, 4):
         m = bf_model(n)
         u = ascent_operator(m)
-        assert dict(u.sorted_components()) == expected_bf_ascent(m)
+        assert u.components == expected_bf_ascent(m)
         assert u.parity == 1 and u.side == "left" and u.ghost_delta == 1
 
 
@@ -501,7 +502,7 @@ def test_ascent_descent_relations_reduce_to_zero():
     # so the on-shell residual is exactly zero
     m = bf_model(3)
     u = ascent_operator(m)
-    for sym, comp in u.sorted_components():
+    for sym, comp in u.components.items():
         image = apply_prolonged(u, comp)
         r = on_shell_reduce(m, image, max_jet_order=0)
         assert r.in_ideal and r.residual.is_zero()
@@ -525,7 +526,7 @@ def test_on_shell_reduce_constant_not_in_ideal():
 
 def _ascent_square(m):
     u = ascent_operator(m)
-    return {sym: apply_prolonged(u, comp) for sym, comp in u.sorted_components()}
+    return {sym: apply_prolonged(u, comp) for sym, comp in u.components.items()}
 
 
 def test_on_shell_square_is_in_the_shell_ideal():
@@ -684,6 +685,25 @@ def test_a_linear_term_ends_in_its_antifield(seed, make):
                 assert fs[-1].var.kind == "antifield"
                 assert fs[-1].var.stage == fam.stage - 1
                 assert all(f.var.kind == "field" for f in fs[:-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([split_model, ascent_model]))
+def test_every_derivation_declares_the_grading_shift_of_its_components(seed, make):
+    # each nonzero component has its symbol's grading shifted by (parity,
+    # antifield_delta, ghost_delta): delta_N for every N, every epsilon_k and u
+    for m in [zoo_model(z) for z in ("trivial", "bf:2", "bf:3", "bf:4", "scalar:2")] + [
+            make(random.Random(seed))]:
+        derivations = [build_stage_differential(m, N) for N in range(-1, m.max_stage + 1)]
+        derivations += [ascent_operator(m, N) for N in range(-1, m.max_stage + 1)]
+        derivations += [eps for k in range(m.max_stage + 1)
+                        if (eps := koszul._correction_derivation(m, k)) is not None]
+        for v in derivations:
+            for sym, comp in v.components.items():
+                g = grading_of(GradedPoly.from_symbol(sym))
+                assert grading_of(comp) == Grading(
+                    (g.parity + v.parity) % 2, g.antifield_number + v.antifield_delta,
+                    g.ghost_number + v.ghost_delta), (m, sym, comp)
 
 
 def test_correction_term_enters_the_stage_identity():
@@ -903,7 +923,7 @@ def test_polynomial_coefficient_generators_end_to_end():
     # with no corrections the ghost ladder closes, but the field component of
     # this x-dependent symmetry does not square to zero: non-nilpotence is a
     # report with a witness, not an error
-    for sym, comp in u.sorted_components():
+    for sym, comp in u.components.items():
         if sym.var.kind == "ghost":
             assert apply_prolonged(u, comp).is_zero()
     r = check_ascent_nilpotency(u)
